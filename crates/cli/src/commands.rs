@@ -544,7 +544,19 @@ mod tests {
         assert_eq!(rates(&fixed), rates(&fixed_again));
 
         // The SIMD backend computes the same f32 semantics bit for bit, so its SDC
-        // rates are identical to the scalar f32 report for the same seed.
+        // rates are identical to the scalar f32 backend's for the same seed. The f32
+        // run is pinned explicitly: the default backend follows RANGER_BACKEND.
+        let scalar_f32 = inject(&opts(&[
+            "--in",
+            protected_path.to_str().unwrap(),
+            "--trials",
+            "20",
+            "--inputs",
+            "1",
+            "--backend",
+            "f32",
+        ]))
+        .unwrap();
         let simd = inject(&opts(&[
             "--in",
             protected_path.to_str().unwrap(),
@@ -557,7 +569,7 @@ mod tests {
         ]))
         .unwrap();
         assert!(simd.contains("backend simd"));
-        assert_eq!(rates(&report), rates(&simd));
+        assert_eq!(rates(&scalar_f32), rates(&simd));
 
         // An unknown backend is a usage error; a contradictory backend/fault pairing is
         // rejected by the campaign with a descriptive message.

@@ -266,59 +266,12 @@ pub fn drive_model_campaign(
     }
 }
 
-/// Runs a fault-injection campaign by sharding its chunk space across `hosts`
-/// in-process worker hosts coordinated by the campaign service's lease + merge-verify
-/// machinery (see `ranger_serve::run_sharded`) — the multi-host execution path, minus
-/// the sockets. Checkpointing, resumption and the event stream behave exactly like
-/// [`drive_model_campaign`], and the merged counts are bit-for-bit the single-host
-/// counts.
-///
-/// # Errors
-///
-/// As [`drive_model_campaign`].
-pub fn shard_model_campaign(
-    model: &Model,
-    inputs: &[ranger_tensor::Tensor],
-    judge: &dyn SdcJudge,
-    config: &CampaignConfig,
-    checkpoint_dir: &Path,
-    hosts: usize,
-    sink: &mut dyn CampaignSink,
-) -> Result<CampaignResult, PipelineError> {
-    config.validate()?;
-    let target = InjectionTarget {
-        graph: &model.graph,
-        input_name: &model.input_name,
-        output: model.output,
-        excluded: &model.excluded_from_injection,
-    };
-    let chunk_len = ranger_inject::default_chunk_len(config);
-    let fingerprint =
-        campaign_fingerprint(&target, inputs, config, &judge.categories(), chunk_len)?;
-    let store = CheckpointStore::open(
-        &checkpoint_dir.join(format!("{fingerprint}.jsonl")),
-        &fingerprint,
-    )?;
-    let prepared = PreparedCampaign::new(&target, inputs, judge, config)?;
-    let options = ranger_serve::ShardOptions::hosts(hosts);
-    match ranger_serve::run_sharded(&prepared, store, &options, sink)? {
-        DriveOutcome::Completed(result) => Ok(result),
-        DriveOutcome::Stopped(_) => Err(PipelineError::Interrupted),
-    }
-}
-
-/// How the pipeline executes its campaign arms: directly in-process, through the
-/// checkpointed streaming driver shared with the campaign service, or sharded across
-/// in-process worker hosts via the lease coordinator.
+/// How the pipeline executes its campaign arms: directly in-process, or through the
+/// checkpointed streaming driver shared with the campaign service.
 enum CampaignExec<'s> {
     InProcess,
     Streamed {
         dir: PathBuf,
-        sink: &'s mut dyn CampaignSink,
-    },
-    Sharded {
-        dir: PathBuf,
-        hosts: usize,
         sink: &'s mut dyn CampaignSink,
     },
 }
@@ -335,9 +288,6 @@ impl CampaignExec<'_> {
             CampaignExec::InProcess => Ok(run_model_campaign(model, inputs, judge, config)?),
             CampaignExec::Streamed { dir, sink } => {
                 drive_model_campaign(model, inputs, judge, config, dir, &mut **sink)
-            }
-            CampaignExec::Sharded { dir, hosts, sink } => {
-                shard_model_campaign(model, inputs, judge, config, dir, *hosts, &mut **sink)
             }
         }
     }
@@ -697,30 +647,6 @@ impl Pipeline {
             )
         })?;
         self.run_with_exec(&mut CampaignExec::Streamed { dir, sink })
-    }
-
-    /// Runs the pipeline like [`Pipeline::serve_run`], but executes both campaign arms
-    /// sharded across `hosts` in-process worker hosts coordinated by the campaign
-    /// service's lease table and merge-verify pass — the full multi-host machinery,
-    /// minus the sockets. Counts are bit-for-bit the single-host counts, and the
-    /// checkpoint files interoperate with [`Pipeline::serve_run`]'s: a sharded run can
-    /// resume a streamed one and vice versa.
-    ///
-    /// # Errors
-    ///
-    /// As [`Pipeline::serve_run`].
-    pub fn shard_run(
-        mut self,
-        sink: &mut dyn CampaignSink,
-        hosts: usize,
-    ) -> Result<PipelineOutcome, PipelineError> {
-        let dir = self.serve_checkpoints.take().ok_or_else(|| {
-            PipelineError::InvalidConfig(
-                "shard_run needs a checkpoint directory; call serve_checkpoint_dir(..) first"
-                    .to_string(),
-            )
-        })?;
-        self.run_with_exec(&mut CampaignExec::Sharded { dir, hosts, sink })
     }
 
     fn run_with_exec(self, exec: &mut CampaignExec<'_>) -> Result<PipelineOutcome, PipelineError> {
@@ -1222,73 +1148,6 @@ mod tests {
 
         // Without a checkpoint directory, serve_run refuses up front.
         let err = build().serve_run(&mut CollectSink::new()).unwrap_err();
-        assert!(
-            matches!(err, PipelineError::InvalidConfig(_)),
-            "got {err:?}"
-        );
-        assert!(err.to_string().contains("checkpoint"));
-
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    /// `shard_run` drives both campaign arms through the in-process sharding
-    /// coordinator with simulated worker hosts: results match `run_full` bit-for-bit,
-    /// and the checkpoint files it writes are interchangeable with `serve_run`'s — a
-    /// sharded fleet can resume a single-host campaign and vice versa.
-    #[test]
-    fn shard_run_matches_run_full_and_shares_checkpoints_with_serve_run() {
-        use ranger_serve::{CampaignEvent, CollectSink};
-        let build = || {
-            Pipeline::for_model(ModelKind::LeNet)
-                .seed(47)
-                .train(quick_recipe())
-                .zoo(temp_zoo("shard"))
-                .campaign(CampaignConfig {
-                    trials: 12,
-                    batch: 1,
-                    workers: 2,
-                    seed: 47,
-                    ..CampaignConfig::default()
-                })
-                .inputs(2)
-        };
-        let reference = build().run_full().unwrap();
-
-        let dir =
-            std::env::temp_dir().join(format!("ranger-engine-shard-ckpt-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-
-        let mut sink = CollectSink::new();
-        let outcome = build()
-            .serve_checkpoint_dir(&dir)
-            .shard_run(&mut sink, 3)
-            .unwrap();
-        assert_eq!(outcome.baseline_result, reference.baseline_result);
-        assert_eq!(outcome.protected_result, reference.protected_result);
-        let dones = sink
-            .events
-            .iter()
-            .filter(|e| matches!(e, CampaignEvent::CampaignDone { .. }))
-            .count();
-        assert_eq!(dones, 2);
-
-        // The sharded fleet's checkpoints are the same durable format the streaming
-        // executor writes: a single-host serve_run over the directory replays every
-        // chunk without recomputing.
-        let mut replay = CollectSink::new();
-        let again = build()
-            .serve_checkpoint_dir(&dir)
-            .serve_run(&mut replay)
-            .unwrap();
-        assert_eq!(again.baseline_result, reference.baseline_result);
-        assert_eq!(again.protected_result, reference.protected_result);
-        assert!(!replay
-            .events
-            .iter()
-            .any(|e| matches!(e, CampaignEvent::ChunkDone { resumed: false, .. })));
-
-        // Without a checkpoint directory, shard_run refuses up front.
-        let err = build().shard_run(&mut CollectSink::new(), 2).unwrap_err();
         assert!(
             matches!(err, PipelineError::InvalidConfig(_)),
             "got {err:?}"

@@ -9,7 +9,7 @@
 //! intact); corruption anywhere else is refused loudly.
 //!
 //! Records are keyed by chunk *index* into the campaign's canonical partition, so the
-//! file's order carries no meaning and replaying is order-independent. The driver
+//! file's order carries no meaning and replaying is order-independent. The coordinator
 //! additionally verifies each record's geometry against the prepared campaign before
 //! trusting it — a fingerprint match plus geometry match is what makes resumed counts
 //! provably identical to an uninterrupted run.
@@ -48,10 +48,10 @@ impl ChunkRecord {
     /// A record is acceptable only if its chunk index exists in the partition, its
     /// `(input, start, len)` geometry is byte-identical to the partition's chunk at
     /// that index, its tally carries exactly `categories` SDC counters, and its trial
-    /// count equals the chunk length. The local driver runs this over resumed records;
-    /// the sharding coordinator runs it over every record a remote worker pushes —
-    /// a fingerprint match proves the *campaign* is the same, this proves the *record*
-    /// actually belongs to it.
+    /// count equals the chunk length. The coordinator runs this over every resumed
+    /// record and every record a worker — the local pool or a remote host — hands
+    /// back: a fingerprint match proves the *campaign* is the same, this proves the
+    /// *record* actually belongs to it.
     ///
     /// # Errors
     ///

@@ -3,11 +3,15 @@
 //! A [`Coordinator`] owns everything one sharded campaign needs on the coordinating
 //! host: the canonical chunk partition, the fsync'd [`CheckpointStore`], a
 //! [`LeaseTable`] handing exclusive chunk ranges to worker hosts, and the ordered
-//! emission state that turns remotely-completed records into the same monotone
-//! [`CampaignEvent`] stream the local driver produces. It runs **no forward passes**
-//! itself — workers materialize the campaign from its spec, execute chunks, and push
+//! emission state that turns completed records into one monotone [`CampaignEvent`]
+//! stream. It runs **no forward passes** itself — workers execute chunks and hand the
 //! records back; the coordinator's job is to refuse everything that shouldn't be
 //! merged and durably absorb everything that should.
+//!
+//! It is the only writer of the checkpoint. A coordinated campaign's workers are remote
+//! hosts pushing over TCP; a locally driven campaign ([`drive`](crate::driver::drive))
+//! is a coordinator whose one worker is the local thread pool. Either way every record
+//! reaches the store through [`Coordinator::absorb`].
 //!
 //! Every record a worker pushes crosses three gates, in order:
 //!
@@ -19,26 +23,30 @@
 //!    geometry and the tally's shape against the campaign's canonical partition, and
 //!    the push must name the coordinator's exact fingerprint.
 //!
-//! Only then is the record fsync'd into the store — durability before visibility, the
-//! same discipline as the local driver — and emitted in canonical chunk order.
+//! Only then is the record fsync'd into the store — durability before visibility — and
+//! emitted in canonical chunk order.
 
 use crate::checkpoint::{CheckpointStore, ChunkRecord};
 use crate::lease::{LeaseError, LeaseGrant, LeaseTable, TouchOutcome};
 use crate::sink::{CampaignEvent, CampaignSink, SinkFlow};
 use crate::ServeError;
 use ranger_inject::{CampaignResult, ChunkTally, TrialChunk};
+use std::borrow::BorrowMut;
 use std::collections::BTreeMap;
 use std::time::Instant;
 
 /// Coordinates one sharded campaign: leases out chunk ranges, merge-verifies and
 /// durably absorbs the records workers push back, and emits the ordered event stream.
+///
+/// `S` is how the coordinator holds its store: owned by a long-lived coordinated
+/// campaign, borrowed (`&mut CheckpointStore`) for the span of one local drive.
 #[derive(Debug)]
-pub struct Coordinator {
+pub struct Coordinator<S = CheckpointStore> {
     fingerprint: String,
     chunks: Vec<TrialChunk>,
     categories: Vec<String>,
     trials_total: u64,
-    store: CheckpointStore,
+    store: S,
     table: LeaseTable,
     /// Absorbed tallies parked until their index is next; `bool` is the resumed flag.
     ready: BTreeMap<usize, (ChunkTally, bool)>,
@@ -48,7 +56,7 @@ pub struct Coordinator {
     stopped: bool,
 }
 
-impl Coordinator {
+impl<S: BorrowMut<CheckpointStore>> Coordinator<S> {
     /// Builds a coordinator over `store` for the campaign whose canonical partition is
     /// `chunks`, judging `categories`, totalling `trials_total` trials.
     ///
@@ -60,17 +68,17 @@ impl Coordinator {
     ///
     /// Returns [`ServeError::Corrupt`] if a resumed record fails merge-verify.
     pub fn new(
-        store: CheckpointStore,
+        store: S,
         chunks: Vec<TrialChunk>,
         categories: Vec<String>,
         trials_total: u64,
     ) -> Result<Self, ServeError> {
-        for record in store.completed().values() {
+        let durable = store.borrow().completed();
+        for record in durable.values() {
             record.verify_against(&chunks, categories.len())?;
         }
-        let table = LeaseTable::new(chunks.len(), store.completed().keys().copied());
-        let ready: BTreeMap<usize, (ChunkTally, bool)> = store
-            .completed()
+        let table = LeaseTable::new(chunks.len(), durable.keys().copied());
+        let ready: BTreeMap<usize, (ChunkTally, bool)> = durable
             .values()
             .map(|record| (record.chunk.index, (record.tally.clone(), true)))
             .collect();
@@ -82,7 +90,7 @@ impl Coordinator {
             unactivated: 0,
         };
         Ok(Coordinator {
-            fingerprint: store.fingerprint().to_string(),
+            fingerprint: store.borrow().fingerprint().to_string(),
             chunks,
             categories,
             trials_total,
@@ -259,7 +267,7 @@ impl Coordinator {
                 found: claimed_fingerprint.to_string(),
             });
         }
-        if let Some(existing) = self.store.completed().get(&record.chunk.index) {
+        if let Some(existing) = self.store.borrow().completed().get(&record.chunk.index) {
             // A worker retrying a push whose response was lost: the identical record
             // is already durable, so the merge is a no-op either way.
             if *existing == record {
@@ -286,7 +294,7 @@ impl Coordinator {
             .inspect_err(|_| observe("serve.merge.rejected"))?;
 
         // Durability before visibility: fsync'd into the store, then emitted.
-        self.store.append(&record)?;
+        self.store.borrow_mut().append(&record)?;
         self.table.complete(record.chunk.index);
         observe("serve.merge.accepted");
         self.ready.insert(record.chunk.index, (record.tally, false));

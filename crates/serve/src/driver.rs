@@ -1,31 +1,32 @@
-//! The chunked campaign driver: checkpointed, streaming execution of a
-//! [`PreparedCampaign`].
+//! The campaign driver: checkpointed, streaming execution of a [`PreparedCampaign`]
+//! on the local pool.
 //!
-//! [`drive`] is the heart of the service. It takes a campaign already compiled into
-//! work units, a [`CheckpointStore`] keyed by the campaign's fingerprint, a worker pool
-//! and a [`CampaignSink`], and executes every chunk not yet on record:
+//! [`drive`] is a [`Coordinator`] with one in-process worker, and that worker is the
+//! pool. It opens a coordinator over the store — which merge-verifies every resumed
+//! record — replays the durable prefix through [`Coordinator::begin`], leases every
+//! pending chunk to itself, executes them with `run_chunks` and absorbs each record
+//! through [`Coordinator::absorb`]. Duplicate, lease and merge-verify checks,
+//! fsync-before-emit and canonical-order emission are therefore the very code a
+//! coordinated fleet's pushes go through, and a local drive's checkpoint is the
+//! artifact a fleet writes.
 //!
-//! * **Pending chunks** run on the pool via
-//!   [`ThreadPool::run_with_consumer`], one buffer arena
-//!   per worker; each completed tally is appended to the checkpoint — fsync'd — *before*
-//!   it is reported, so every chunk event a client observes is durable.
-//! * **Resumed chunks** are replayed from the store (after verifying their geometry
-//!   against the prepared partition) without running a single forward pass.
-//! * **Emission** is reordered to canonical chunk-index order whatever the completion
-//!   order was, so the cumulative tallies the sink observes are deterministic and
-//!   monotone — a resumed stream is indistinguishable from an uninterrupted one.
+//! `run_chunks` is the pool executor both kinds of worker share: `drive` hands its
+//! records to the local coordinator, the remote [`work`](crate::worker::work) loop
+//! pushes them to a remote one.
 //!
 //! Because fault plans are keyed by `(input, trial)` index, the final result is
 //! bit-for-bit the [`run_campaign`](ranger_inject::run_campaign) result for the same
 //! configuration, however many times the campaign was killed and resumed in between.
 
 use crate::checkpoint::{CheckpointStore, ChunkRecord};
-use crate::sink::{CampaignEvent, CampaignSink, SinkFlow};
+use crate::coordinator::Coordinator;
+use crate::lease::MAX_LEASE_MS;
+use crate::sink::CampaignSink;
 use crate::ServeError;
-use ranger_inject::{CampaignError, CampaignResult, ChunkTally, PreparedCampaign, TrialChunk};
+use ranger_inject::{CampaignError, CampaignResult, PreparedCampaign, TrialChunk};
 use ranger_runtime::ThreadPool;
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::time::Instant;
 
 /// How a driven campaign ended.
 #[derive(Debug, Clone, PartialEq)]
@@ -42,16 +43,17 @@ pub enum DriveOutcome {
 /// events into `sink` and persisting every completed chunk into `store`.
 ///
 /// `cancel` is checked before each pending chunk executes and may be set at any time by
-/// another thread (the service's cancel request); the sink returning [`SinkFlow::Stop`]
-/// sets it too. Stopping is cooperative: in-flight chunks finish and are checkpointed,
-/// further chunks are skipped.
+/// another thread (the service's cancel request); the sink returning
+/// [`SinkFlow::Stop`](crate::sink::SinkFlow::Stop) sets it too. Stopping is cooperative:
+/// in-flight chunks finish and are checkpointed, further chunks are skipped.
 ///
 /// # Errors
 ///
-/// Returns [`ServeError::Corrupt`] if a checkpoint record's geometry does not match the
-/// prepared partition (the fingerprint should make this unreachable short of file
-/// tampering), or [`ServeError::Campaign`] if work units fail — with
-/// [`CampaignError::Failures`] context when more than one did.
+/// Returns [`ServeError::Corrupt`] if a checkpoint record fails merge-verify against
+/// the prepared partition (the fingerprint should make this unreachable short of file
+/// tampering), an I/O error if a record cannot be made durable, or
+/// [`ServeError::Campaign`] if work units fail: the failure of the lowest chunk index,
+/// with [`CampaignError::Failures`] context only when more than one failed.
 pub fn drive(
     prepared: &PreparedCampaign<'_>,
     store: &mut CheckpointStore,
@@ -60,166 +62,167 @@ pub fn drive(
     sink: &mut dyn CampaignSink,
 ) -> Result<DriveOutcome, ServeError> {
     let chunks = prepared.chunks();
-    // Trust no record until it passes the same merge-verify pass the sharding
-    // coordinator applies to remote records: geometry and tally shape must match the
-    // canonical partition exactly.
-    for record in store.completed().values() {
-        record.verify_against(chunks, prepared.categories().len())?;
-    }
-
-    let trials_total = (prepared.config().trials * prepared.num_inputs()) as u64;
-    let golden = CampaignEvent::GoldenDone {
-        total_chunks: chunks.len(),
-        resumed_chunks: store.len(),
-        trials_total,
-        categories: prepared.categories().to_vec(),
-    };
-    if sink.event(&golden) == SinkFlow::Stop {
-        cancel.store(true, Ordering::SeqCst);
-        return Ok(DriveOutcome::Stopped(prepared.empty_result()));
-    }
-
-    // Emission state: tallies parked until their index is next, replayed records first.
-    let mut ready: BTreeMap<usize, (ChunkTally, bool)> = store
-        .completed()
-        .values()
-        .map(|record| (record.chunk.index, (record.tally.clone(), true)))
-        .collect();
-    let mut cumulative = prepared.empty_result();
-    let mut next_emit = 0usize;
-    let mut stopped = false;
-
-    // Drains every in-order tally into the cumulative result and the sink. Kept as a
-    // closure-free helper so the pool consumer below can call it without aliasing.
-    fn emit_ready(
-        ready: &mut BTreeMap<usize, (ChunkTally, bool)>,
-        next_emit: &mut usize,
-        cumulative: &mut CampaignResult,
-        chunks: &[TrialChunk],
-        sink: &mut dyn CampaignSink,
-        cancel: &AtomicBool,
-        stopped: &mut bool,
-    ) {
-        while !*stopped {
-            let Some((tally, resumed)) = ready.remove(next_emit) else {
-                break;
-            };
-            cumulative.absorb(&tally);
-            let event = CampaignEvent::ChunkDone {
-                chunk: chunks[*next_emit],
-                tally,
-                resumed,
-                cumulative: cumulative.clone(),
-            };
-            *next_emit += 1;
-            if sink.event(&event) == SinkFlow::Stop {
-                cancel.store(true, Ordering::SeqCst);
-                *stopped = true;
-            }
-        }
-    }
-
-    emit_ready(
-        &mut ready,
-        &mut next_emit,
-        &mut cumulative,
-        chunks,
-        sink,
-        cancel,
-        &mut stopped,
-    );
-
-    // Everything not on record runs on the pool; completion order is arbitrary.
     let pending: Vec<TrialChunk> = chunks
         .iter()
         .filter(|chunk| !store.completed().contains_key(&chunk.index))
         .copied()
         .collect();
-    // The first failure in chunk-index order, plus how many more failed behind it.
-    let mut first_failure: Option<(usize, CampaignError)> = None;
-    let mut failures = 0usize;
-    let mut append_failure: Option<ServeError> = None;
-    {
-        let pending = &pending;
-        let store = &mut *store;
-        let ready = &mut ready;
-        let next_emit = &mut next_emit;
-        let cumulative = &mut cumulative;
-        let stopped = &mut stopped;
-        let first_failure = &mut first_failure;
-        let failures = &mut failures;
-        let append_failure = &mut append_failure;
-        pool.run_with_consumer(
-            |_worker| prepared.buffers(),
-            pending.iter().map(|&chunk| {
-                move |values: &mut ranger_graph::exec::Values| {
-                    if cancel.load(Ordering::SeqCst) {
-                        return Ok(None); // cooperative cancellation: skip, don't run
-                    }
-                    prepared.run_chunk(values, chunk).map(Some)
-                }
-            }),
-            |task_index, result: Result<Option<ChunkTally>, CampaignError>| {
-                let chunk = pending[task_index];
-                match result {
-                    Ok(None) => {} // skipped after cancellation
-                    Ok(Some(tally)) => {
-                        // Durability before visibility: fsync the record, then emit.
-                        let record = ChunkRecord { chunk, tally };
-                        if let Err(e) = store.append(&record) {
-                            if append_failure.is_none() {
-                                *append_failure = Some(e);
-                            }
-                            cancel.store(true, Ordering::SeqCst);
-                            return;
-                        }
-                        ready.insert(chunk.index, (record.tally, false));
-                        emit_ready(ready, next_emit, cumulative, chunks, sink, cancel, stopped);
-                    }
-                    Err(error) => {
-                        *failures += 1;
-                        let earlier = first_failure
-                            .as_ref()
-                            .is_some_and(|&(index, _)| index < chunk.index);
-                        if !earlier {
-                            *first_failure = Some((chunk.index, error));
-                        }
-                        // A failing campaign cannot complete; stop scheduling work.
-                        cancel.store(true, Ordering::SeqCst);
-                    }
-                }
-            },
-        );
+    let trials_total = (prepared.config().trials * prepared.num_inputs()) as u64;
+    let mut coordinator = Coordinator::new(
+        store,
+        chunks.to_vec(),
+        prepared.categories().to_vec(),
+        trials_total,
+    )?;
+    coordinator.begin(sink);
+    if coordinator.is_stopped() {
+        cancel.store(true, Ordering::SeqCst);
     }
 
+    // Lease the pending chunks to the pool, one grant per contiguous run. No other
+    // worker ever claims here, so a grant that outlives its TTL is still accepted as a
+    // late, unclaimed push.
+    let now = Instant::now();
+    let grants = pending
+        .chunk_by(|a, b| a.index + 1 == b.index)
+        .map(|run| {
+            let (start, end) = (run[0].index, run[run.len() - 1].index + 1);
+            coordinator.claim_range("local", start, end, MAX_LEASE_MS, now)
+        })
+        .collect::<Result<Vec<_>, _>>()?;
+    let fingerprint = coordinator.fingerprint().to_string();
+    let executed = run_chunks(prepared, pool, &pending, cancel, |record| {
+        let grant = &grants[grants.partition_point(|grant| grant.end <= record.chunk.index)];
+        coordinator.absorb(&fingerprint, grant.token, record, Instant::now(), sink)?;
+        if coordinator.is_stopped() {
+            cancel.store(true, Ordering::SeqCst);
+        }
+        Ok(())
+    });
     // Fold whatever plan timings accumulated into the registry, whatever the outcome:
     // a stopped or failed drive still spent wall time worth accounting for.
     prepared.publish_metrics();
+    executed?;
 
-    if let Some(e) = append_failure {
-        return Err(e);
-    }
-    if let Some((index, first)) = first_failure {
-        let unit = chunks[index];
-        return Err(ServeError::Campaign(if failures > 1 {
-            CampaignError::Failures {
-                first: Box::new(first),
-                input: unit.input,
-                chunk: unit.index,
-                suppressed: failures - 1,
+    let cumulative = coordinator.cumulative().clone();
+    Ok(if coordinator.is_done() && !coordinator.is_stopped() {
+        DriveOutcome::Completed(cumulative)
+    } else {
+        DriveOutcome::Stopped(cumulative)
+    })
+}
+
+/// Executes `chunks` on `pool`, one buffer arena per worker, handing each completed
+/// record to `on_record` on the calling thread in completion order.
+///
+/// `stop` is checked before each chunk executes; a chunk that fails to execute, or
+/// whose record `on_record` refuses, sets it, so no further chunk starts. Returns the
+/// failure of the lowest chunk index among those that ran. When more than one chunk
+/// failed and that first failure is an execution error, it is wrapped in
+/// [`CampaignError::Failures`] naming the chunk and how many failures it suppressed;
+/// a lone failure is returned as is.
+pub(crate) fn run_chunks(
+    prepared: &PreparedCampaign<'_>,
+    pool: &ThreadPool,
+    chunks: &[TrialChunk],
+    stop: &AtomicBool,
+    mut on_record: impl FnMut(ChunkRecord) -> Result<(), ServeError>,
+) -> Result<(), ServeError> {
+    let mut first: Option<(TrialChunk, ServeError)> = None;
+    let mut failures = 0usize;
+    pool.run_with_consumer(
+        |_worker| prepared.buffers(),
+        chunks.iter().map(|&chunk| {
+            move |values: &mut ranger_graph::exec::Values| {
+                if stop.load(Ordering::SeqCst) {
+                    return Ok(None); // cooperative cancellation: skip, don't run
+                }
+                prepared.run_chunk(values, chunk).map(Some)
             }
-        } else {
-            first
-        }));
+        }),
+        |task, result: Result<Option<_>, CampaignError>| {
+            let chunk = chunks[task];
+            let error = match result {
+                Ok(None) => return,
+                Ok(Some(tally)) => match on_record(ChunkRecord { chunk, tally }) {
+                    Ok(()) => return,
+                    Err(error) => error,
+                },
+                Err(error) => ServeError::Campaign(error),
+            };
+            failures += 1;
+            stop.store(true, Ordering::SeqCst);
+            if first
+                .as_ref()
+                .is_none_or(|(held, _)| chunk.index < held.index)
+            {
+                first = Some((chunk, error));
+            }
+        },
+    );
+    first_failure(first, failures)
+}
+
+/// The error rule of both executors: the failure of the lowest chunk index, wrapped in
+/// [`CampaignError::Failures`] only when it is an execution error and `failures > 1`.
+fn first_failure(
+    first: Option<(TrialChunk, ServeError)>,
+    failures: usize,
+) -> Result<(), ServeError> {
+    match first {
+        None => Ok(()),
+        Some((chunk, ServeError::Campaign(error))) if failures > 1 => {
+            Err(ServeError::Campaign(CampaignError::Failures {
+                first: Box::new(error),
+                input: chunk.input,
+                chunk: chunk.index,
+                suppressed: failures - 1,
+            }))
+        }
+        Some((_, error)) => Err(error),
     }
-    if cancel.load(Ordering::SeqCst) || stopped {
-        return Ok(DriveOutcome::Stopped(cumulative));
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn failure(index: usize) -> (TrialChunk, ServeError) {
+        let chunk = TrialChunk {
+            index,
+            input: 1,
+            start: 0,
+            len: 4,
+        };
+        let error = CampaignError::InvalidConfig(format!("chunk {index} failed"));
+        (chunk, ServeError::Campaign(error))
     }
 
-    debug_assert_eq!(next_emit, chunks.len(), "all chunks must have been emitted");
-    debug_assert_eq!(cumulative.trials, trials_total);
-    sink.event(&CampaignEvent::CampaignDone {
-        result: cumulative.clone(),
-    });
-    Ok(DriveOutcome::Completed(cumulative))
+    #[test]
+    fn a_lone_failure_is_unwrapped_and_several_report_the_suppressed_count() {
+        assert!(first_failure(None, 0).is_ok());
+        match first_failure(Some(failure(3)), 1) {
+            Err(ServeError::Campaign(CampaignError::InvalidConfig(message))) => {
+                assert_eq!(message, "chunk 3 failed");
+            }
+            other => panic!("a lone failure must not be wrapped, got {other:?}"),
+        }
+        match first_failure(Some(failure(3)), 4) {
+            Err(ServeError::Campaign(CampaignError::Failures {
+                input,
+                chunk,
+                suppressed,
+                ..
+            })) => assert_eq!((input, chunk, suppressed), (1, 3, 3)),
+            other => panic!("several failures must be counted, got {other:?}"),
+        }
+        // A refused record (here: a durable write failing) is never dressed up as a
+        // campaign failure.
+        let (chunk, _) = failure(0);
+        let io = ServeError::Io(std::io::Error::other("disk full"));
+        assert!(matches!(
+            first_failure(Some((chunk, io)), 2),
+            Err(ServeError::Io(_))
+        ));
+    }
 }

@@ -6,10 +6,10 @@
 //! the tallies converge. This crate turns the campaign runner into a **service**, in
 //! three layers:
 //!
-//! * [`driver`] — a chunked campaign driver built on
-//!   [`PreparedCampaign`](ranger_inject::PreparedCampaign): work units execute on the
-//!   [`ranger_runtime`] pool and an ordered stream of incremental tally events flows
-//!   through a [`CampaignSink`].
+//! * [`driver`] — the chunked campaign driver built on
+//!   [`PreparedCampaign`](ranger_inject::PreparedCampaign): a [`Coordinator`] whose
+//!   one worker is the [`ranger_runtime`] pool, streaming an ordered series of
+//!   incremental tally events through a [`CampaignSink`].
 //! * [`checkpoint`] — an append-only, fsync'd, versioned file of completed-chunk
 //!   records, keyed by a [campaign fingerprint](fingerprint::campaign_fingerprint). A
 //!   restarted driver verifies the fingerprint, skips the completed chunks and — because
@@ -24,6 +24,10 @@
 //!   record they push back before it reaches the durable store. Because fault plans
 //!   are keyed by `(input, trial)` index, ANY partition of the chunk space across any
 //!   number of hosts reproduces the single-host counts bit for bit.
+//!
+//! There is one durable path: local or remote, every completed chunk reaches the
+//! checkpoint through [`Coordinator::absorb`], so a locally driven campaign and a
+//! coordinated one write the same artifact and either can resume the other.
 //!
 //! Everything is plain `std` plus the workspace's vendored serde: no async runtime, no
 //! external services. Campaign identity doubles as the wire-level id, so re-submitting a
@@ -53,9 +57,7 @@ pub use protocol::{Request, Response, StatusInfo};
 pub use server::CampaignServer;
 pub use sink::{CampaignEvent, CampaignSink, CollectSink, NullSink, SinkFlow};
 pub use spec::{CampaignSpec, MaterializedCampaign, ModelSpec, SavedModel};
-pub use worker::{
-    default_lease_ms, run_sharded, work, ShardOptions, WorkEvent, WorkOptions, WorkReport,
-};
+pub use worker::{default_lease_ms, work, WorkEvent, WorkOptions, WorkReport};
 
 use std::fmt;
 

@@ -1,36 +1,24 @@
-//! Worker hosts for sharded campaigns: claim, execute, push, repeat.
+//! Remote worker hosts for coordinated campaigns: claim, execute, push, repeat.
 //!
-//! Two entry points share the claim/execute/push discipline:
-//!
-//! * [`run_sharded`] — the in-process harness: one [`Coordinator`] behind a mutex,
-//!   `hosts` threads playing worker hosts, each claiming chunk ranges and absorbing
-//!   records directly. This is what the sharded-parity proptest drives, and what
-//!   [`Pipeline::shard_run`](../../ranger_engine/struct.Pipeline.html) routes through
-//!   — the full lease-lifecycle and merge-verify machinery with no sockets involved.
-//! * [`work`] — the remote worker the CLI's `work` command runs: fetch the campaign
-//!   spec from a coordinator over TCP, materialize it locally, verify the fingerprint
-//!   matches (a worker must never compute against a different campaign than it
-//!   claims chunks of), then loop claiming ranges, driving them through the existing
-//!   [`PreparedCampaign`] chunk executor and pushing every record back. Each push
-//!   renews the lease, so a worker stays leased as long as it makes progress; a
-//!   worker that dies simply stops pushing and its range is re-leased after expiry.
+//! [`work`] is what the CLI's `work` command runs: fetch the campaign spec from a
+//! coordinator over TCP, materialize it locally, verify the fingerprint matches (a
+//! worker must never compute against a different campaign than it claims chunks of),
+//! then loop claiming ranges, executing them with the same pool executor a local
+//! [`drive`](crate::driver::drive) uses, and pushing every record back. Each push
+//! renews the lease, so a worker stays leased as long as it makes progress; a worker
+//! that dies simply stops pushing and its range is re-leased after expiry.
 //!
 //! Correctness never depends on scheduling: fault plans are keyed by
 //! `(input, trial)` index, so any interleaving of hosts, claims and re-leases merges
 //! to bit-for-bit the single-host counts.
 
-use crate::checkpoint::{CheckpointStore, ChunkRecord};
 use crate::client::{ClaimOutcome, Client};
-use crate::coordinator::Coordinator;
-use crate::driver::DriveOutcome;
-use crate::sink::{CampaignEvent, CampaignSink, SinkFlow};
+use crate::driver::run_chunks;
 use crate::ServeError;
-use ranger_inject::{CampaignError, PreparedCampaign, TrialChunk};
+use ranger_inject::PreparedCampaign;
 use ranger_runtime::ThreadPool;
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex};
-use std::time::{Duration, Instant};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::time::Duration;
 
 /// Default lease TTL in milliseconds, read from `RANGER_LEASE_MS` (unset: 30 s).
 /// Short values exercise the expiry paths — CI sweeps the serve suite with
@@ -41,31 +29,6 @@ pub fn default_lease_ms() -> u64 {
         .and_then(|v| v.parse().ok())
         .filter(|&ms| ms > 0)
         .unwrap_or(30_000)
-}
-
-/// Options for the in-process sharded runner.
-#[derive(Debug, Clone)]
-pub struct ShardOptions {
-    /// Simulated worker hosts (threads), each claiming ranges independently.
-    pub hosts: usize,
-    /// Lease TTL each host claims with, in milliseconds.
-    pub ttl_ms: u64,
-    /// Most chunks a host takes per claim.
-    pub claim_chunks: usize,
-    /// Sleep between claim attempts when every pending chunk is leased elsewhere.
-    pub poll_ms: u64,
-}
-
-impl ShardOptions {
-    /// `hosts` worker hosts with the environment's lease TTL and small claims.
-    pub fn hosts(hosts: usize) -> Self {
-        ShardOptions {
-            hosts: hosts.max(1),
-            ttl_ms: default_lease_ms(),
-            claim_chunks: 2,
-            poll_ms: 5,
-        }
-    }
 }
 
 /// Options for a remote (TCP) worker.
@@ -138,252 +101,6 @@ pub enum WorkEvent {
     },
 }
 
-// ---------------------------------------------------------------------------
-// In-process sharding
-// ---------------------------------------------------------------------------
-
-/// The event relay between host threads (which complete chunks in arbitrary order
-/// under the coordinator lock) and the caller's sink (which is not `Send` and runs on
-/// the calling thread only).
-struct Relay {
-    queue: Mutex<VecDeque<CampaignEvent>>,
-    changed: Condvar,
-    cancel: AtomicBool,
-    active: AtomicUsize,
-}
-
-/// The sink host threads hand the coordinator: events are queued for the caller's
-/// sink, and a pending cancellation is reported back as [`SinkFlow::Stop`].
-struct RelaySink<'a> {
-    relay: &'a Relay,
-}
-
-impl CampaignSink for RelaySink<'_> {
-    fn event(&mut self, event: &CampaignEvent) -> SinkFlow {
-        {
-            let mut queue = self.relay.queue.lock().expect("relay queue poisoned");
-            queue.push_back(event.clone());
-        }
-        self.relay.changed.notify_all();
-        if self.relay.cancel.load(Ordering::SeqCst) {
-            SinkFlow::Stop
-        } else {
-            SinkFlow::Continue
-        }
-    }
-}
-
-/// Decrements the relay's active-host count however the host exits (a panicking host
-/// must not hang the caller's drain loop).
-struct HostGuard<'a>(&'a Relay);
-
-impl Drop for HostGuard<'_> {
-    fn drop(&mut self) {
-        self.0.active.fetch_sub(1, Ordering::SeqCst);
-        self.0.changed.notify_all();
-    }
-}
-
-/// Runs a prepared campaign to completion by sharding its chunk space across
-/// `options.hosts` in-process worker hosts, coordinated by the full lease + merge-verify
-/// machinery (the same [`Coordinator`] the TCP server drives).
-///
-/// Events stream into `sink` in canonical chunk order, exactly like [`drive`]: the
-/// merged result is bit-for-bit the single-host result, which the sharded-parity
-/// proptest pins across (hosts × batch × backend). The sink returning
-/// [`SinkFlow::Stop`] cancels the campaign cooperatively; completed chunks stay
-/// durable in the store.
-///
-/// [`drive`]: crate::driver::drive
-///
-/// # Errors
-///
-/// Returns [`ServeError::Campaign`] if a chunk execution fails, or the coordinator's
-/// error if a record cannot be durably absorbed.
-pub fn run_sharded(
-    prepared: &PreparedCampaign<'_>,
-    store: CheckpointStore,
-    options: &ShardOptions,
-    sink: &mut dyn CampaignSink,
-) -> Result<DriveOutcome, ServeError> {
-    let fingerprint = store.fingerprint().to_string();
-    let chunks: Vec<TrialChunk> = prepared.chunks().to_vec();
-    let trials_total = (prepared.config().trials * prepared.num_inputs()) as u64;
-    let coordinator = Mutex::new(Coordinator::new(
-        store,
-        chunks.clone(),
-        prepared.categories().to_vec(),
-        trials_total,
-    )?);
-    let hosts = options.hosts.max(1);
-    let relay = Relay {
-        queue: Mutex::new(VecDeque::new()),
-        changed: Condvar::new(),
-        cancel: AtomicBool::new(false),
-        active: AtomicUsize::new(hosts),
-    };
-    // The first execution failure, kept by lowest chunk index so the reported error is
-    // deterministic whatever the host interleaving was.
-    let failure: Mutex<Option<(usize, ServeError)>> = Mutex::new(None);
-
-    {
-        let coordinator = &coordinator;
-        let mut begin_sink = RelaySink { relay: &relay };
-        coordinator
-            .lock()
-            .expect("coordinator lock poisoned")
-            .begin(&mut begin_sink);
-    }
-
-    std::thread::scope(|scope| {
-        for host in 0..hosts {
-            let coordinator = &coordinator;
-            let relay = &relay;
-            let failure = &failure;
-            let chunks = &chunks;
-            let fingerprint = &fingerprint;
-            scope.spawn(move || {
-                let _guard = HostGuard(relay);
-                let worker_name = format!("host-{host}");
-                let mut values = prepared.buffers();
-                loop {
-                    if relay.cancel.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    let claimed = {
-                        let mut coordinator =
-                            coordinator.lock().expect("coordinator lock poisoned");
-                        if coordinator.is_done() || coordinator.is_stopped() {
-                            break;
-                        }
-                        coordinator.claim(
-                            &worker_name,
-                            options.claim_chunks,
-                            options.ttl_ms,
-                            Instant::now(),
-                        )
-                    };
-                    let Some(grant) = claimed else {
-                        // Everything pending is leased to another host (or the
-                        // campaign just finished); re-check shortly.
-                        std::thread::sleep(Duration::from_millis(options.poll_ms.max(1)));
-                        continue;
-                    };
-                    for (index, &chunk) in
-                        chunks.iter().enumerate().take(grant.end).skip(grant.start)
-                    {
-                        if relay.cancel.load(Ordering::SeqCst) {
-                            break;
-                        }
-                        match prepared.run_chunk(&mut values, chunk) {
-                            Ok(tally) => {
-                                let record = ChunkRecord { chunk, tally };
-                                let absorbed = {
-                                    let mut coordinator =
-                                        coordinator.lock().expect("coordinator lock poisoned");
-                                    let mut sink = RelaySink { relay };
-                                    coordinator.absorb(
-                                        fingerprint,
-                                        grant.token,
-                                        record,
-                                        Instant::now(),
-                                        &mut sink,
-                                    )
-                                };
-                                match absorbed {
-                                    Ok(()) => {}
-                                    Err(ServeError::Lease(_)) => {
-                                        // The lease expired and someone else owns the
-                                        // range now; abandon it and claim afresh.
-                                        break;
-                                    }
-                                    Err(e) => {
-                                        record_failure(failure, index, e);
-                                        relay.cancel.store(true, Ordering::SeqCst);
-                                        break;
-                                    }
-                                }
-                            }
-                            Err(error) => {
-                                record_failure(
-                                    failure,
-                                    index,
-                                    ServeError::Campaign(wrap_chunk_error(error, chunk)),
-                                );
-                                relay.cancel.store(true, Ordering::SeqCst);
-                                break;
-                            }
-                        }
-                    }
-                    let _ = coordinator
-                        .lock()
-                        .expect("coordinator lock poisoned")
-                        .release(grant.token, Instant::now());
-                }
-            });
-        }
-
-        // The caller's thread drains relayed events into the (non-Send) sink while the
-        // hosts run, translating a Stop into cooperative cancellation.
-        loop {
-            let batch: Vec<CampaignEvent> = {
-                let mut queue = relay.queue.lock().expect("relay queue poisoned");
-                while queue.is_empty() && relay.active.load(Ordering::SeqCst) > 0 {
-                    let (guard, _timeout) = relay
-                        .changed
-                        .wait_timeout(queue, Duration::from_millis(25))
-                        .expect("relay queue poisoned");
-                    queue = guard;
-                }
-                queue.drain(..).collect()
-            };
-            for event in &batch {
-                if sink.event(event) == SinkFlow::Stop {
-                    relay.cancel.store(true, Ordering::SeqCst);
-                }
-            }
-            if batch.is_empty() && relay.active.load(Ordering::SeqCst) == 0 {
-                break;
-            }
-        }
-    });
-
-    prepared.publish_metrics();
-
-    if let Some((_, error)) = failure.lock().expect("failure lock poisoned").take() {
-        return Err(error);
-    }
-    let coordinator = coordinator.into_inner().expect("coordinator lock poisoned");
-    if coordinator.is_done() && !coordinator.is_stopped() {
-        Ok(DriveOutcome::Completed(coordinator.cumulative().clone()))
-    } else {
-        Ok(DriveOutcome::Stopped(coordinator.cumulative().clone()))
-    }
-}
-
-fn record_failure(failure: &Mutex<Option<(usize, ServeError)>>, index: usize, error: ServeError) {
-    let mut slot = failure.lock().expect("failure lock poisoned");
-    let replace = slot.as_ref().is_none_or(|&(held, _)| index < held);
-    if replace {
-        *slot = Some((index, error));
-    }
-}
-
-/// Attaches the failing chunk's coordinates to a bare execution error, matching the
-/// local driver's reporting.
-fn wrap_chunk_error(error: CampaignError, chunk: TrialChunk) -> CampaignError {
-    CampaignError::Failures {
-        first: Box::new(error),
-        input: chunk.input,
-        chunk: chunk.index,
-        suppressed: 0,
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Remote (TCP) worker
-// ---------------------------------------------------------------------------
-
 /// Joins a coordinated campaign as a worker host: fetches the spec from the
 /// coordinator at `addr`, materializes it, verifies the fingerprint equals `id`, and
 /// loops — claim a chunk range, execute it on a local [`ThreadPool`]
@@ -398,7 +115,9 @@ fn wrap_chunk_error(error: CampaignError, chunk: TrialChunk) -> CampaignError {
 ///
 /// Returns [`ServeError::FingerprintMismatch`] if the materialized campaign does not
 /// fingerprint to `id` (worker and coordinator would disagree about the work),
-/// [`ServeError::Campaign`] if chunk execution fails, and transport errors if the
+/// [`ServeError::Campaign`] if chunk execution fails (reported exactly as a local
+/// [`drive`](crate::driver::drive) reports it: the lowest failing chunk, counted
+/// suppressed failures only when there are any), and transport errors if the
 /// coordinator becomes unreachable.
 pub fn work(
     addr: &str,
@@ -429,10 +148,9 @@ pub fn work(
     let mut chunks_executed = 0usize;
     let mut trials_executed = 0u64;
     loop {
-        let outcome = client.claim(id, &options.worker, options.ttl_ms, options.claim_chunks);
-        let grant = match outcome {
-            Ok(ClaimOutcome::Granted(grant)) => grant,
-            Ok(ClaimOutcome::NoWork { state, retry_ms }) => {
+        let grant = match client.claim(id, &options.worker, options.ttl_ms, options.claim_chunks)? {
+            ClaimOutcome::Granted(grant) => grant,
+            ClaimOutcome::NoWork { state, retry_ms } => {
                 if state == "running" {
                     let wait = retry_ms.max(options.poll_ms);
                     on_event(&WorkEvent::Waiting { retry_ms: wait });
@@ -447,7 +165,6 @@ pub fn work(
                     final_state: state,
                 });
             }
-            Err(e) => return Err(e),
         };
         on_event(&WorkEvent::Claimed {
             start: grant.start,
@@ -455,75 +172,33 @@ pub fn work(
             token: grant.token,
         });
 
-        // Execute the range on the pool; the consumer (on this thread) pushes each
-        // record as it completes, renewing the lease with every accepted push.
-        let pending: Vec<TrialChunk> = (grant.start..grant.end)
-            .map(|index| chunks[index])
-            .collect();
+        // Execute the range on the pool; each record is pushed (on this thread) as it
+        // completes, renewing the lease with every accepted push.
         let abandon = AtomicBool::new(false);
-        let mut push_error: Option<ServeError> = None;
         let mut lease_lost: Option<WorkEvent> = None;
-        {
-            let prepared = &prepared;
-            let abandon = &abandon;
-            let client = &client;
-            let push_error = &mut push_error;
-            let lease_lost = &mut lease_lost;
-            let chunks_executed = &mut chunks_executed;
-            let trials_executed = &mut trials_executed;
-            let pending_ref = &pending;
-            pool.run_with_consumer(
-                |_worker| prepared.buffers(),
-                pending.iter().map(|&chunk| {
-                    move |values: &mut ranger_graph::exec::Values| {
-                        if abandon.load(Ordering::SeqCst) {
-                            return Ok(None);
-                        }
-                        prepared.run_chunk(values, chunk).map(Some)
-                    }
-                }),
-                |task_index, result| {
-                    let chunk = pending_ref[task_index];
-                    match result {
-                        Ok(None) => {}
-                        Ok(Some(tally)) => {
-                            let record = ChunkRecord { chunk, tally };
-                            match client.push(id, grant.token, &record) {
-                                Ok(()) => {
-                                    *chunks_executed += 1;
-                                    *trials_executed += record.tally.trials;
-                                }
-                                Err(ServeError::Lease(reason)) => {
-                                    if lease_lost.is_none() {
-                                        *lease_lost = Some(WorkEvent::LeaseLost {
-                                            token: grant.token,
-                                            reason: reason.to_string(),
-                                        });
-                                    }
-                                    abandon.store(true, Ordering::SeqCst);
-                                }
-                                Err(e) => {
-                                    if push_error.is_none() {
-                                        *push_error = Some(e);
-                                    }
-                                    abandon.store(true, Ordering::SeqCst);
-                                }
-                            }
-                        }
-                        Err(error) => {
-                            if push_error.is_none() {
-                                *push_error =
-                                    Some(ServeError::Campaign(wrap_chunk_error(error, chunk)));
-                            }
-                            abandon.store(true, Ordering::SeqCst);
-                        }
-                    }
-                },
-            );
-        }
-        if let Some(e) = push_error {
-            return Err(e);
-        }
+        run_chunks(
+            &prepared,
+            &pool,
+            &chunks[grant.start..grant.end],
+            &abandon,
+            |record| match client.push(id, grant.token, &record) {
+                Ok(()) => {
+                    chunks_executed += 1;
+                    trials_executed += record.tally.trials;
+                    Ok(())
+                }
+                Err(ServeError::Lease(reason)) => {
+                    // The range was re-leased: abandon it and claim afresh.
+                    lease_lost.get_or_insert(WorkEvent::LeaseLost {
+                        token: grant.token,
+                        reason: reason.to_string(),
+                    });
+                    abandon.store(true, Ordering::SeqCst);
+                    Ok(())
+                }
+                Err(e) => Err(e),
+            },
+        )?;
         if let Some(event) = &lease_lost {
             on_event(event);
         } else {

@@ -17,7 +17,9 @@ use ranger_inject::{
 };
 use ranger_runtime::ThreadPool;
 use ranger_serve::campaign_fingerprint;
-use ranger_serve::{drive, CampaignEvent, CheckpointStore, CollectSink, DriveOutcome, NullSink};
+use ranger_serve::{
+    drive, CampaignEvent, CheckpointStore, ChunkRecord, CollectSink, DriveOutcome, NullSink,
+};
 use ranger_tensor::Tensor;
 use std::path::PathBuf;
 use std::sync::atomic::AtomicBool;
@@ -164,6 +166,86 @@ proptest! {
             other => panic!("the fully-checkpointed drive must complete, got {other:?}"),
         };
         prop_assert_eq!(&replayed, &reference);
+
+        let _ = std::fs::remove_file(&path);
+    }
+
+    /// A checkpoint with holes — every other chunk durable, as a crashed parallel run
+    /// can leave it — is finished by one drive: the pending chunks are leased as many
+    /// separate runs, and the stream still replays in canonical order with exactly the
+    /// durable chunks flagged as resumed.
+    #[test]
+    fn every_other_chunk_on_record_resumes_to_the_uninterrupted_counts(
+        chunk_len in 1usize..6,
+        parity in 0usize..2,
+        workers in 1usize..5,
+        seed in 0u64..1000,
+    ) {
+        let (graph, probs) = toy_classifier(seed.wrapping_mul(5).wrapping_add(2));
+        let target = InjectionTarget {
+            graph: &graph,
+            input_name: "x",
+            output: probs,
+            excluded: &[],
+        };
+        let inputs = vec![Tensor::ones(vec![1, 6]), Tensor::filled(vec![1, 6], 0.3)];
+        let judge = ClassifierJudge::top1();
+        let config = CampaignConfig {
+            trials: 10,
+            batch: 1,
+            workers,
+            seed,
+            ..CampaignConfig::default()
+        };
+        let reference = run_campaign(&target, &inputs, &judge, &config).unwrap();
+        let prepared =
+            PreparedCampaign::with_chunk_len(&target, &inputs, &judge, &config, chunk_len)
+                .unwrap();
+        let total_chunks = prepared.chunks().len();
+        let fingerprint = campaign_fingerprint(
+            &target, &inputs, &config, &judge.categories(), chunk_len,
+        ).unwrap();
+        let path = tmp(format!("holes-{chunk_len}-{parity}-{workers}-{seed}"));
+        let _ = std::fs::remove_file(&path);
+
+        {
+            let mut store = CheckpointStore::open(&path, &fingerprint).unwrap();
+            let mut values = prepared.buffers();
+            for &chunk in prepared.chunks().iter().skip(parity).step_by(2) {
+                let tally = prepared.run_chunk(&mut values, chunk).unwrap();
+                store.append(&ChunkRecord { chunk, tally }).unwrap();
+            }
+        }
+
+        let mut store = CheckpointStore::open(&path, &fingerprint).unwrap();
+        let durable_before = store.len();
+        let cancel = AtomicBool::new(false);
+        let mut sink = CollectSink::new();
+        let pool = ThreadPool::new(workers);
+        let result = match drive(&prepared, &mut store, &pool, &cancel, &mut sink).unwrap() {
+            DriveOutcome::Completed(result) => result,
+            other => panic!("the resumed drive must complete, got {other:?}"),
+        };
+        prop_assert_eq!(&result, &reference);
+        prop_assert_eq!(store.len(), total_chunks);
+
+        let mut expected_index = 0usize;
+        let mut last_trials = 0u64;
+        for event in &sink.events {
+            prop_assert!(event.trials_done() >= last_trials);
+            last_trials = event.trials_done();
+            if let CampaignEvent::ChunkDone { chunk, resumed, .. } = event {
+                prop_assert_eq!(chunk.index, expected_index);
+                prop_assert_eq!(*resumed, chunk.index % 2 == parity);
+                expected_index += 1;
+            }
+        }
+        prop_assert_eq!(expected_index, total_chunks);
+        prop_assert_eq!(durable_before, (total_chunks + 1 - parity) / 2);
+        let dones = sink.events.iter()
+            .filter(|e| matches!(e, CampaignEvent::CampaignDone { .. }))
+            .count();
+        prop_assert_eq!(dones, 1);
 
         let _ = std::fs::remove_file(&path);
     }

@@ -4,7 +4,11 @@
 //! from its checkpoint.
 
 use ranger_inject::{run_campaign, BackendKind, CampaignConfig, FaultModel};
-use ranger_serve::{CampaignEvent, CampaignServer, CampaignSpec, Client, ModelSpec, ServeError};
+use ranger_serve::{
+    CampaignEvent, CampaignServer, CampaignSpec, Client, ModelSpec, Request, Response, ServeError,
+};
+use std::io::{BufRead, BufReader, Write};
+use std::net::TcpStream;
 use std::path::PathBuf;
 
 fn tmp_dir(name: &str) -> PathBuf {
@@ -204,6 +208,54 @@ fn cancel_stops_a_campaign_and_resubmit_completes_it_with_identical_counts() {
         Some(CampaignEvent::CampaignDone { result }) => assert_eq!(result, &reference),
         other => panic!("the resumed campaign must finish with CampaignDone, got {other:?}"),
     }
+
+    client.shutdown().unwrap();
+    server_thread.join().unwrap().unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A seed above 2^53 − 1 cannot cross the wire exactly (JSON numbers are doubles:
+/// 2^53 + 1 arrives as 2^53), so the server must refuse the request with an error line
+/// instead of silently running a different campaign than the client asked for.
+#[test]
+fn a_seed_beyond_the_exact_json_range_is_refused_and_never_run() {
+    let dir = tmp_dir("seed-2-53");
+    let _ = std::fs::remove_dir_all(&dir);
+    let server = CampaignServer::bind("127.0.0.1:0", &dir).unwrap();
+    let addr = server.local_addr().unwrap();
+    let server_thread = std::thread::spawn(move || server.run());
+    let client = Client::new(addr.to_string());
+
+    let mut spec = small_lenet_spec();
+    spec.config.seed = (1 << 53) + 1;
+    // The literal digits on the wire, exactly as a non-Rust client would send them.
+    let line = serde_json::to_string(&Request::Submit { spec: spec.clone() })
+        .unwrap()
+        .replace("9007199254740992", "9007199254740993");
+    assert!(line.contains("9007199254740993"), "{line}");
+    let mut stream = TcpStream::connect(addr).unwrap();
+    writeln!(stream, "{line}").unwrap();
+    let mut answer = String::new();
+    BufReader::new(stream).read_line(&mut answer).unwrap();
+    match serde_json::from_str::<Response>(answer.trim()).unwrap() {
+        Response::Error { message } => assert!(message.contains("2^53 - 1"), "{message}"),
+        other => panic!("the request must be refused with an error line, got {other:?}"),
+    }
+    // The Rust client's own submit is refused the same way.
+    match client.submit(&spec).unwrap_err() {
+        ServeError::Protocol(message) => assert!(message.contains("2^53 - 1"), "{message}"),
+        other => panic!("expected a protocol error, got {other:?}"),
+    }
+
+    // Never run: the rounded campaign is unknown and no checkpoint was opened.
+    spec.config.seed = 1 << 53;
+    let rounded = spec.materialize().unwrap().fingerprint().unwrap();
+    assert!(client.status(&rounded).is_err());
+    let checkpoints = std::fs::read_dir(&dir).map_or(0, |entries| entries.count());
+    assert_eq!(
+        checkpoints, 0,
+        "no checkpoint may be written for a refused spec"
+    );
 
     client.shutdown().unwrap();
     server_thread.join().unwrap().unwrap();
