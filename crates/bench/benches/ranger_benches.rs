@@ -25,9 +25,7 @@ use ranger::bounds::{profile_bounds, ActivationBounds, BoundsConfig};
 use ranger::transform::{apply_ranger, RangerConfig};
 use ranger_graph::exec::NoopInterceptor;
 use ranger_graph::Executor;
-use ranger_inject::{
-    BackendKind, CampaignConfig, ClassifierJudge, FaultModel, InjectionTarget, TILE_AUTO,
-};
+use ranger_inject::{BackendKind, CampaignConfig, ClassifierJudge, FaultModel, InjectionTarget};
 use ranger_models::archs;
 use ranger_models::{Model, ModelConfig, ModelKind};
 use ranger_tensor::Tensor;
@@ -349,18 +347,15 @@ fn bench_injection() {
 
 /// The acceptance benchmark for batched campaigns: the same campaign (same seed, same
 /// trials, bit-for-bit identical SDC counts — asserted in-loop at every grid point) run
-/// per-sample (`batch = 1`), batched untiled, and batched with the row-group tiled
-/// scheduler (`tile = auto` derives the row-group height from the warmed shapes and the
-/// cache budget). Untiled batching amortizes fixed per-pass costs (graph walk, operator
-/// dispatch, interceptor scan, constant materialization) but multiplies every
-/// activation by `batch`, blowing the working set past cache on conv models; the tiled
-/// schedule keeps the amortization while holding each segment's live rows cache-sized,
-/// which is what makes batch 16/64 beat per-sample on LeNet (the PR-9 acceptance bar,
-/// on both the f32 and simd backends, same-run).
+/// per-sample (`batch = 1`) and batched at 16 and 64 trials per pass. Batching amortizes
+/// fixed per-pass costs (graph walk, operator dispatch, interceptor scan, constant
+/// materialization) but multiplies every activation by `batch`; a batch whose
+/// activations overflow the cache budget runs on the row-group tiled scheduler, which
+/// keeps each segment's live rows cache-sized.
 ///
-/// Two models are measured: LeNet (convolution-dominated — the shape untiled batching
-/// loses on) and a deep narrow MLP (dispatch-dominated — batching wins even untiled,
-/// and tiling must not give the win back).
+/// Two models are measured: LeNet (convolution-dominated — batch 64 overflows the
+/// budget and tiles) and a deep narrow MLP (dispatch-dominated — every batch fits the
+/// budget and runs untiled).
 fn bench_campaign_batched() {
     use rand::{rngs::StdRng, SeedableRng};
     use ranger_graph::GraphBuilder;
@@ -389,24 +384,10 @@ fn bench_campaign_batched() {
                 best_ns: f64,
                 counts: Vec<u64>,
             }
-            let mut entries: Vec<Entry> = [
-                (1usize, 0usize),
-                (16, 0),
-                (16, 4),
-                (16, TILE_AUTO),
-                (64, 0),
-                (64, 4),
-                (64, TILE_AUTO),
-            ]
-            .iter()
-            .map(|&(batch, tile)| {
-                let tile_label = match tile {
-                    0 => "untiled".to_string(),
-                    TILE_AUTO => "tile_auto".to_string(),
-                    n => format!("tile_{n}"),
-                };
-                Entry {
-                    name: format!("campaign_batched/{label}/{backend}/batch_{batch}/{tile_label}"),
+            let mut entries: Vec<Entry> = [1usize, 16, 64]
+                .iter()
+                .map(|&batch| Entry {
+                    name: format!("campaign_batched/{label}/{backend}/batch_{batch}"),
                     config: CampaignConfig {
                         trials,
                         batch,
@@ -414,13 +395,12 @@ fn bench_campaign_batched() {
                         backend,
                         fault: FaultModel::single_bit_fixed32(),
                         seed: 5,
-                        tile,
+                        tile: 0,
                     },
                     best_ns: f64::INFINITY,
                     counts: Vec::new(),
-                }
-            })
-            .collect();
+                })
+                .collect();
             // The grid points are compared against each other (the per-sample ratio is
             // the acceptance figure), so they are measured INTERLEAVED: each round runs
             // one campaign per config, round-robin, and every config keeps its own
@@ -452,8 +432,7 @@ fn bench_campaign_batched() {
             for entry in &entries {
                 assert_eq!(
                     &entry.counts, &reference_counts,
-                    "batched/tiled campaign must reproduce the per-sample SDC counts \
-                     ({})",
+                    "batched campaign must reproduce the per-sample SDC counts ({})",
                     entry.name
                 );
                 println!(

@@ -48,7 +48,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         backend,
         fault: FaultModel::single_bit_fixed16(),
         seed: opts.seed,
-        tile: opts.tile,
+        tile: 0,
     };
     let mut rows = Vec::new();
 

@@ -1,6 +1,6 @@
 //! Command-line options shared by every experiment binary.
 
-use ranger_inject::{BackendKind, CampaignConfig, FaultModel, TILE_AUTO};
+use ranger_inject::{BackendKind, CampaignConfig, FaultModel};
 use ranger_models::ModelKind;
 use ranger_tensor::DataType;
 
@@ -22,10 +22,6 @@ pub struct ExpOptions {
     /// fault datatype to its word format; fixed-point-specific binaries (fig9) manage
     /// the backend themselves.
     pub backend: BackendKind,
-    /// Trials per row group on the tiled batched scheduler (0 = untiled,
-    /// [`TILE_AUTO`] = derive from the warmed plan's cache footprint; any tile size
-    /// reproduces identical SDC counts). Defaults to `RANGER_TILE` when set.
-    pub tile: usize,
     /// Number of (correctly predicted) inputs per model.
     pub inputs: usize,
     /// Seed for model training, datasets and fault sampling.
@@ -43,7 +39,6 @@ impl Default for ExpOptions {
             batch: 1,
             workers: ranger_runtime::default_workers(),
             backend: ranger_inject::default_backend(),
-            tile: ranger_inject::default_tile(),
             inputs: 5,
             seed: 42,
             full: false,
@@ -54,7 +49,7 @@ impl Default for ExpOptions {
 
 impl ExpOptions {
     /// Parses options from command-line arguments (`--trials N --batch N --workers N
-    /// --backend f32|fixed16|fixed32|simd --tile N|auto --inputs N --seed N --full
+    /// --backend f32|fixed16|fixed32|simd --inputs N --seed N --full
     /// --models lenet,dave`). Unknown arguments are ignored so binaries can add their
     /// own flags.
     pub fn from_args() -> Self {
@@ -109,22 +104,6 @@ impl ExpOptions {
                     opts.backend = value.parse().map_err(|e| format!("--backend: {e}"))?;
                     i += 1;
                 }
-                "--tile" => {
-                    let value = args
-                        .get(i + 1)
-                        .ok_or_else(|| "--tile requires a value".to_string())?;
-                    opts.tile = if value.eq_ignore_ascii_case("auto") {
-                        TILE_AUTO
-                    } else {
-                        value.parse().map_err(|_| {
-                            format!(
-                                "--tile: invalid value '{value}' (expected a \
-                                 trials-per-row-group count, 0 to disable, or 'auto')"
-                            )
-                        })?
-                    };
-                    i += 1;
-                }
                 "--inputs" => {
                     if let Some(v) = args.get(i + 1).and_then(|v| v.parse().ok()) {
                         opts.inputs = v;
@@ -163,7 +142,7 @@ impl ExpOptions {
     /// backend's word format when a fixed-point backend is selected (the only pairing
     /// [`CampaignConfig::validate`] accepts; the flip count is preserved). This is what
     /// lets `--backend fixed16` (or `RANGER_BACKEND=fixed16`) rerun any experiment
-    /// binary on genuine fixed-point inference, mirroring `Pipeline::backend`.
+    /// binary on genuine fixed-point inference.
     pub fn campaign(&self, fault: FaultModel) -> CampaignConfig {
         let fault = match self.backend.spec() {
             Some(spec) => FaultModel {
@@ -179,7 +158,7 @@ impl ExpOptions {
             backend: self.backend,
             fault,
             seed: self.seed,
-            tile: self.tile,
+            tile: 0,
         }
     }
 
@@ -281,23 +260,6 @@ mod tests {
         assert!(passthrough.validate().is_ok());
         assert_eq!(parse(&[]).batch, 1, "per-sample path is the default");
         assert!(parse(&[]).workers >= 1, "worker default is always usable");
-    }
-
-    /// `--tile` mirrors `--backend`'s fail-fast rule: a junk value must abort, never
-    /// silently run the untiled scheduler under a tiled label.
-    #[test]
-    fn tile_flag_parses_counts_and_auto_and_rejects_junk() {
-        assert_eq!(parse(&["--tile", "4"]).tile, 4);
-        assert_eq!(parse(&["--tile", "0"]).tile, 0);
-        assert_eq!(parse(&["--tile", "auto"]).tile, TILE_AUTO);
-        assert_eq!(
-            parse(&["--tile", "8"]).campaign(FaultModel::default()).tile,
-            8
-        );
-        let err = ExpOptions::try_parse(["--tile".to_string(), "soon".to_string()]).unwrap_err();
-        assert!(err.contains("--tile"), "unexpected error: {err}");
-        let err = ExpOptions::try_parse(["--tile".to_string()]).unwrap_err();
-        assert!(err.contains("requires a value"));
     }
 
     #[test]

@@ -77,23 +77,6 @@ pub(crate) fn parse_backend_and_datatype(
     Ok((backend, datatype))
 }
 
-/// Parses `--tile N|auto` (default: `RANGER_TILE`, then untiled): how many trials of
-/// each batched campaign pass the tiled scheduler runs per row group. `0` disables
-/// tiling, `auto` derives the group size from the warmed plan's cache footprint. Junk
-/// values are rejected loudly — silently running untiled would mislabel the run.
-pub(crate) fn parse_tile(options: &Options) -> Result<usize, CliError> {
-    match options.get("tile") {
-        None => ranger_inject::try_default_tile().map_err(CliError::Usage),
-        Some(raw) if raw.eq_ignore_ascii_case("auto") => Ok(ranger_inject::TILE_AUTO),
-        Some(raw) => raw.parse().map_err(|_| {
-            CliError::Usage(format!(
-                "invalid --tile '{raw}': expected a trials-per-row-group count (0 \
-                 disables tiling) or 'auto'"
-            ))
-        }),
-    }
-}
-
 /// Parses `--policy saturate|zero|random` into the protector for that policy.
 fn parse_policy(options: &Options) -> Result<RestorePolicy, CliError> {
     match options.get("policy").unwrap_or("saturate") {
@@ -150,7 +133,6 @@ pub fn pipeline(options: &Options) -> Result<String, CliError> {
     let fraction = options.get_parsed("fraction", ranger_engine::DEFAULT_PROFILE_FRACTION)?;
     let bits = options.get_parsed("bits", 1usize)?;
     let (backend, datatype) = parse_backend_and_datatype(options)?;
-    let tile = parse_tile(options)?;
     let profile_ops = options.has_flag("profile");
     if profile_ops {
         // Timing slots are sized when plans warm, so the registry must be on already.
@@ -169,7 +151,7 @@ pub fn pipeline(options: &Options) -> Result<String, CliError> {
             backend,
             fault: FaultModel { datatype, bits },
             seed,
-            tile,
+            tile: 0,
         })
         .inputs(inputs);
     if options.has_flag("quick") {
@@ -205,7 +187,6 @@ pub fn inject(options: &Options) -> Result<String, CliError> {
     let saved = SavedModel::load(Path::new(&input))?;
     let seed = options.get_parsed("seed", saved.seed)?;
     let (backend, datatype) = parse_backend_and_datatype(options)?;
-    let tile = parse_tile(options)?;
     let fault = FaultModel { datatype, bits };
     let metrics_json = options.get("metrics-json").map(str::to_string);
     let profile_ops = options.has_flag("profile");
@@ -250,7 +231,7 @@ pub fn inject(options: &Options) -> Result<String, CliError> {
         backend,
         fault,
         seed,
-        tile,
+        tile: 0,
     };
     let result = run_campaign(&target, &batches, judge.as_ref(), &config)?;
     let mut lines = vec![format!(
@@ -389,28 +370,33 @@ pub fn run(mut args: std::env::Args) -> Result<String, CliError> {
     dispatch(&command, &options)
 }
 
-/// Dispatches a command by name (separated from [`run`] for testability).
+/// Dispatches a command by name (separated from [`run`] for testability), after
+/// checking its options against the ones [`crate::USAGE`] documents for it.
 pub fn dispatch(command: &str, options: &Options) -> Result<String, CliError> {
-    match command {
-        "train" => train(options),
-        "protect" => protect(options),
-        "inject" => inject(options),
-        "pipeline" => pipeline(options),
-        "info" => info(options),
-        "serve" => crate::serve_commands::serve(options),
-        "submit" => crate::serve_commands::submit(options),
-        "work" => crate::serve_commands::work(options),
-        "status" => crate::serve_commands::status(options),
-        "stream" => crate::serve_commands::stream(options),
-        "cancel" => crate::serve_commands::cancel(options),
-        "metrics" => crate::serve_commands::metrics(options),
-        "shutdown" => crate::serve_commands::shutdown(options),
-        "help" | "--help" | "-h" => Ok(crate::USAGE.to_string()),
-        other => Err(CliError::Usage(format!(
-            "unknown command '{other}'\n\n{}",
-            crate::USAGE
-        ))),
-    }
+    let run: fn(&Options) -> Result<String, CliError> = match command {
+        "train" => train,
+        "protect" => protect,
+        "inject" => inject,
+        "pipeline" => pipeline,
+        "info" => info,
+        "serve" => crate::serve_commands::serve,
+        "submit" => crate::serve_commands::submit,
+        "work" => crate::serve_commands::work,
+        "status" => crate::serve_commands::status,
+        "stream" => crate::serve_commands::stream,
+        "cancel" => crate::serve_commands::cancel,
+        "metrics" => crate::serve_commands::metrics,
+        "shutdown" => crate::serve_commands::shutdown,
+        "help" | "--help" | "-h" => return Ok(crate::USAGE.to_string()),
+        other => {
+            return Err(CliError::Usage(format!(
+                "unknown command '{other}'\n\n{}",
+                crate::USAGE
+            )))
+        }
+    };
+    options.expect_documented(command)?;
+    run(options)
 }
 
 #[cfg(test)]
@@ -633,6 +619,36 @@ mod tests {
         assert!(report.contains("\"model\": \"LeNet\""));
         assert!(report.contains("\"protector\": \"ranger\""));
         assert!(report.contains("\"campaign\""));
+    }
+
+    /// A misspelled or unsupported option is refused before anything runs, instead of
+    /// silently leaving its setting at the default.
+    #[test]
+    fn unknown_options_are_usage_errors() {
+        // A row-group height was an option of earlier releases; tiling now picks itself.
+        let removed = format!("--{}", "tile");
+        let err = dispatch(
+            "inject",
+            &opts(&["--in", "/nonexistent/model.json", &removed, "4"]),
+        )
+        .unwrap_err();
+        assert!(
+            matches!(&err, CliError::Usage(msg) if msg.contains(&removed)),
+            "unexpected error: {err}"
+        );
+        let err = dispatch("submit", &opts(&["--model", "lenet", "--trails", "3"])).unwrap_err();
+        assert!(
+            matches!(&err, CliError::Usage(msg) if msg.contains("--trails")),
+            "unexpected error: {err}"
+        );
+        // Every documented option passes, from the command's continuation lines too.
+        let parse = |line: &str| Options::parse(line.split(' ').map(str::to_string));
+        let inject_line = "--in m --trials 1 --batch 1 --workers 1 --inputs 1 --backend f32 \
+                           --bits 1 --fixed16 --seed 1 --metrics-json m --profile";
+        parse(inject_line).expect_documented("inject").unwrap();
+        let work_line = "--addr a --id c --name w --lease-ms 9 --claim 2 --poll-ms 9";
+        parse(work_line).expect_documented("work").unwrap();
+        assert!(parse("--id c").expect_documented("metrics").is_err());
     }
 
     #[test]

@@ -121,15 +121,13 @@ COMMANDS:
     protect  --in <model.json> --out <protected.json> [--percentile P] [--fraction F]
              [--policy saturate|zero|random] [--seed N]
              Derive restriction bounds from the training data and insert Ranger.
-    inject   --in <model.json> [--trials N] [--batch N] [--workers N] [--tile N|auto]
-             [--inputs N] [--backend f32|fixed16|fixed32|simd] [--bits N] [--fixed16]
-             [--seed N] [--metrics-json <path>] [--profile]
+    inject   --in <model.json> [--trials N] [--batch N] [--workers N] [--inputs N]
+             [--backend f32|fixed16|fixed32|simd] [--bits N] [--fixed16] [--seed N]
+             [--metrics-json <path>] [--profile]
              Run a fault-injection campaign and report SDC rates. --batch N executes N
              trials per forward pass and --workers N runs trial chunks on an N-worker
-             pool (identical results either way, less wall-clock per trial).
-             --tile N runs batched passes as row groups of N trials through cache-sized
-             segments of the graph (auto derives the group height from the warmed
-             shapes); pure scheduling, counts stay bit-for-bit identical.
+             pool (identical results either way, less wall-clock per trial). A batch
+             whose activations overflow the cache runs in cache-sized row groups.
              --backend fixed16|fixed32 runs genuine fixed-point inference and flips
              bits directly in the stored integer words (faults default to the
              backend's own word format); the default f32 backend emulates fixed-point
@@ -139,8 +137,8 @@ COMMANDS:
              --metrics-json writes the run's metrics snapshot (per-op plan timings,
              pool worker tallies, campaign latency histograms) as one line of JSON;
              --profile prints a per-op wall-time table. Neither changes any count.
-    pipeline --model <name> [--trials N] [--batch N] [--workers N] [--tile N|auto]
-             [--inputs N] [--backend f32|fixed16|fixed32|simd] [--seed N] [--percentile P] [--fraction F]
+    pipeline --model <name> [--trials N] [--batch N] [--workers N] [--inputs N]
+             [--backend f32|fixed16|fixed32|simd] [--seed N] [--percentile P] [--fraction F]
              [--policy saturate|zero|random] [--bits N] [--fixed16] [--quick]
              [--out report.json] [--metrics-json <path>] [--profile]
              Run the full profile -> protect -> inject pipeline and print the JSON report.
@@ -151,7 +149,7 @@ COMMANDS:
              chunk by chunk, checkpointing every completed chunk so a killed server
              resumes exactly where it stopped (default addr 127.0.0.1:7171).
     submit   --addr HOST:PORT (--model <name> | --in <model.json>) [--inputs N]
-             [--trials N] [--batch N] [--workers N] [--tile N|auto]
+             [--trials N] [--batch N] [--workers N] [--remote]
              [--backend f32|fixed16|fixed32|simd] [--bits N] [--fixed16] [--seed N]
              Submit a campaign to a running server and print its id. Submitting an
              identical spec again resumes it from its checkpoint. With --remote the
@@ -252,6 +250,36 @@ impl Options {
     /// Returns `true` if the bare flag `--key` was passed.
     pub fn has_flag(&self, key: &str) -> bool {
         self.flags.iter().any(|f| f == key)
+    }
+
+    /// Checks that every option and flag is one `command` documents in [`USAGE`] — its
+    /// line there and the indented lines below it — so the help text is the one list of
+    /// what each command accepts. A misspelled option must fail, not silently leave its
+    /// setting at the default.
+    ///
+    /// # Errors
+    ///
+    /// Returns a usage error naming the first option `command` does not document.
+    pub fn expect_documented(&self, command: &str) -> Result<(), CliError> {
+        let mut block = USAGE.lines().skip_while(|line| {
+            line.strip_prefix("    ")
+                .and_then(|rest| rest.split_whitespace().next())
+                != Some(command)
+        });
+        let known: Vec<&str> = block
+            .next()
+            .into_iter()
+            .chain(block.take_while(|line| line.starts_with("     ")))
+            .flat_map(|line| line.split(|c: char| !(c.is_ascii_alphanumeric() || c == '-')))
+            .filter_map(|word| word.strip_prefix("--"))
+            .collect();
+        let mut keys = self.pairs.iter().map(|(key, _)| key).chain(&self.flags);
+        match keys.find(|key| !known.contains(&key.as_str())) {
+            None => Ok(()),
+            Some(key) => Err(CliError::Usage(format!(
+                "unknown option --{key} for '{command}'\n\n{USAGE}"
+            ))),
+        }
     }
 }
 

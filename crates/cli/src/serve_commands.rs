@@ -6,7 +6,7 @@
 //! its address the moment it is listening — the e2e tests wait on that line — and the
 //! stream client renders every chunk event as it arrives.
 
-use crate::commands::{parse_backend_and_datatype, parse_model_name, parse_tile};
+use crate::commands::{parse_backend_and_datatype, parse_model_name};
 use crate::{CliError, Options};
 use ranger_inject::{CampaignConfig, CampaignResult, FaultModel};
 use ranger_serve::{
@@ -70,7 +70,7 @@ fn spec_from_options(options: &Options) -> Result<CampaignSpec, CliError> {
                 bits: options.get_parsed("bits", 1usize)?,
             },
             seed: options.get_parsed("seed", 42u64)?,
-            tile: parse_tile(options)?,
+            tile: 0,
         },
     })
 }

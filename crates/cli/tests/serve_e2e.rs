@@ -106,7 +106,7 @@ fn a_sigkilled_server_resumes_to_the_exact_uninterrupted_counts() {
     // Leg 2: a fresh server on the same checkpoint directory resumes the campaign from
     // its durable prefix when the identical spec is resubmitted.
     let (mut child, addr, _stdout) = start_server(&checkpoints);
-    let client = Client::new(addr);
+    let client = Client::new(addr.as_str());
     let resubmitted = client.submit(&spec).unwrap();
     assert_eq!(resubmitted.id, submitted.id, "same spec, same fingerprint");
     assert!(
@@ -141,11 +141,68 @@ fn a_sigkilled_server_resumes_to_the_exact_uninterrupted_counts() {
         "a killed-and-resumed campaign must reproduce the uninterrupted counts exactly"
     );
 
-    // The status endpoint agrees, and shutdown stops the server cleanly.
+    // The status endpoint agrees.
     let status = client.status(&resubmitted.id).unwrap();
     assert_eq!(status.state, "done");
     assert_eq!(status.trials_done, reference.trials);
     assert_eq!(status.sdc_counts, reference.sdc_counts);
+
+    // Leg 3: a batched campaign submitted through `ranger-cli submit` is accepted and
+    // finishes with the per-sample counts (at batch 64 LeNet's passes run tiled). Both
+    // sides take the default backend, so the RANGER_BACKEND sweeps cover it.
+    let output = Command::new(env!("CARGO_BIN_EXE_ranger-cli"))
+        .args([
+            "submit", "--addr", &addr, "--model", "lenet", "--inputs", "1",
+        ])
+        .args([
+            "--trials",
+            "64",
+            "--batch",
+            "64",
+            "--workers",
+            "1",
+            "--seed",
+            "7",
+        ])
+        .output()
+        .expect("submit process runs");
+    let stdout = String::from_utf8_lossy(&output.stdout);
+    assert!(output.status.success(), "submit failed: {stdout}");
+    let id = stdout
+        .split_whitespace()
+        .nth(2)
+        .unwrap_or_else(|| panic!("unexpected submit output: {stdout}"));
+    let mut batched = None;
+    client
+        .stream(id, |event| {
+            if let CampaignEvent::CampaignDone { result } = event {
+                batched = Some(result.clone());
+            }
+        })
+        .unwrap();
+    let materialized = CampaignSpec {
+        inputs: 1,
+        config: ranger_inject::CampaignConfig {
+            trials: 64,
+            batch: 1,
+            workers: 1,
+            seed: 7,
+            ..ranger_inject::CampaignConfig::default()
+        },
+        ..spec.clone()
+    }
+    .materialize()
+    .unwrap();
+    let per_sample = ranger_inject::run_campaign(
+        &materialized.target(),
+        &materialized.inputs,
+        materialized.judge.as_ref(),
+        &materialized.config,
+    )
+    .unwrap();
+    assert_eq!(batched.expect("stream ends with CampaignDone"), per_sample);
+
+    // Shutdown stops the server cleanly.
     client.shutdown().unwrap();
     let exit = child.wait().expect("server exits after shutdown");
     assert!(exit.success(), "serve must exit cleanly, got {exit:?}");

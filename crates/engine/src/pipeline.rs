@@ -438,10 +438,6 @@ pub struct Pipeline {
     protector: Box<dyn Protector>,
     protector_name: String,
     campaign: Option<CampaignConfig>,
-    batch: Option<usize>,
-    workers: Option<usize>,
-    backend: Option<ranger_graph::BackendKind>,
-    tile: Option<usize>,
     inputs: usize,
     judge: JudgeSpec,
     steering_tolerance_degrees: f32,
@@ -469,10 +465,6 @@ impl Pipeline {
             protector_name: protector.name(),
             protector: Box::new(protector),
             campaign: None,
-            batch: None,
-            workers: None,
-            backend: None,
-            tile: None,
             inputs: 5,
             judge: JudgeSpec::Auto,
             steering_tolerance_degrees: 60.0,
@@ -531,48 +523,6 @@ impl Pipeline {
     /// Enables the fault-injection campaign step with this configuration.
     pub fn campaign(mut self, config: CampaignConfig) -> Self {
         self.campaign = Some(config);
-        self
-    }
-
-    /// Sets the campaign batch size: how many injection trials (or golden inputs) each
-    /// forward pass executes. Overrides [`CampaignConfig::batch`] in whatever config was
-    /// (or will be) passed to [`Pipeline::campaign`]. Any batch size produces bit-for-bit
-    /// the SDC counts of `batch = 1`; larger batches amortize per-pass overhead.
-    pub fn batch(mut self, batch: usize) -> Self {
-        self.batch = Some(batch);
-        self
-    }
-
-    /// Sets the campaign worker count: how many threads execute injection trials.
-    /// Overrides [`CampaignConfig::workers`] in whatever config was (or will be) passed
-    /// to [`Pipeline::campaign`]. Any worker count produces bit-for-bit the SDC counts
-    /// of `workers = 1` (fault plans are keyed by `(input, trial)` index); more workers
-    /// cut campaign wall-clock on multi-core hosts.
-    pub fn workers(mut self, workers: usize) -> Self {
-        self.workers = Some(workers);
-        self
-    }
-
-    /// Sets the campaign execution backend: every golden and faulty forward pass runs on
-    /// it. Overrides [`CampaignConfig::backend`] in whatever config was (or will be)
-    /// passed to [`Pipeline::campaign`], and — when the configured fault model's datatype
-    /// no longer matches a fixed-point backend — aligns the fault datatype to the
-    /// backend's word format (the only valid pairing; see
-    /// [`CampaignConfig::validate`]), keeping the flip count.
-    pub fn backend(mut self, backend: ranger_graph::BackendKind) -> Self {
-        self.backend = Some(backend);
-        self
-    }
-
-    /// Sets the campaign row-group size: how many trials of each batched forward pass
-    /// the tiled scheduler executes per row group (`0` = untiled,
-    /// [`ranger_inject::TILE_AUTO`] = derive from the warmed plan's cache footprint).
-    /// Overrides [`CampaignConfig::tile`] in whatever config was (or will be) passed to
-    /// [`Pipeline::campaign`]. Any tile size produces bit-for-bit the SDC counts of the
-    /// untiled batched pass; cache-sized row groups cut batched wall-clock on
-    /// convolutional models.
-    pub fn tile(mut self, tile: usize) -> Self {
-        self.tile = Some(tile);
         self
     }
 
@@ -661,27 +611,7 @@ impl Pipeline {
                 self.profile_fraction
             )));
         }
-        let campaign_config = self.campaign.map(|mut config| {
-            if let Some(batch) = self.batch {
-                config.batch = batch;
-            }
-            if let Some(workers) = self.workers {
-                config.workers = workers;
-            }
-            if let Some(tile) = self.tile {
-                config.tile = tile;
-            }
-            if let Some(backend) = self.backend {
-                config.backend = backend;
-                if let Some(spec) = backend.spec() {
-                    // A fixed-point backend flips bits in its own words; the datatype is
-                    // the backend's format by construction (flip count is preserved).
-                    config.fault.datatype = ranger_tensor::DataType::Fixed(spec);
-                }
-            }
-            config
-        });
-        if let Some(config) = &campaign_config {
+        if let Some(config) = &self.campaign {
             config.validate()?;
         }
         let zoo = self.zoo.unwrap_or_else(ModelZoo::with_default_dir);
@@ -713,8 +643,7 @@ impl Pipeline {
             &input,
         )?;
 
-        let (campaign, baseline_result, protected_result, campaign_inputs) = match &campaign_config
-        {
+        let (campaign, baseline_result, protected_result, campaign_inputs) = match &self.campaign {
             None => (None, None, None, Vec::new()),
             Some(config) => {
                 let inputs = match model.task {
@@ -919,14 +848,18 @@ mod tests {
             .unwrap_err();
         assert!(zero_trials.to_string().contains("trials must be positive"));
         let zero_batch = Pipeline::for_model(ModelKind::LeNet)
-            .campaign(CampaignConfig::default())
-            .batch(0)
+            .campaign(CampaignConfig {
+                batch: 0,
+                ..CampaignConfig::default()
+            })
             .run()
             .unwrap_err();
         assert!(zero_batch.to_string().contains("batch must be positive"));
         let zero_workers = Pipeline::for_model(ModelKind::LeNet)
-            .campaign(CampaignConfig::default())
-            .workers(0)
+            .campaign(CampaignConfig {
+                workers: 0,
+                ..CampaignConfig::default()
+            })
             .run()
             .unwrap_err();
         assert!(zero_workers
@@ -934,8 +867,8 @@ mod tests {
             .contains("workers must be positive"));
     }
 
-    /// The `.workers(n)` knob changes only the execution strategy: a parallel pipeline
-    /// campaign reports exactly the counts of the serial one.
+    /// The campaign's worker count changes only the execution strategy: a parallel
+    /// pipeline campaign reports exactly the counts of the serial one.
     #[test]
     fn parallel_pipeline_campaign_matches_serial_bit_for_bit() {
         let run = |workers: usize| {
@@ -946,11 +879,10 @@ mod tests {
                 .campaign(CampaignConfig {
                     trials: 20,
                     batch: 1,
-                    workers: 1,
+                    workers,
                     seed: 23,
                     ..CampaignConfig::default()
                 })
-                .workers(workers)
                 .inputs(2)
                 .run_full()
                 .unwrap()
@@ -969,9 +901,8 @@ mod tests {
         );
     }
 
-    /// The `.backend(...)` knob runs the whole campaign on the fixed-point path: the
-    /// report is produced end-to-end, the fault datatype follows the backend's word
-    /// format, and worker count still cannot change the counts.
+    /// A fixed16 campaign runs on the fixed-point path end-to-end, with faults in the
+    /// backend's word format, and worker count still cannot change the counts.
     #[test]
     fn fixed16_pipeline_campaign_runs_end_to_end_and_stays_deterministic() {
         use ranger_inject::BackendKind;
@@ -983,20 +914,17 @@ mod tests {
                 .campaign(CampaignConfig {
                     trials: 15,
                     batch: 1,
-                    workers: 1,
-                    backend: BackendKind::F32, // overridden by the knob below
-                    fault: FaultModel::single_bit_fixed32(), // realigned by the knob below
+                    workers,
+                    backend: BackendKind::Fixed16,
+                    fault: FaultModel::single_bit_fixed16(),
                     seed: 29,
                     tile: 0,
                 })
-                .backend(BackendKind::Fixed16)
-                .workers(workers)
                 .inputs(1)
                 .run_full()
                 .unwrap()
         };
         let serial = run(1);
-        // The fault datatype was aligned to the backend's word format.
         assert_eq!(
             serial.report.campaign.as_ref().unwrap().trials_per_input,
             15
@@ -1014,9 +942,9 @@ mod tests {
         );
     }
 
-    /// The `.backend(BackendKind::Simd)` knob computes the same f32 semantics on the
-    /// vector path, so the whole campaign section of the report — SDC counts included —
-    /// is bit-for-bit the f32 pipeline's, and the report names the backend that ran.
+    /// The SIMD backend computes the same f32 semantics on the vector path, so the whole
+    /// campaign section of the report — SDC counts included — is bit-for-bit the f32
+    /// pipeline's, and the report names the backend that ran.
     #[test]
     fn simd_pipeline_report_is_bit_for_bit_the_f32_report() {
         use ranger_inject::BackendKind;
@@ -1029,12 +957,11 @@ mod tests {
                     trials: 12,
                     batch: 1,
                     workers: 1,
-                    backend: BackendKind::F32, // overridden by the knob below
+                    backend,
                     fault: FaultModel::single_bit_fixed32(),
                     seed: 23,
                     tile: 0,
                 })
-                .backend(backend)
                 .inputs(1)
                 .run_full()
                 .unwrap()

@@ -679,7 +679,7 @@ static FIXED32: FixedBackend = FixedBackend {
 };
 
 /// A selectable execution backend, as carried by campaign and pipeline configurations
-/// (CLI `--backend`, `CampaignConfig::backend`, `Pipeline::backend`).
+/// (CLI `--backend`, `CampaignConfig::backend`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
 pub enum BackendKind {
     /// The `f32` reference path ([`ReferenceBackend`]).

@@ -50,7 +50,7 @@
 //!     backend: BackendKind::F32, // or Fixed16/Fixed32 for genuine fixed-point inference
 //!     fault: FaultModel::single_bit_fixed32(),
 //!     seed: 1,
-//!     tile: 2,    // run batched passes in row groups of 2 trials (0 = untiled)
+//!     tile: 0, // reserved: batched passes pick their row-group schedule themselves
 //! };
 //! let inputs = vec![Tensor::ones(vec![1, 4])];
 //! let judge = ClassifierJudge::top1();
@@ -69,9 +69,8 @@ pub mod sensitivity;
 pub mod space;
 
 pub use campaign::{
-    campaign_chunks, default_chunk_len, default_tile, run_campaign, trial_rng, try_default_tile,
-    CampaignConfig, CampaignError, CampaignResult, ChunkTally, PreparedCampaign, TrialChunk,
-    TILE_AUTO,
+    campaign_chunks, default_chunk_len, run_campaign, trial_rng, CampaignConfig, CampaignError,
+    CampaignResult, ChunkTally, PreparedCampaign, TrialChunk,
 };
 pub use fault::FaultModel;
 pub use injector::{BatchFaultInjector, FaultInjector};
@@ -85,9 +84,8 @@ pub use space::{InjectionSite, InjectionSpace};
 /// Convenience re-exports for experiment code.
 pub mod prelude {
     pub use crate::campaign::{
-        campaign_chunks, default_chunk_len, default_tile, run_campaign, trial_rng,
-        try_default_tile, CampaignConfig, CampaignError, CampaignResult, ChunkTally,
-        PreparedCampaign, TrialChunk, TILE_AUTO,
+        campaign_chunks, default_chunk_len, run_campaign, trial_rng, CampaignConfig, CampaignError,
+        CampaignResult, ChunkTally, PreparedCampaign, TrialChunk,
     };
     pub use crate::fault::FaultModel;
     pub use crate::injector::{BatchFaultInjector, FaultInjector};

@@ -211,7 +211,11 @@ mod tests {
                         name: "lenet".to_string(),
                     },
                     inputs: 2,
-                    config: CampaignConfig::default(),
+                    // The largest seed a JSON number carries exactly (and a valid one).
+                    config: CampaignConfig {
+                        seed: (1 << 53) - 1,
+                        ..CampaignConfig::default()
+                    },
                 },
             },
             Request::Status {

@@ -41,7 +41,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             backend: ranger_inject::default_backend(),
             fault: FaultModel::single_bit_fixed32(),
             seed: 99,
-            tile: ranger_inject::default_tile(),
+            tile: 0,
         })
         .inputs(5)
         .run()?;

@@ -123,9 +123,9 @@ proptest! {
 
     /// The batched/parallel-campaign acceptance property: ANY campaign configuration
     /// produces identical SDC counts (and trial/unactivated tallies) for every
-    /// `(batch, workers, tile)` combination, on random MLPs and random fault models —
-    /// fault plans are keyed by `(input, trial)` index, so neither the pass shape, the
-    /// schedule nor the row-group scheduler can reach the counts.
+    /// `(batch, workers)` combination, on random MLPs and random fault models — fault
+    /// plans are keyed by `(input, trial)` index, so neither the pass shape nor the
+    /// schedule can reach the counts.
     #[test]
     fn batched_and_parallel_campaign_parity_on_random_campaigns(
         hidden in 2usize..10,
@@ -134,7 +134,6 @@ proptest! {
         batch in 2usize..50,
         workers_log2 in 0u32..4,
         bits in 1usize..3,
-        tile in 1usize..6,
     ) {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut b = GraphBuilder::new();
@@ -156,7 +155,7 @@ proptest! {
         ];
         let judge = ranger_inject::ClassifierJudge::top1();
         let workers = 1usize << workers_log2; // 1, 2, 4 or 8
-        let config = |batch, workers, tile| CampaignConfig {
+        let config = |batch, workers| CampaignConfig {
             trials,
             batch,
             workers,
@@ -166,16 +165,14 @@ proptest! {
                 bits,
             },
             seed,
-            tile,
+            tile: 0,
         };
         let reference =
-            ranger_inject::run_campaign(&target, &inputs, &judge, &config(1, 1, 0)).unwrap();
+            ranger_inject::run_campaign(&target, &inputs, &judge, &config(1, 1)).unwrap();
         for candidate in [
-            config(batch, 1, 0),          // batched, serial, untiled
-            config(1, workers, 0),        // per-sample, parallel
-            config(batch, workers, 0),    // batched and parallel
-            config(batch, 1, tile),       // batched through the row-group scheduler
-            config(batch, workers, tile), // batched, parallel and tiled
+            config(batch, 1),       // batched, serial
+            config(1, workers),     // per-sample, parallel
+            config(batch, workers), // batched and parallel
         ] {
             let run = ranger_inject::run_campaign(&target, &inputs, &judge, &candidate).unwrap();
             prop_assert_eq!(&run.sdc_counts, &reference.sdc_counts);
@@ -255,10 +252,11 @@ fn parallel_campaign_grid_matches_serial_on_zoo_models() {
 
 /// The row-group scheduler acceptance grid on real zoo architectures: on a convolutional
 /// classifier (LeNet) and a steering regressor (Comma), across the f32, SIMD and fixed16
-/// backends, every (tile × workers × batch) combination — one trial per group, a
-/// non-divisor, the whole batch, and the auto-derived size — reports the untiled batched
-/// counts bit-for-bit. Tiling is pure scheduling: the same faults land on the same
-/// elements whatever the row-group height.
+/// backends, batch {16, 64} × workers {1, 4} reports the per-sample counts bit-for-bit.
+/// At batch 64 both models' full-batch activations overflow the cache budget, so their
+/// passes run on the tiled scheduler in row groups with an uneven tail (28 trials per
+/// group on LeNet, 19 on Comma); tiling is pure scheduling, and the same faults land on
+/// the same elements.
 #[test]
 fn tiled_campaign_grid_matches_untiled_on_zoo_models() {
     for kind in [ModelKind::LeNet, ModelKind::Comma] {
@@ -281,39 +279,36 @@ fn tiled_campaign_grid_matches_untiled_on_zoo_models() {
             (BackendKind::Simd, FaultModel::single_bit_fixed32()),
             (BackendKind::Fixed16, FaultModel::single_bit_fixed16()),
         ] {
-            let config = |batch, workers, tile| CampaignConfig {
-                trials: 12,
+            // 72 trials: one full 64-trial pass plus a short one at batch 64.
+            let config = |batch, workers| CampaignConfig {
+                trials: 72,
                 batch,
                 workers,
                 backend,
                 fault,
                 seed: 37,
-                tile,
+                tile: 0,
             };
             let reference =
-                ranger_inject::run_campaign(&target, &inputs, judge.as_ref(), &config(16, 1, 0))
+                ranger_inject::run_campaign(&target, &inputs, judge.as_ref(), &config(1, 1))
                     .unwrap();
-            let mut grid = vec![];
-            for tile in [1usize, 4, 16, ranger_inject::TILE_AUTO] {
+            for batch in [16usize, 64] {
                 for workers in [1usize, 4] {
-                    grid.push(config(16, workers, tile));
-                }
-            }
-            // A batch wider than the trial count still partitions into the same groups.
-            grid.push(config(64, 4, 4));
-            for candidate in grid {
-                let run = ranger_inject::run_campaign(&target, &inputs, judge.as_ref(), &candidate)
+                    let run = ranger_inject::run_campaign(
+                        &target,
+                        &inputs,
+                        judge.as_ref(),
+                        &config(batch, workers),
+                    )
                     .unwrap();
-                let label = format!(
-                    "{kind} on {backend}: batch {} × workers {} × tile {}",
-                    candidate.batch, candidate.workers, candidate.tile
-                );
-                assert_eq!(
-                    run.sdc_counts, reference.sdc_counts,
-                    "{label} diverged from the untiled batched SDC counts"
-                );
-                assert_eq!(run.trials, reference.trials, "{label}");
-                assert_eq!(run.unactivated, reference.unactivated, "{label}");
+                    let label = format!("{kind} on {backend}: batch {batch} × workers {workers}");
+                    assert_eq!(
+                        run.sdc_counts, reference.sdc_counts,
+                        "{label} diverged from the per-sample SDC counts"
+                    );
+                    assert_eq!(run.trials, reference.trials, "{label}");
+                    assert_eq!(run.unactivated, reference.unactivated, "{label}");
+                }
             }
         }
     }
@@ -404,11 +399,11 @@ fn pipeline_reproduces_legacy_fig6_campaign_counts_exactly() {
     // The protected graphs are structurally identical too.
     assert_eq!(outcome.protected.model.graph, protected.graph);
 
-    // The batched/parallel/tiled acceptance criterion: the same fig6-style pipeline with
-    // a batched campaign (16 trials per forward pass), a parallel campaign (4 workers),
-    // both at once, and the row-group scheduler on top reproduces the per-sample SDC
-    // counts bit-for-bit, in both arms.
-    for (batch, workers, tile) in [(16usize, 1usize, 0usize), (1, 4, 0), (16, 4, 0), (16, 4, 4)] {
+    // The batched/parallel acceptance criterion: the same fig6-style pipeline with a
+    // batched campaign (16 trials per forward pass), a parallel campaign (4 workers),
+    // both at once, and a batch wide enough for LeNet to tile reproduces the per-sample
+    // SDC counts bit-for-bit, in both arms.
+    for (batch, workers) in [(16usize, 1usize), (1, 4), (16, 4), (64, 4)] {
         let variant = Pipeline::for_model(kind)
             .seed(seed)
             .train(quick)
@@ -417,16 +412,13 @@ fn pipeline_reproduces_legacy_fig6_campaign_counts_exactly() {
             .protect(RangerConfig::default())
             .campaign(CampaignConfig {
                 trials,
-                batch: 1,   // overridden by the knob below
-                workers: 1, // overridden by the knob below
+                batch,
+                workers,
                 backend: BackendKind::F32,
                 fault: FaultModel::single_bit_fixed32(),
                 seed,
-                tile: 0, // overridden by the knob below
+                tile: 0,
             })
-            .batch(batch)
-            .workers(workers)
-            .tile(tile)
             .inputs(n_inputs)
             .judge(JudgeSpec::TopK(vec![1]))
             .run_full()
@@ -434,14 +426,14 @@ fn pipeline_reproduces_legacy_fig6_campaign_counts_exactly() {
         assert_eq!(
             variant.baseline_result.unwrap().sdc_counts,
             pipeline_baseline.sdc_counts,
-            "unprotected arm (batch {batch}, workers {workers}, tile {tile}) must \
-             reproduce the per-sample fig6 SDC counts exactly"
+            "unprotected arm (batch {batch}, workers {workers}) must reproduce the \
+             per-sample fig6 SDC counts exactly"
         );
         assert_eq!(
             variant.protected_result.unwrap().sdc_counts,
             pipeline_protected.sdc_counts,
-            "protected arm (batch {batch}, workers {workers}, tile {tile}) must \
-             reproduce the per-sample fig6 SDC counts exactly"
+            "protected arm (batch {batch}, workers {workers}) must reproduce the \
+             per-sample fig6 SDC counts exactly"
         );
     }
 
