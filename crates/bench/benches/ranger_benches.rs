@@ -11,8 +11,8 @@
 //! * `profiling/bounds` — cost of deriving restriction bounds from profiling samples.
 //! * `injection/trial` — throughput of a single fault-injection trial.
 //! * `campaign_simd/*` — the identical campaign on the scalar f32 reference vs. the
-//!   runtime-dispatched SIMD backend: bit-for-bit equal SDC counts (asserted), lower
-//!   ns/trial on convolution-dominated models.
+//!   runtime-dispatched SIMD backend (LeNet, ResNet-18, a deep MLP): bit-for-bit equal
+//!   SDC counts (asserted), lower ns/trial on convolution-dominated models.
 //!
 //! Run with `cargo bench -p ranger-bench`. Set `RANGER_BENCH_FILTER` to a
 //! comma-separated list of group names (e.g. `campaign_fixed,campaign_batched`) to run
@@ -681,9 +681,10 @@ fn bench_campaign_fixed() {
 /// same trials, same fault model) run on the scalar f32 reference and on the
 /// runtime-dispatched SIMD backend. The SDC counts must match bit for bit — the SIMD
 /// kernels preserve the reference's accumulation order — and the SIMD run should be
-/// measurably faster per trial on the convolution-dominated LeNet. The deep narrow MLP
-/// is measured too as the adversarial shape: rows of width 8 leave little lane-level
-/// parallelism, so it bounds the dispatch overhead rather than showing a win.
+/// measurably faster per trial on the convolution-dominated LeNet and ResNet-18. The
+/// deep narrow MLP is measured too as the adversarial shape: rows of width 8 leave
+/// little lane-level parallelism, so it bounds the dispatch overhead rather than
+/// showing a win.
 ///
 /// Uses the same trials/seed/batch grid as `campaign_batched`, so in a combined run
 /// `campaign_simd/lenet/simd/batch_N` is directly comparable to
@@ -763,6 +764,18 @@ fn bench_campaign_simd() {
     let input = model_input(&model);
     campaign(
         "lenet",
+        &model.graph,
+        &model.input_name,
+        model.output,
+        &input,
+    );
+
+    // ResNet-18: the conv-bound shape (Conv2D is ~98% of a reference pass), and the
+    // row that measures the SIMD conv's tile sizes on the 20 real geometries.
+    let model = archs::build(&ModelConfig::new(ModelKind::ResNet18), 0);
+    let input = model_input(&model);
+    campaign(
+        "resnet18",
         &model.graph,
         &model.input_name,
         model.output,

@@ -145,7 +145,9 @@ impl ExecBackend for ReferenceBackend {
 /// (never FMA, never a re-associated reduction), so every output element sees exactly
 /// the scalar kernel's partial products in the scalar kernel's order. SDC counts from
 /// campaigns on this backend are therefore pinned *equal* to f32-reference counts —
-/// see docs/NUMERICS.md ("SIMD backend") and `tests/backend_differential.rs`.
+/// see docs/NUMERICS.md ("SIMD backend") and `tests/backend_differential.rs`. A conv
+/// whose filter holds an infinity or NaN runs on [`eval_node_into`]: the SIMD conv's
+/// padding taps would add `0 · inf = NaN` where the reference adds nothing.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SimdBackend;
 
@@ -183,8 +185,13 @@ impl SimdBackend {
                     out_w: g.out_w,
                 };
                 out.reset_fill(&[g.batch, g.cout, g.out_h, g.out_w], 0.0);
-                ranger_simd::conv2d(x.data(), w.data(), &shape, out.data_mut());
-                Ok(())
+                if ranger_simd::conv2d(x.data(), w.data(), &shape, out.data_mut()) {
+                    Ok(())
+                } else {
+                    // A non-finite filter: the kernel's padding taps would turn
+                    // `0 · inf` into NaN, so the reference computes this node.
+                    eval_node_into(node, values, feeds, out)
+                }
             }
             Op::MatMul if node.inputs.len() == 2 => {
                 let a = input(node, values, 0)?;
@@ -202,9 +209,8 @@ impl SimdBackend {
             }
             Op::Softmax if node.inputs.len() == 1 => {
                 let x = input(node, values, 0)?;
-                let dims = x.dims().to_vec();
-                let (rows, last) = softmax_layout(node.id, &dims, x.len())?;
-                out.reset_fill(&dims, 0.0);
+                let (rows, last) = softmax_layout(node.id, x.dims(), x.len())?;
+                out.reset_fill(x.dims(), 0.0);
                 ranger_simd::softmax(x.data(), rows, last, out.data_mut());
                 Ok(())
             }
@@ -924,6 +930,31 @@ mod tests {
             format!("{}", build(BackendKind::Simd)),
             format!("{}", build(BackendKind::F32))
         );
+    }
+
+    /// `Same` padding on a zero-extent spatial dimension has no output positions: every
+    /// backend returns an empty `[1, cout, 0, 4]` tensor instead of underflowing the
+    /// padding arithmetic.
+    #[test]
+    fn same_padded_conv_on_an_empty_dimension_yields_an_empty_output() {
+        let mut g = crate::graph::Graph::new();
+        let x = g.add_input("x");
+        let w = g.add_const("w", Tensor::filled(vec![3, 1, 3, 3], 0.5), true);
+        let conv = g.add_node(
+            "conv",
+            Op::Conv2d {
+                stride: 1,
+                padding: crate::op::Padding::Same,
+            },
+            vec![x, w],
+        );
+        let feeds = [("x", Tensor::zeros(vec![1, 1, 0, 4]))];
+        for kind in [BackendKind::F32, BackendKind::Simd, BackendKind::Fixed16] {
+            let plan = g.compile_with(kind.backend()).unwrap();
+            let out = plan.run_simple(&feeds, conv).unwrap();
+            assert_eq!(out.dims(), &[1, 3, 0, 4], "{kind:?}");
+            assert!(out.data().is_empty(), "{kind:?}");
+        }
     }
 
     #[test]

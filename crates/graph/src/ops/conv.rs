@@ -22,6 +22,8 @@ pub(crate) fn padded_geometry(
             };
             (out, 0)
         }
+        // An empty input has no output positions, and so no padding either.
+        Padding::Same if input == 0 => (0, 0),
         Padding::Same => {
             let out = input.div_ceil(stride);
             let needed = (out - 1) * stride + kernel;

@@ -203,6 +203,63 @@ fn repeated_plan_passes_allocate_nothing_after_warm_up() {
          tiled passes in the quietest of 3 attempts)"
     );
 
+    // The SIMD backend on the same graph: its conv kernel keeps one batch row's phase
+    // planes and wide output in per-thread scratch, grown by warm()'s pass and reused
+    // after it. A warmed untiled pass and a primed tiled pass (tile rows need the same
+    // per-row scratch) both allocate nothing.
+    let mut rng = StdRng::seed_from_u64(7);
+    let mut b = GraphBuilder::new();
+    let x = b.input("x");
+    let c = b.conv2d(x, 1, 4, 3, 1, ranger_graph::op::Padding::Same, &mut rng);
+    let r = b.relu(c);
+    let p = b.max_pool(r, 2, 2);
+    let f = b.flatten(p);
+    let h = b.dense(f, 4 * 4 * 4, 10, &mut rng);
+    let probs = b.softmax(h);
+    let graph = b.into_graph();
+    let plan = graph
+        .compile_with(ranger_graph::BackendKind::Simd.backend())
+        .unwrap();
+    let feeds = [("x", Tensor::ones(vec![8, 1, 8, 8]))];
+    plan.warm(&feeds).unwrap();
+    let schedule = plan.tiled_schedule(&[probs]);
+    assert!(schedule.segments() > 0);
+    for tiled in [false, true] {
+        let mut fewest = usize::MAX;
+        for attempt in 0..3 {
+            let mut values = plan.buffers();
+            let pass = |values: &mut ranger_graph::exec::Values| {
+                if tiled {
+                    plan.run_tiled_into(values, &feeds, &mut NoopInterceptor, &schedule, 2)
+                } else {
+                    plan.run_into(values, &feeds, &mut NoopInterceptor)
+                }
+                .unwrap()
+            };
+            if tiled {
+                // Prime: the first tiled pass claims the overlay buffers.
+                pass(&mut values);
+            }
+            let before = ALLOCATIONS.load(Ordering::SeqCst);
+            for _ in 0..100 {
+                pass(&mut values);
+            }
+            let after = ALLOCATIONS.load(Ordering::SeqCst);
+            fewest = fewest.min(after - before);
+            if attempt == 0 {
+                assert_eq!(values.get(probs).unwrap().dims(), &[8, 10]);
+            }
+            if fewest == 0 {
+                break;
+            }
+        }
+        assert_eq!(
+            fewest, 0,
+            "warmed simd passes (tiled: {tiled}) must not allocate ({fewest} allocations \
+             over 100 passes in the quietest of 3 attempts)"
+        );
+    }
+
     // Metrics on: timing slots are sized once at warm() (one Vec of atomics), and a
     // timed pass only reads the clock and bumps pre-sized atomics — so the warmed hot
     // path stays allocation-free with the registry recording. This is the other half

@@ -1,13 +1,15 @@
-//! The three ported kernel bodies: blocked conv2d, matmul, three-pass softmax.
+//! The three ported kernel bodies: register-blocked conv2d, matmul, three-pass softmax.
 //!
-//! Each body mirrors its scalar reference loop-for-loop (see the [crate docs](crate) for
-//! why that makes the vectorization bit-preserving); the only freedom taken is *which
-//! independent output elements* one instruction covers. Shape validation stays in
-//! `ranger-graph` — these entry points assert the slice contracts they need for memory
-//! safety and otherwise trust the caller's geometry.
+//! Each body gives every output element exactly its scalar reference's partial
+//! products, in the reference's order (see the [crate docs](crate) for why that makes
+//! the vectorization bit-preserving); the freedom taken is *which independent output
+//! elements* one instruction covers, and, for conv2d, padding taps that add an exact
+//! zero. Shape validation stays in `ranger-graph` — these entry points assert the slice
+//! contracts they need for memory safety and otherwise trust the caller's geometry.
 
 use crate::dispatch::{SimdOp, SimdTier};
 use crate::vec::{maxps, SimdF32};
+use std::cell::Cell;
 use std::sync::OnceLock;
 
 /// Validated conv2d geometry, mirroring `ranger-graph`'s `Conv2dGeometry` (NCHW
@@ -61,31 +63,209 @@ unsafe fn axpy<V: SimdF32>(out: &mut [f32], x: &[f32], w: f32) {
     }
 }
 
-/// `out[j] += x[base + j * stride] * w` — the strided-input counterpart of [`axpy`],
-/// used by conv2d rows with `stride > 1`. Lanes gather their strided inputs into a
-/// stack buffer, then run the exact same splat-multiply-add as the contiguous path, so
-/// every `out[j]` still receives exactly one `+ x * w` with identical operands and
-/// rounding to the scalar walk it replaces.
-#[inline(always)]
-unsafe fn axpy_gather<V: SimdF32>(out: &mut [f32], x: &[f32], base: usize, stride: usize, w: f32) {
-    debug_assert!(V::LANES <= 16);
-    debug_assert!(out.is_empty() || base + (out.len() - 1) * stride < x.len());
-    let n = out.len();
-    let wv = V::splat(w);
-    let mut buf = [0.0f32; 16];
-    let mut i = 0;
-    while i + V::LANES <= n {
-        for (lane, slot) in buf[..V::LANES].iter_mut().enumerate() {
-            *slot = *x.get_unchecked(base + (i + lane) * stride);
-        }
-        let xv = V::load(buf.as_ptr());
-        let ov = V::load(out.as_ptr().add(i));
-        ov.add(xv.mul(wv)).store(out.as_mut_ptr().add(i));
-        i += V::LANES;
+/// Per-thread conv2d scratch: one batch row's zero-padded phase planes and its wide
+/// output plane. Both grow to the largest geometry the thread has seen and are then
+/// reused, so warmed passes allocate nothing.
+#[derive(Default)]
+struct ConvScratch {
+    planes: Vec<f32>,
+    wide: Vec<f32>,
+}
+
+thread_local! {
+    static CONV_SCRATCH: Cell<ConvScratch> = const {
+        Cell::new(ConvScratch {
+            planes: Vec::new(),
+            wide: Vec::new(),
+        })
+    };
+}
+
+/// Grows `buf` to at least `len` floats; never shrinks it.
+fn grow(buf: &mut Vec<f32>, len: usize) {
+    if buf.len() < len {
+        buf.resize(len, 0.0);
     }
-    while i < n {
-        *out.get_unchecked_mut(i) += *x.get_unchecked(base + i * stride) * w;
-        i += 1;
+}
+
+/// Where one batch row's phase planes and wide output plane live, for one lane width.
+///
+/// For stride `s`, each input channel splits into `py × px = min(s, kh) × min(s, kw)`
+/// planes. Plane `(ry, rx)` holds padded input `(r·s + ry, c·s + rx)` at `r·wq + c`,
+/// and zero where that position lies in the padding. Output `(oy, ox)` sits at wide
+/// position `q = oy·wq + ox`, and tap `(ky, kx)` reads plane `(ky mod s, kx mod s)` at
+/// `q + (ky / s)·wq + kx / s`: a contiguous run for every stride. Columns `ox ≥ out_w`
+/// are computed and dropped, so no vector ever needs a scalar tail.
+#[derive(Debug, Clone, Copy)]
+struct PhaseLayout {
+    py: usize,
+    px: usize,
+    hq: usize,
+    wq: usize,
+    /// Wide positions per output channel: `out_h · wq`, rounded up to whole vectors.
+    wide_len: usize,
+    /// Floats per plane: `wide_len` plus the largest tap offset, so the last vector of
+    /// every tap reads inside its plane.
+    plane_len: usize,
+}
+
+impl PhaseLayout {
+    /// The layout of `g` (non-empty output, non-empty filter) for `lanes`-wide vectors.
+    fn new(g: &Conv2dShape, lanes: usize) -> Self {
+        let s = g.stride;
+        let (dy, dx) = ((g.kh - 1) / s, (g.kw - 1) / s);
+        let wq = g.out_w + dx;
+        let wide_len = (g.out_h * wq).next_multiple_of(lanes);
+        PhaseLayout {
+            py: s.min(g.kh),
+            px: s.min(g.kw),
+            hq: g.out_h + dy,
+            wq,
+            wide_len,
+            plane_len: wide_len + dy * wq + dx,
+        }
+    }
+
+    /// Floats in one batch row's planes.
+    fn planes_len(&self, cin: usize) -> usize {
+        cin * self.py * self.px * self.plane_len
+    }
+}
+
+/// Copies one batch row `x` (`cin × height × width`) into its phase planes: zero in the
+/// padding and in the slack after each plane, so every float the micro-kernel reads is
+/// initialized and every padding tap multiplies a zero.
+fn fill_planes(x: &[f32], g: &Conv2dShape, lay: &PhaseLayout, planes: &mut [f32]) {
+    let (h, win, s) = (g.height, g.width, g.stride);
+    let mut planes = planes.chunks_exact_mut(lay.plane_len);
+    for x_ch in x.chunks_exact(h * win) {
+        for ry in 0..lay.py {
+            for rx in 0..lay.px {
+                let plane = planes.next().expect("planes sized for cin channels");
+                // Plane columns whose input column `c·s + rx − pad_w` lies in the row.
+                let c_lo = g.pad_w.saturating_sub(rx).div_ceil(s).min(lay.wq);
+                let c_hi = (win + g.pad_w)
+                    .saturating_sub(rx)
+                    .div_ceil(s)
+                    .clamp(c_lo, lay.wq);
+                let (rows, slack) = plane.split_at_mut(lay.hq * lay.wq);
+                slack.fill(0.0);
+                for (r, dst) in rows.chunks_exact_mut(lay.wq).enumerate() {
+                    // Wraps past `h` when the row lies in the top padding.
+                    let iy = (r * s + ry).wrapping_sub(g.pad_h);
+                    if iy >= h {
+                        dst.fill(0.0);
+                        continue;
+                    }
+                    let (head, rest) = dst.split_at_mut(c_lo);
+                    let (mid, tail) = rest.split_at_mut(c_hi - c_lo);
+                    head.fill(0.0);
+                    tail.fill(0.0);
+                    if !mid.is_empty() {
+                        let row = &x_ch[iy * win..][..win];
+                        let src = row[c_lo * s + rx - g.pad_w..].iter().step_by(s);
+                        for (d, &v) in mid.iter_mut().zip(src) {
+                            *d = v;
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// One register tile: `OB` output channels × `NV` vectors of wide positions, starting
+/// at `x` (planes at the tile's first position), `w` (the first channel's filter) and
+/// `wide`. The accumulators start at `+0.0`, take one separate multiply and add per
+/// `(ic, ky, kx)` in that order, and are stored once.
+///
+/// # Safety
+///
+/// `V`'s tier must be available, and `lay` must be `g`'s layout for `V::LANES`.
+/// Relative to `x`, `w` and `wide`, every offset the walk reaches must be in bounds:
+/// `NV` vectors past each tap offset of `cin` plane groups, `OB` filters of
+/// `cin · kh · kw` floats, and `OB` wide planes of `NV` vectors.
+#[inline(always)]
+unsafe fn conv_tile<V: SimdF32, const OB: usize, const NV: usize>(
+    x: *const f32,
+    w: *const f32,
+    wide: *mut f32,
+    g: &Conv2dShape,
+    lay: &PhaseLayout,
+) {
+    let (ic_stride, w_oc) = (lay.py * lay.px * lay.plane_len, g.cin * g.kh * g.kw);
+    let mut acc = [[V::splat(0.0); NV]; OB];
+    for ic in 0..g.cin {
+        let x_ic = x.add(ic * ic_stride);
+        let w_ic = w.add(ic * g.kh * g.kw);
+        // Tap row `ky` reads phase row `ry = ky mod s`, shifted `dy = ky / s` rows.
+        let (mut ry, mut dy) = (0, 0);
+        for ky in 0..g.kh {
+            let x_ky = x_ic.add(ry * lay.px * lay.plane_len + dy * lay.wq);
+            let w_ky = w_ic.add(ky * g.kw);
+            let (mut rx, mut dx) = (0, 0);
+            for kx in 0..g.kw {
+                let xp = x_ky.add(rx * lay.plane_len + dx);
+                let mut wv = [V::splat(0.0); OB];
+                for (o, wo) in wv.iter_mut().enumerate() {
+                    *wo = V::splat(*w_ky.add(o * w_oc + kx));
+                }
+                for v in 0..NV {
+                    let xv = V::load(xp.add(v * V::LANES));
+                    for (row, &wo) in acc.iter_mut().zip(&wv) {
+                        row[v] = row[v].add(xv.mul(wo));
+                    }
+                }
+                rx += 1;
+                if rx == g.stride {
+                    rx = 0;
+                    dx += 1;
+                }
+            }
+            ry += 1;
+            if ry == g.stride {
+                ry = 0;
+                dy += 1;
+            }
+        }
+    }
+    for (o, row) in acc.iter().enumerate() {
+        for (v, a) in row.iter().enumerate() {
+            a.store(wide.add(o * lay.wide_len + v * V::LANES));
+        }
+    }
+}
+
+/// All `nvec` vectors of wide positions for `OB` output channels: whole `NV`-vector
+/// tiles, then one narrower tile for the remainder.
+///
+/// # Safety
+///
+/// As for [`conv_tile`], with `nvec` vectors in place of `NV`.
+#[inline(always)]
+unsafe fn conv_channels<V: SimdF32, const OB: usize, const NV: usize>(
+    x: *const f32,
+    w: *const f32,
+    wide: *mut f32,
+    g: &Conv2dShape,
+    lay: &PhaseLayout,
+    nvec: usize,
+) {
+    const { assert!(NV <= 6, "remainder tiles cover at most 5 vectors") };
+    let mut v = 0;
+    while v + NV <= nvec {
+        conv_tile::<V, OB, NV>(x.add(v * V::LANES), w, wide.add(v * V::LANES), g, lay);
+        v += NV;
+    }
+    let (x, wide) = (x.add(v * V::LANES), wide.add(v * V::LANES));
+    match nvec - v {
+        0 => {}
+        1 => conv_tile::<V, OB, 1>(x, w, wide, g, lay),
+        2 => conv_tile::<V, OB, 2>(x, w, wide, g, lay),
+        3 => conv_tile::<V, OB, 3>(x, w, wide, g, lay),
+        4 => conv_tile::<V, OB, 4>(x, w, wide, g, lay),
+        5 => conv_tile::<V, OB, 5>(x, w, wide, g, lay),
+        _ => unreachable!("the remainder is shorter than NV"),
     }
 }
 
@@ -96,90 +276,113 @@ struct Conv2dOp<'a> {
     shape: Conv2dShape,
 }
 
-impl SimdOp for Conv2dOp<'_> {
-    type Output = ();
-
+impl Conv2dOp<'_> {
+    /// The register-blocked body with `OB`-channel × `NV`-vector tiles. Writes every
+    /// element of `out`.
+    ///
+    /// # Safety
+    ///
+    /// `V`'s tier must be available, and the slice lengths must match `shape` (as
+    /// [`Kernels::conv2d`] asserts): the tile walk then stays inside the planes and
+    /// wide plane sized here, `w` and `out`.
     #[inline(always)]
-    unsafe fn eval<V: SimdF32>(&mut self) {
+    unsafe fn run<V: SimdF32, const OB: usize, const NV: usize>(&mut self) {
         let g = self.shape;
-        let (n, cin, h, win) = (g.batch, g.cin, g.height, g.width);
-        let (cout, kh, kw, stride) = (g.cout, g.kh, g.kw, g.stride);
-        let (ho, pad_h) = (g.out_h, g.pad_h);
-        let (wo, pad_w) = (g.out_w, g.pad_w);
-        // The row-group blocked nest of `conv2d_forward_into`, verbatim: per output
-        // element the partial products arrive in (ic, ky, kx) order, and the innermost
-        // `ox` walk is the independent-lane axis the vector unit covers.
-        for b in 0..n {
-            for oc in 0..cout {
-                for oy in 0..ho {
-                    let out_row = &mut self.out[((b * cout + oc) * ho + oy) * wo..][..wo];
-                    for ic in 0..cin {
-                        for ky in 0..kh {
-                            let iy = (oy * stride + ky) as isize - pad_h as isize;
-                            if iy < 0 || iy >= h as isize {
-                                continue;
-                            }
-                            let x_row = &self.x[((b * cin + ic) * h + iy as usize) * win..][..win];
-                            let w_row = &self.w[((oc * cin + ic) * kh + ky) * kw..][..kw];
-                            for (kx, &wv) in w_row.iter().enumerate() {
-                                // Valid output columns: 0 <= ox * stride + kx - pad_w < win
-                                // (same clamping as the reference, empty when the kernel
-                                // column lies entirely in the padding).
-                                let kx_off = kx as isize - pad_w as isize;
-                                let ox_min = if kx_off >= 0 {
-                                    0
-                                } else {
-                                    wo.min(((-kx_off) as usize).div_ceil(stride))
-                                };
-                                let ox_end = if win as isize <= kx_off {
-                                    0
-                                } else {
-                                    wo.min((win as isize - 1 - kx_off) as usize / stride + 1)
-                                };
-                                let ox_end = ox_end.max(ox_min);
-                                if stride == 1 {
-                                    // Unit stride reads a contiguous input run: vector
-                                    // lanes cover consecutive output columns.
-                                    let x_base = (ox_min as isize + kx_off) as usize;
-                                    axpy::<V>(
-                                        &mut out_row[ox_min..ox_end],
-                                        &x_row[x_base..x_base + (ox_end - ox_min)],
-                                        wv,
-                                    );
-                                } else {
-                                    // Strided input run: gather the lanes, then the
-                                    // same multiply-add as the contiguous path.
-                                    // `ox_min` guarantees `ox_min * stride + kx_off >= 0`.
-                                    let x_base = (ox_min * stride) as isize + kx_off;
-                                    axpy_gather::<V>(
-                                        &mut out_row[ox_min..ox_end],
-                                        x_row,
-                                        x_base as usize,
-                                        stride,
-                                        wv,
-                                    );
-                                }
-                            }
-                        }
-                    }
+        if self.out.is_empty() {
+            return;
+        }
+        if g.cin == 0 || g.kh == 0 || g.kw == 0 {
+            // No partial products: every output is the reference's `+0.0` start.
+            self.out.fill(0.0);
+            return;
+        }
+        let lay = PhaseLayout::new(&g, V::LANES);
+        // Out of the cell for the whole call: the kernel must run in this
+        // tier-compiled body, not inside a `LocalKey::with` closure, which would not
+        // inherit the tier's target features.
+        let mut scratch = CONV_SCRATCH.take();
+        grow(&mut scratch.planes, lay.planes_len(g.cin));
+        grow(&mut scratch.wide, g.cout * lay.wide_len);
+        let planes = &mut scratch.planes[..lay.planes_len(g.cin)];
+        let wide = &mut scratch.wide[..g.cout * lay.wide_len];
+        let (nvec, w_oc) = (lay.wide_len / V::LANES, g.cin * g.kh * g.kw);
+        let x_rows = self.x.chunks_exact(g.cin * g.height * g.width);
+        let out_rows = self.out.chunks_exact_mut(g.cout * g.out_h * g.out_w);
+        for (x, out) in x_rows.zip(out_rows) {
+            fill_planes(x, &g, &lay, planes);
+            let mut oc = 0;
+            // SAFETY: the planes and the wide plane were sized from `lay` for `cin`
+            // and `cout` channels, `w` holds `cout` filters of `w_oc` floats, and
+            // every block below stays inside `cout`.
+            while oc < g.cout {
+                let (xp, wp) = (planes.as_ptr(), self.w.as_ptr().add(oc * w_oc));
+                let wide_p = wide.as_mut_ptr().add(oc * lay.wide_len);
+                if oc + OB <= g.cout {
+                    conv_channels::<V, OB, NV>(xp, wp, wide_p, &g, &lay, nvec);
+                    oc += OB;
+                } else {
+                    conv_channels::<V, 1, NV>(xp, wp, wide_p, &g, &lay, nvec);
+                    oc += 1;
+                }
+            }
+            // Keep the valid columns of every wide row.
+            for (out_ch, wide_ch) in out
+                .chunks_exact_mut(g.out_h * g.out_w)
+                .zip(wide.chunks_exact(lay.wide_len))
+            {
+                for (o, row) in out_ch
+                    .chunks_exact_mut(g.out_w)
+                    .zip(wide_ch.chunks_exact(lay.wq))
+                {
+                    o.copy_from_slice(&row[..g.out_w]);
                 }
             }
         }
+        CONV_SCRATCH.set(scratch);
+    }
+}
+
+impl SimdOp for Conv2dOp<'_> {
+    /// `false` when the filter holds a non-finite value; `out` is then untouched.
+    type Output = bool;
+
+    #[inline(always)]
+    unsafe fn eval<V: SimdF32>(&mut self) -> bool {
+        // A padding tap adds `0 · w`, the identity on the accumulator only for finite
+        // `w` (`0 · inf` is NaN). Branch-free fold: it vectorizes, a short-circuiting
+        // `all` does not.
+        if !self.w.iter().fold(true, |ok, v| ok & v.is_finite()) {
+            return false;
+        }
+        // Tile sizes (output channels × vectors) per tier, measured on the ResNet-18
+        // conv geometries (docs/NUMERICS.md §6). AVX-512 and NEON have 32 vector
+        // registers: 16 accumulators leave room for the splats. AVX2 has 16: 12
+        // accumulators, 2 splats, 1 input vector and 1 product fill it without a
+        // spill. The scalar tier measured fastest with 24 independent accumulator
+        // chains.
+        match V::LANES {
+            16 | 4 => self.run::<V, 4, 4>(),
+            8 => self.run::<V, 2, 6>(),
+            _ => self.run::<V, 4, 6>(),
+        }
+        true
     }
 }
 
 /// Runtime-dispatched 2-D convolution, bit-for-bit equal to
-/// `ranger_graph::ops::conv2d_forward_into`.
+/// `ranger_graph::ops::conv2d_forward_into` whenever the filter is finite.
 ///
-/// `out` must be zero-initialized by the caller (the backend recycles and refills its
-/// arena buffer, exactly as for the reference kernel).
+/// Overwrites every element of `out` and returns `true`; returns `false`, leaving `out`
+/// untouched, when `w` holds an infinity or NaN — the caller then runs the reference
+/// kernel (see the [crate docs](crate) for why a non-finite filter needs it).
 ///
 /// # Panics
 ///
 /// Panics if the slice lengths disagree with `shape` — geometry validation belongs to
 /// the caller; these checks only guard memory safety.
-pub fn conv2d(x: &[f32], w: &[f32], shape: &Conv2dShape, out: &mut [f32]) {
-    kernels().conv2d(x, w, shape, out);
+#[must_use]
+pub fn conv2d(x: &[f32], w: &[f32], shape: &Conv2dShape, out: &mut [f32]) -> bool {
+    kernels().conv2d(x, w, shape, out)
 }
 
 struct MatMulOp<'a> {
@@ -300,7 +503,7 @@ pub fn softmax(x: &[f32], rows: usize, row_len: usize, out: &mut [f32]) {
 
 // ---- Resolved kernel table -----------------------------------------------------------
 
-type Conv2dFn = fn(&[f32], &[f32], &Conv2dShape, &mut [f32]);
+type Conv2dFn = fn(&[f32], &[f32], &Conv2dShape, &mut [f32]) -> bool;
 type MatMulFn = fn(&[f32], &[f32], usize, usize, usize, &mut [f32]);
 type SoftmaxFn = fn(&[f32], usize, usize, &mut [f32]);
 
@@ -322,13 +525,14 @@ pub struct Kernels {
 impl Kernels {
     /// Tier-resolved [`conv2d`] (same contract and panics).
     #[inline]
-    pub fn conv2d(&self, x: &[f32], w: &[f32], shape: &Conv2dShape, out: &mut [f32]) {
+    #[must_use]
+    pub fn conv2d(&self, x: &[f32], w: &[f32], shape: &Conv2dShape, out: &mut [f32]) -> bool {
         let g = *shape;
         assert_eq!(x.len(), g.batch * g.cin * g.height * g.width);
         assert_eq!(w.len(), g.cout * g.cin * g.kh * g.kw);
         assert_eq!(out.len(), g.batch * g.cout * g.out_h * g.out_w);
         assert!(g.stride > 0, "conv2d stride must be positive");
-        (self.conv2d)(x, w, shape, out);
+        (self.conv2d)(x, w, shape, out)
     }
 
     /// Tier-resolved [`matmul`] (same contract and panics).
@@ -357,7 +561,7 @@ macro_rules! tier_entries {
         mod $name {
             use super::{Conv2dOp, Conv2dShape, MatMulOp, SoftmaxOp};
 
-            pub fn conv2d(x: &[f32], w: &[f32], shape: &Conv2dShape, out: &mut [f32]) {
+            pub fn conv2d(x: &[f32], w: &[f32], shape: &Conv2dShape, out: &mut [f32]) -> bool {
                 // SAFETY: this tier was verified available before being installed.
                 unsafe {
                     $eval(&mut Conv2dOp {
@@ -462,27 +666,210 @@ mod tests {
             .collect()
     }
 
+    /// A filter value in the moderate range, or (one in four) a raw finite bit pattern:
+    /// subnormals, ±0 and huge magnitudes, never infinity or NaN.
+    fn finite_weight(rng: &mut Bits) -> f32 {
+        let (v, r) = (rng.next_f32(), rng.next_f32().to_bits());
+        if v.is_finite() && r % 4 == 0 {
+            v
+        } else {
+            ((r >> 8) as f32 / (1u32 << 24) as f32 - 0.5) * 4.0
+        }
+    }
+
+    /// An activation: a raw bit pattern (NaN and infinities included) one time in four,
+    /// a moderate value otherwise, so most sums stay finite long enough to round.
+    fn activation(rng: &mut Bits) -> f32 {
+        let (v, r) = (rng.next_f32(), rng.next_f32().to_bits());
+        if r % 4 == 0 {
+            v
+        } else {
+            ((r >> 8) as f32 / (1u32 << 24) as f32 - 0.5) * 16.0
+        }
+    }
+
+    /// The geometry `ranger-graph` validates, for a square `k × k` filter: `same` pads
+    /// to `ceil(size / stride)` outputs, otherwise no padding.
+    #[allow(clippy::too_many_arguments)]
+    fn geometry(
+        batch: usize,
+        cin: usize,
+        (height, width): (usize, usize),
+        cout: usize,
+        k: usize,
+        stride: usize,
+        same: bool,
+    ) -> Conv2dShape {
+        let dim = |size: usize| {
+            if same {
+                let out = size.div_ceil(stride);
+                let needed = (out.max(1) - 1) * stride + k;
+                (out, needed.saturating_sub(size) / 2)
+            } else if size >= k {
+                ((size - k) / stride + 1, 0)
+            } else {
+                (0, 0)
+            }
+        };
+        let ((out_h, pad_h), (out_w, pad_w)) = (dim(height), dim(width));
+        Conv2dShape {
+            batch,
+            cin,
+            height,
+            width,
+            cout,
+            kh: k,
+            kw: k,
+            stride,
+            pad_h,
+            pad_w,
+            out_h,
+            out_w,
+        }
+    }
+
+    /// A 2×4 filter at stride 3: different phase counts per dimension (2 × 3 planes).
+    const NON_SQUARE: Conv2dShape = Conv2dShape {
+        batch: 2,
+        cin: 1,
+        height: 4,
+        width: 58,
+        cout: 9,
+        kh: 2,
+        kw: 4,
+        stride: 3,
+        pad_h: 0,
+        pad_w: 0,
+        out_h: 1,
+        out_w: 19,
+    };
+
+    /// The naive seven-loop convolution: one accumulator per output element, starting
+    /// at `+0.0`, adding `x · w` for every in-bounds tap in `(ic, ky, kx)` order — the
+    /// definition the register-blocked kernel must reproduce bit for bit.
+    fn naive_conv(x: &[f32], w: &[f32], g: &Conv2dShape) -> Vec<f32> {
+        let mut out = vec![0.0f32; g.batch * g.cout * g.out_h * g.out_w];
+        for b in 0..g.batch {
+            for oc in 0..g.cout {
+                for oy in 0..g.out_h {
+                    for ox in 0..g.out_w {
+                        let mut acc = 0.0f32;
+                        for ic in 0..g.cin {
+                            for ky in 0..g.kh {
+                                for kx in 0..g.kw {
+                                    let iy = (oy * g.stride + ky).wrapping_sub(g.pad_h);
+                                    let ix = (ox * g.stride + kx).wrapping_sub(g.pad_w);
+                                    if iy < g.height && ix < g.width {
+                                        let xv =
+                                            x[((b * g.cin + ic) * g.height + iy) * g.width + ix];
+                                        let wv = w[((oc * g.cin + ic) * g.kh + ky) * g.kw + kx];
+                                        acc += xv * wv;
+                                    }
+                                }
+                            }
+                        }
+                        out[((b * g.cout + oc) * g.out_h + oy) * g.out_w + ox] = acc;
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    /// Runs the kernel body on the scalar tier.
+    fn scalar_conv(x: &[f32], w: &[f32], g: &Conv2dShape, out: &mut [f32]) -> bool {
+        // SAFETY: the scalar body uses no vector instructions.
+        unsafe {
+            Conv2dOp {
+                x,
+                w,
+                out,
+                shape: *g,
+            }
+            .eval::<ScalarVec>()
+        }
+    }
+
     #[test]
     fn conv2d_identity_kernel_preserves_input() {
         let x = [1.0, 2.0, 3.0, 4.0];
         let w = [1.0];
-        let shape = Conv2dShape {
-            batch: 1,
-            cin: 1,
-            height: 2,
-            width: 2,
-            cout: 1,
-            kh: 1,
-            kw: 1,
-            stride: 1,
-            pad_h: 0,
-            pad_w: 0,
-            out_h: 2,
-            out_w: 2,
-        };
+        let shape = geometry(1, 1, (2, 2), 1, 1, 1, false);
         let mut out = [0.0; 4];
-        conv2d(&x, &w, &shape, &mut out);
+        assert!(conv2d(&x, &w, &shape, &mut out));
         assert_eq!(out, x);
+    }
+
+    /// The active tier and the scalar tier against the naive oracle, over geometries
+    /// that cross every block edge: channel counts around the output-channel block,
+    /// wide planes from one partial vector to many whole tiles plus a remainder,
+    /// strides past the kernel size, kernels wider than the input, and empty outputs.
+    #[test]
+    fn conv2d_matches_the_naive_seven_loop_oracle() {
+        let mut rng = Bits(7);
+        let mut cases = vec![
+            // A ResNet-18 stage-1 conv, a stride-2 downsample and its 1x1 shortcut.
+            geometry(1, 8, (32, 32), 8, 3, 1, true),
+            geometry(2, 8, (32, 32), 16, 3, 2, true),
+            geometry(1, 8, (32, 32), 16, 1, 2, true),
+            // Kernel wider than the input, and a valid conv with no output at all.
+            geometry(1, 1, (2, 2), 1, 7, 2, true),
+            geometry(1, 2, (3, 3), 3, 5, 1, false),
+            // No partial products at all: an empty filter, and no input channels.
+            geometry(2, 2, (3, 3), 2, 0, 1, false),
+            geometry(1, 0, (3, 3), 2, 3, 1, true),
+            NON_SQUARE,
+        ];
+        for _ in 0..60 {
+            let mut pick = |n: u64| (rng.next_f32().to_bits() as u64 % n) as usize;
+            let (batch, cin, cout) = (1 + pick(3), 1 + pick(5), 1 + pick(11));
+            let (h, w) = (1 + pick(40), 1 + pick(40));
+            let (k, stride, same) = (1 + pick(5), 1 + pick(4), pick(2) == 0);
+            cases.push(geometry(batch, cin, (h, w), cout, k, stride, same));
+        }
+        for g in cases {
+            let x: Vec<f32> = (0..g.batch * g.cin * g.height * g.width)
+                .map(|_| activation(&mut rng))
+                .collect();
+            let w: Vec<f32> = (0..g.cout * g.cin * g.kh * g.kw)
+                .map(|_| finite_weight(&mut rng))
+                .collect();
+            let expected = bits(&naive_conv(&x, &w, &g));
+            let mut active = vec![f32::NAN; expected.len()];
+            assert!(conv2d(&x, &w, &g, &mut active));
+            assert_eq!(
+                bits(&active),
+                expected,
+                "conv2d diverged from the oracle on tier {} for {g:?}",
+                active_tier()
+            );
+            let mut scalar = vec![f32::NAN; expected.len()];
+            assert!(scalar_conv(&x, &w, &g, &mut scalar));
+            assert_eq!(
+                bits(&scalar),
+                expected,
+                "conv2d diverged from the oracle on the scalar tier for {g:?}"
+            );
+        }
+    }
+
+    /// A padding tap adds `0 · w`, which is NaN for an infinite or NaN weight, so the
+    /// kernel refuses such a filter on every tier and leaves `out` as it was.
+    #[test]
+    fn conv2d_reports_a_non_finite_filter_and_leaves_out_untouched() {
+        let g = geometry(1, 2, (5, 5), 3, 3, 1, true);
+        let x = vec![1.0f32; 2 * 5 * 5];
+        for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            let mut w = vec![0.5f32; 3 * 2 * 3 * 3];
+            w[17] = bad;
+            let mut out = vec![7.0f32; 3 * 5 * 5];
+            assert!(
+                !conv2d(&x, &w, &g, &mut out),
+                "weight {bad} must be refused"
+            );
+            assert!(!scalar_conv(&x, &w, &g, &mut out));
+            assert!(out.iter().all(|&v| v == 7.0), "out must be untouched");
+        }
     }
 
     #[test]
@@ -491,95 +878,24 @@ mod tests {
         // Shapes chosen to cover padding, strides, vector-width remainders and the
         // kernel-wider-than-input clamp.
         for g in [
-            Conv2dShape {
-                batch: 2,
-                cin: 3,
-                height: 7,
-                width: 19,
-                cout: 4,
-                kh: 3,
-                kw: 3,
-                stride: 1,
-                pad_h: 1,
-                pad_w: 1,
-                out_h: 7,
-                out_w: 19,
-            },
-            Conv2dShape {
-                batch: 1,
-                cin: 2,
-                height: 9,
-                width: 9,
-                cout: 3,
-                kh: 3,
-                kw: 3,
-                stride: 2,
-                pad_h: 1,
-                pad_w: 1,
-                out_h: 5,
-                out_w: 5,
-            },
-            Conv2dShape {
-                batch: 1,
-                cin: 1,
-                height: 2,
-                width: 2,
-                cout: 1,
-                kh: 7,
-                kw: 7,
-                stride: 2,
-                pad_h: 3,
-                pad_w: 3,
-                out_h: 1,
-                out_w: 1,
-            },
-            // Strided rows wide enough (out_w >= 16 lanes) that the gather path runs
-            // its vector loop on every tier, with padding exercising clamped ends.
-            Conv2dShape {
-                batch: 1,
-                cin: 2,
-                height: 5,
-                width: 67,
-                cout: 2,
-                kh: 3,
-                kw: 3,
-                stride: 2,
-                pad_h: 1,
-                pad_w: 1,
-                out_h: 3,
-                out_w: 34,
-            },
-            Conv2dShape {
-                batch: 2,
-                cin: 1,
-                height: 4,
-                width: 58,
-                cout: 2,
-                kh: 2,
-                kw: 4,
-                stride: 3,
-                pad_h: 0,
-                pad_w: 0,
-                out_h: 1,
-                out_w: 19,
-            },
+            geometry(2, 3, (7, 19), 4, 3, 1, true),
+            geometry(1, 2, (9, 9), 3, 3, 2, true),
+            geometry(1, 1, (2, 2), 1, 7, 2, true),
+            // Strided rows wider than 16 lanes, with padding exercising clamped ends.
+            geometry(1, 2, (5, 67), 2, 3, 2, true),
+            NON_SQUARE,
         ] {
-            let x = rng.fill(g.batch * g.cin * g.height * g.width);
-            let w = rng.fill(g.cout * g.cin * g.kh * g.kw);
+            let x: Vec<f32> = (0..g.batch * g.cin * g.height * g.width)
+                .map(|_| activation(&mut rng))
+                .collect();
+            let w: Vec<f32> = (0..g.cout * g.cin * g.kh * g.kw)
+                .map(|_| finite_weight(&mut rng))
+                .collect();
             let out_len = g.batch * g.cout * g.out_h * g.out_w;
             let mut simd_out = vec![0.0f32; out_len];
-            conv2d(&x, &w, &g, &mut simd_out);
+            assert!(conv2d(&x, &w, &g, &mut simd_out));
             let mut scalar_out = vec![0.0f32; out_len];
-            // SAFETY: the scalar body uses no vector instructions.
-            unsafe {
-                Conv2dOp {
-                    x: &x,
-                    w: &w,
-                    out: &mut scalar_out,
-                    shape: g,
-                }
-                .eval::<ScalarVec>()
-            };
+            assert!(scalar_conv(&x, &w, &g, &mut scalar_out));
             assert_eq!(
                 bits(&simd_out),
                 bits(&scalar_out),

@@ -19,9 +19,16 @@
 //! product — so each output element sees *exactly* the partial products of the scalar
 //! kernel, in the same order, with the same two rounding steps each:
 //!
-//! * **conv2d** keeps the row-group blocked nest of `conv2d_forward_into`: the vector
-//!   unit walks the output row (`ox`), and per output element the partial products still
-//!   arrive in `(ic, ky, kx)` order.
+//! * **conv2d** is register-blocked. Per batch row it copies the input into zero-padded
+//!   *phase planes* (one per `(ky mod stride, kx mod stride)` pair), so every tap of
+//!   every stride reads a contiguous run of a *wide* output plane; a tile of output
+//!   channels × vectors of accumulators then stays in registers across the whole
+//!   `(ic, ky, kx)` reduction. Per output element the partial products still arrive in
+//!   `(ic, ky, kx)` order. The padding taps add `0 · w = ±0`, which leaves an
+//!   accumulator that starts at `+0.0` bit-for-bit unchanged (it can never be `-0.0`
+//!   under round-to-nearest) — for finite `w`. A filter holding an infinity or NaN
+//!   would turn those taps into NaN, so [`conv2d`] reports it instead of computing, and
+//!   the caller runs the reference kernel.
 //! * **matmul** keeps the `(i, p, j)` nest of `Tensor::matmul_into` — including its
 //!   `a == 0.0` row-skip, which is a *semantic* property (skipped products never round) —
 //!   and vectorizes the `j` (output column) loop.

@@ -15,8 +15,10 @@
 //!
 //! | operator            | tolerance                     | why                          |
 //! |---------------------|-------------------------------|------------------------------|
-//! | conv2d              | bit-exact (NaN as a class)    | lanes walk `ox`; `(ic,ky,kx)`|
-//! |                     |                               | order per output preserved   |
+//! | conv2d              | bit-exact (NaN as a class)    | lanes walk the wide phase-   |
+//! |                     |                               | plane positions; `(ic,ky,kx)`|
+//! |                     |                               | order per output preserved;  |
+//! |                     |                               | non-finite filter: reference |
 //! | matmul              | bit-exact (NaN as a class)    | `(i,p,j)` nest + `a == 0.0`  |
 //! |                     |                               | skip preserved; lanes walk `j`|
 //! | softmax             | bit-exact (NaN as a class)    | scalar `exp` pass verbatim;  |
@@ -32,8 +34,9 @@
 //! Failures print the operator, the sampled shape and the operand seed, so a failing
 //! case replays as a deterministic unit test.
 //!
-//! CI runs this suite twice: once on the widest tier the host offers, and once under
-//! `RANGER_SIMD_FORCE=scalar` to keep the fallback honest.
+//! CI runs this suite three times: on the widest tier the host offers, under
+//! `RANGER_SIMD_FORCE=avx2` (its own conv tile sizes, unreachable on an AVX-512 host
+//! otherwise), and under `RANGER_SIMD_FORCE=scalar` to keep the fallback honest.
 
 use proptest::prelude::*;
 use ranger_graph::exec::NoopInterceptor;
@@ -125,6 +128,31 @@ impl FullRangeF32 {
         let len = dims.iter().product();
         Tensor::from_vec(dims, (0..len).map(|_| self.next_f32()).collect()).unwrap()
     }
+
+    /// Like [`tensor`](Self::tensor), but every infinity and NaN is redrawn: a conv
+    /// filter the SIMD kernel computes itself (a non-finite filter takes the reference
+    /// fallback instead).
+    fn finite_tensor(&mut self, dims: Vec<usize>) -> Tensor {
+        let len = dims.iter().product();
+        let data = (0..len)
+            .map(|_| loop {
+                let v = self.next_f32();
+                if v.is_finite() {
+                    break v;
+                }
+            })
+            .collect();
+        Tensor::from_vec(dims, data).unwrap()
+    }
+}
+
+/// Builds `x → conv(w)` and asserts the SIMD backend matches the reference on it.
+fn assert_conv_matches(w: Tensor, x: Tensor, stride: usize, padding: Padding, context: &str) {
+    let mut g = Graph::new();
+    let input = g.add_input("x");
+    let w = g.add_const("w", w, true);
+    let conv = g.add_node("conv", Op::Conv2d { stride, padding }, vec![input, w]);
+    assert_backends_match(&g, &[("x", x)], &[conv], Tolerance::Bits, context);
 }
 
 /// Runs `graph` on the reference and the SIMD backend and asserts every node the run
@@ -160,17 +188,20 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// conv2d over random geometry (stride, padding, kernels up to and past the input
-    /// size) and full-range operands: bit-exact against the reference.
+    /// size, channel counts past two output-channel blocks, rows spanning many wide
+    /// vectors) and full-range activations: bit-exact against the reference. One
+    /// filter in five carries an infinity or NaN, which takes the reference fallback.
     #[test]
     fn simd_conv2d_is_bit_exact_on_full_range_operands(
-        batch in 1usize..3,
+        batch in 1usize..4,
         cin in 1usize..4,
-        height in 1usize..11,
-        width in 1usize..11,
-        cout in 1usize..5,
-        kernel in 1usize..4,
+        height in 1usize..41,
+        width in 1usize..41,
+        cout in 1usize..12,
+        kernel in 1usize..6,
         stride in 1usize..5,
         same_pad in 0u8..2,
+        poison in 0u8..5,
         seed in 0u64..u64::MAX,
     ) {
         // Valid padding requires the kernel to fit inside the input.
@@ -181,15 +212,16 @@ proptest! {
         };
         let context = format!(
             "conv2d [{batch},{cin},{height},{width}] * [{cout},{cin},{kernel},{kernel}] \
-             stride {stride} {padding:?} seed {seed}"
+             stride {stride} {padding:?} poison {poison} seed {seed}"
         );
         let mut gen = FullRangeF32::new(seed);
-        let mut g = Graph::new();
-        let x = g.add_input("x");
-        let w = g.add_const("w", gen.tensor(vec![cout, cin, kernel, kernel]), true);
-        let conv = g.add_node("conv", Op::Conv2d { stride, padding }, vec![x, w]);
-        let feeds = [("x", gen.tensor(vec![batch, cin, height, width]))];
-        assert_backends_match(&g, &feeds, &[conv], Tolerance::Bits, &context);
+        let mut w = gen.finite_tensor(vec![cout, cin, kernel, kernel]);
+        if poison == 0 {
+            let at = (seed % w.len() as u64) as usize;
+            w.data_mut()[at] = if seed % 2 == 0 { f32::NAN } else { f32::NEG_INFINITY };
+        }
+        let x = gen.tensor(vec![batch, cin, height, width]);
+        assert_conv_matches(w, x, stride, padding, &context);
     }
 
     /// matmul over random (m, k, n) — n past the widest vector width to cover tails —
@@ -278,12 +310,12 @@ proptest! {
     }
 }
 
-/// The gathered strided-conv path, pinned deterministically at widths that push the
-/// vectorized output row past the widest lane count the dispatcher can pick (16 on
-/// AVX-512) *and* leave a scalar tail: every stride the gather kernel serves (2, 3, 4)
-/// stays bit-exact on full-range operands, with both `Same` padding (negative `kx_off`,
-/// clamped `ox` ranges) and `Valid` padding (dense runs). The proptest above samples
-/// this geometry; this test guarantees the deep-vector-body cases run on every CI box.
+/// Strided convs, pinned deterministically at widths whose wide phase-plane rows span
+/// many vectors of the widest lane count the dispatcher can pick (16 on AVX-512) and
+/// end mid-vector: every stride (2, 3, 4) splits the input into phase planes and stays
+/// bit-exact on full-range activations, with both `Same` padding (zero-filled plane
+/// borders) and `Valid` padding (planes cut from the interior). The proptest above
+/// samples this geometry; this test guarantees the deep cases run on every CI box.
 #[test]
 fn simd_strided_conv_gather_path_is_bit_exact_across_lane_widths() {
     for stride in [2usize, 3, 4] {
@@ -293,15 +325,67 @@ fn simd_strided_conv_gather_path_is_bit_exact_across_lane_widths() {
             (64, Padding::Same),
             (39, Padding::Valid),
         ] {
-            let context = format!("strided conv gather stride {stride} width {width} {padding:?}");
+            let context = format!("strided conv stride {stride} width {width} {padding:?}");
             let mut gen = FullRangeF32::new(0xC0FFEE ^ (stride as u64) << 8 ^ width as u64);
-            let mut g = Graph::new();
-            let x = g.add_input("x");
-            let w = g.add_const("w", gen.tensor(vec![3, 2, 3, 3]), true);
-            let conv = g.add_node("conv", Op::Conv2d { stride, padding }, vec![x, w]);
-            let feeds = [("x", gen.tensor(vec![2, 2, 9, width]))];
-            assert_backends_match(&g, &feeds, &[conv], Tolerance::Bits, &context);
+            let w = gen.finite_tensor(vec![3, 2, 3, 3]);
+            let x = gen.tensor(vec![2, 2, 9, width]);
+            assert_conv_matches(w, x, stride, padding, &context);
         }
+    }
+}
+
+/// A filter holding a NaN or an infinity cannot run through the phase planes: a
+/// padding tap would add `0 · inf = NaN` where the reference adds nothing. The SIMD
+/// backend hands such a conv to the reference kernel, so the outputs still match,
+/// padding-adjacent positions included.
+#[test]
+fn simd_conv_with_a_non_finite_filter_takes_the_reference_path() {
+    for (i, bad) in [f32::NAN, f32::INFINITY].into_iter().enumerate() {
+        for padding in [Padding::Same, Padding::Valid] {
+            let context = format!("non-finite filter {bad} {padding:?}");
+            let mut gen = FullRangeF32::new(0xBAD ^ i as u64);
+            let mut w = gen.finite_tensor(vec![5, 2, 3, 3]);
+            // The top-left tap: under `Same` padding it reads the padding for every
+            // output in the first row and column.
+            w.data_mut()[0] = bad;
+            // Moderate activations only: every non-padding output is then finite on
+            // the reference, so a NaN leaking from a padding tap would show.
+            let x = Tensor::from_vec(
+                vec![2, 2, 7, 9],
+                (0..2 * 2 * 7 * 9)
+                    .map(|k| (k as f32 * 0.37).sin())
+                    .collect(),
+            )
+            .unwrap();
+            assert_conv_matches(w, x, 1, padding, &context);
+        }
+    }
+}
+
+/// The 20 convolutions of the zoo's ResNet-18 (stem, four stages of two basic blocks,
+/// three 1×1 projection shortcuts) at batch 2: the geometries the benchmark's
+/// conv-bound workload spends its time in, bit-exact on full-range activations.
+#[test]
+fn simd_conv_is_bit_exact_on_the_resnet18_geometries() {
+    // (cin, cout, input size, kernel, stride); every conv pads `Same`.
+    let mut convs = vec![(3, 8, 32, 3, 1)];
+    convs.extend([(8, 8, 32, 3, 1); 4]);
+    for (cin, cout, size) in [(8, 16, 32), (16, 24, 16), (24, 32, 8)] {
+        convs.push((cin, cout, size, 3, 2));
+        convs.push((cout, cout, size / 2, 3, 1));
+        convs.push((cin, cout, size, 1, 2));
+        convs.extend([(cout, cout, size / 2, 3, 1); 2]);
+    }
+    assert_eq!(convs.len(), 20);
+    for (i, &(cin, cout, size, kernel, stride)) in convs.iter().enumerate() {
+        let context = format!(
+            "resnet18 conv {i}: [2,{cin},{size},{size}] * [{cout},{cin},{kernel},{kernel}] \
+             stride {stride}"
+        );
+        let mut gen = FullRangeF32::new(0x5E5 + i as u64);
+        let w = gen.finite_tensor(vec![cout, cin, kernel, kernel]);
+        let x = gen.tensor(vec![2, cin, size, size]);
+        assert_conv_matches(w, x, stride, Padding::Same, &context);
     }
 }
 
