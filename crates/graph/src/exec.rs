@@ -17,6 +17,7 @@ use crate::op::Op;
 use crate::ops;
 use ranger_tensor::{QTensor, Tensor};
 use std::cell::RefCell;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
 /// Observes (and may mutate) operator outputs during a forward pass.
@@ -179,6 +180,34 @@ pub struct Values {
     /// Fixed-point twins of the tile overlay.
     tile_qvalues: Vec<Option<QTensor>>,
     tile_qrecycled: Vec<Option<QTensor>>,
+    /// Fault-cone bookkeeping ([`ExecPlan::run_cone`](crate::plan::ExecPlan::run_cone)).
+    pub(crate) cone: ConeSlots,
+}
+
+/// Per-slot state of fault-cone passes through one [`Values`] store.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct ConeSlots {
+    /// The id of the [`GoldenSnapshot`] the store was primed from; `None` until primed,
+    /// and cleared by every [`Values::reset`] (a full or tiled pass overwrites the
+    /// slots).
+    pub(crate) primed: Option<u64>,
+    /// Per node: whether the slot may hold something other than the golden value. A
+    /// cone pass restores a dirty slot before anything reads it.
+    pub(crate) dirty: Vec<bool>,
+    /// Per node: whether the slot deviates from golden in the current cone pass. Only
+    /// nodes the pass has already visited are meaningful; later ones are stale.
+    pub(crate) deviating: Vec<bool>,
+}
+
+impl ConeSlots {
+    /// Marks a store of `len` slots, all just set to `golden`'s values, as primed.
+    pub(crate) fn primed_from(&mut self, golden: &GoldenSnapshot, len: usize) {
+        self.dirty.clear();
+        self.dirty.resize(len, false);
+        self.deviating.clear();
+        self.deviating.resize(len, false);
+        self.primed = Some(golden.id);
+    }
 }
 
 impl Values {
@@ -196,6 +225,7 @@ impl Values {
             tile_recycled: Vec::new(),
             tile_qvalues: Vec::new(),
             tile_qrecycled: Vec::new(),
+            cone: ConeSlots::default(),
         }
     }
 
@@ -212,30 +242,50 @@ impl Values {
         self.qrecycled.resize(len, None);
         self.qmirrors.resize_with(len, LazyMirror::default);
         self.qconst_tags.resize(len, None);
-        for (value, pooled) in self.values.iter_mut().zip(&mut self.recycled) {
-            if let Some(tensor) = value.take() {
-                *pooled = Some(tensor);
-            }
-        }
-        // Mirror buffers — decoded last pass, or still-armed seeds that were never read —
-        // return to the f32 recycle pool, and the slot is cleared so a stale decode can
-        // never be served for a later pass.
-        for (slot, pooled) in self.qmirrors.iter_mut().zip(&mut self.recycled) {
-            if let Some(tensor) = slot.decoded.take().or_else(|| slot.seed.get_mut().take()) {
-                if pooled.is_none() {
-                    *pooled = Some(tensor);
-                }
-            }
-        }
-        for (value, pooled) in self.qvalues.iter_mut().zip(&mut self.qrecycled) {
-            if let Some(tensor) = value.take() {
-                *pooled = Some(tensor);
-            }
+        for index in 0..len {
+            self.recycle_slot(index);
         }
         // A tiled pass that aborted mid-group may have left tiles behind; sweep them to
         // the pool so they can never shadow this pass's values. No-op (empty vectors)
         // unless tiled execution has run on this store.
         self.recycle_tiles();
+        self.cone.primed = None;
+    }
+
+    /// Moves node `index`'s value into its recycle pool, so the node's next evaluation
+    /// writes into the same allocation.
+    ///
+    /// Mirror buffers — decoded this pass, or still-armed seeds that were never read —
+    /// return to the f32 pool, and the mirror is cleared so a stale decode can never be
+    /// served later.
+    pub(crate) fn recycle_slot(&mut self, index: usize) {
+        if let Some(tensor) = self.values[index].take() {
+            self.recycled[index] = Some(tensor);
+        }
+        let slot = &mut self.qmirrors[index];
+        if let Some(tensor) = slot.decoded.take().or_else(|| slot.seed.get_mut().take()) {
+            if self.recycled[index].is_none() {
+                self.recycled[index] = Some(tensor);
+            }
+        }
+        if let Some(words) = self.qvalues[index].take() {
+            self.qrecycled[index] = Some(words);
+        }
+    }
+
+    /// Re-arms node `index`'s lazy f32 mirror after its words changed in place (the
+    /// [`Values::set_q`] discipline): any decode is invalidated, and a seed buffer is
+    /// parked for the next read — the invalidated decode itself, else the pooled f32
+    /// buffer.
+    fn rearm_mirror(&mut self, index: usize) {
+        let slot = &mut self.qmirrors[index];
+        if let Some(decoded) = slot.decoded.take() {
+            *slot.seed.get_mut() = Some(decoded);
+        }
+        let seed = slot.seed.get_mut();
+        if seed.is_none() {
+            *seed = self.recycled[index].take();
+        }
     }
 
     /// Takes the recycled output buffer for `id` (an empty tensor if none is pooled).
@@ -475,10 +525,8 @@ impl Values {
     pub(crate) fn materialize_tile_q(&mut self, id: NodeId, first: bool) -> Result<(), GraphError> {
         let idx = id.index();
         let Values {
-            recycled,
             qvalues,
             qrecycled,
-            qmirrors,
             tile_qvalues,
             ..
         } = self;
@@ -503,17 +551,9 @@ impl Values {
             full.push_rows(tile)
                 .expect("row groups of one node share trailing dims");
         }
-        // Arm the lazy mirror (the set_q discipline): invalidate any decode, and make
-        // sure a seed buffer is parked for the first post-pass read. Re-arming on every
-        // group keeps the parked seed instead of discarding it.
-        let slot = &mut qmirrors[idx];
-        if let Some(decoded) = slot.decoded.take() {
-            *slot.seed.get_mut() = Some(decoded);
-        }
-        let seed = slot.seed.get_mut();
-        if seed.is_none() {
-            *seed = recycled.get_mut(idx).and_then(Option::take);
-        }
+        // Arm the lazy mirror for the first post-pass read. Re-arming on every group
+        // keeps the parked seed instead of discarding it.
+        self.rearm_mirror(idx);
         Ok(())
     }
 
@@ -661,6 +701,117 @@ impl Values {
             let id = NodeId::new(i);
             self.get(id).ok().map(|t| (id, t))
         })
+    }
+
+    /// Copies `golden`'s value of `id` into the node's slot, reusing the slot's (or its
+    /// pool's) allocation.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`GraphError::UnknownNode`] if the snapshot holds no value for `id`.
+    pub(crate) fn restore_golden(
+        &mut self,
+        id: NodeId,
+        golden: &GoldenSnapshot,
+    ) -> Result<(), GraphError> {
+        let i = id.index();
+        if let Some(g) = golden.values.get(i).and_then(Option::as_ref) {
+            let mut buf = match self.values[i].take() {
+                Some(buf) => buf,
+                None => self.take_recycled(id),
+            };
+            buf.reset_from_slice(g.dims(), g.data())
+                .expect("shape and data of an existing tensor agree");
+            self.values[i] = Some(buf);
+        } else if let Some(g) = golden.qvalues.get(i).and_then(Option::as_ref) {
+            let mut buf = match self.qvalues[i].take() {
+                Some(buf) => buf,
+                None => self.take_recycled_q(id, g.spec()),
+            };
+            buf.reset_from_words(g.spec(), g.dims(), g.words())
+                .expect("shape and words of an existing tensor agree");
+            self.qvalues[i] = Some(buf);
+            self.rearm_mirror(i);
+        } else {
+            return Err(GraphError::UnknownNode(id));
+        }
+        Ok(())
+    }
+
+    /// Whether `id`'s slot equals `golden`'s value **bit for bit**: `to_bits` on f32 (so
+    /// `-0.0` differs from `+0.0` and a NaN equals itself), word equality on fixed-point.
+    pub(crate) fn matches_golden(&self, id: NodeId, golden: &GoldenSnapshot) -> bool {
+        let i = id.index();
+        match (&self.values[i], &self.qvalues[i]) {
+            (Some(v), _) => golden
+                .values
+                .get(i)
+                .and_then(Option::as_ref)
+                .is_some_and(|g| {
+                    v.dims() == g.dims()
+                        && v.data()
+                            .iter()
+                            .zip(g.data())
+                            .all(|(a, b)| a.to_bits() == b.to_bits())
+                }),
+            (None, Some(q)) => golden
+                .qvalues
+                .get(i)
+                .and_then(Option::as_ref)
+                .is_some_and(|g| {
+                    q.spec() == g.spec() && q.dims() == g.dims() && q.words() == g.words()
+                }),
+            (None, None) => false,
+        }
+    }
+}
+
+/// Source of process-unique [`GoldenSnapshot`] ids.
+static NEXT_SNAPSHOT_ID: AtomicU64 = AtomicU64::new(1);
+
+/// One input's golden pass, frozen per node: the state a fault-cone pass
+/// ([`ExecPlan::run_cone`](crate::plan::ExecPlan::run_cone)) starts from and compares
+/// against. Take it with [`ExecPlan::snapshot`](crate::plan::ExecPlan::snapshot) right
+/// after a fault-free pass.
+///
+/// Every non-constant node's value is kept as the backend stored it: an f32 tensor, or
+/// raw words on a fixed-point backend. Constants are left out — they never deviate, and
+/// priming a store re-materializes them through the backend. Unlike [`Values`] (whose
+/// lazy mirrors make it `!Sync`), a snapshot is plain data, so a campaign shares one per
+/// input across all its workers. Each snapshot carries a process-unique id, which is how
+/// a store remembers which snapshot it was primed from: an address could be reused by a
+/// later snapshot once this one is freed.
+#[derive(Debug)]
+pub struct GoldenSnapshot {
+    pub(crate) id: u64,
+    values: Vec<Option<Tensor>>,
+    qvalues: Vec<Option<QTensor>>,
+}
+
+impl GoldenSnapshot {
+    /// An empty snapshot over a graph of `len` nodes, with a fresh id.
+    pub(crate) fn new(len: usize) -> Self {
+        GoldenSnapshot {
+            id: NEXT_SNAPSHOT_ID.fetch_add(1, Ordering::Relaxed),
+            values: vec![None; len],
+            qvalues: vec![None; len],
+        }
+    }
+
+    /// Copies `id`'s value out of `values` (f32 tensor or words, whichever the backend
+    /// stored).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`GraphError::UnknownNode`] if the node holds no value.
+    pub(crate) fn capture(&mut self, values: &Values, id: NodeId) -> Result<(), GraphError> {
+        let i = id.index();
+        if let Some(v) = values.values.get(i).and_then(Option::as_ref) {
+            self.values[i] = Some(v.clone());
+        } else {
+            self.qvalues[i] = Some(values.get_q(id)?.clone());
+        }
+        Ok(())
     }
 }
 

@@ -47,7 +47,7 @@
 
 use crate::backend::{ExecBackend, ReferenceBackend};
 use crate::error::GraphError;
-use crate::exec::{Interceptor, NoopInterceptor, TileRows, Values};
+use crate::exec::{GoldenSnapshot, Interceptor, NoopInterceptor, TileRows, Values};
 use crate::graph::{Graph, NodeId};
 use crate::op::Op;
 use ranger_tensor::Tensor;
@@ -121,22 +121,26 @@ impl Graph {
             order,
             shapes: OnceLock::new(),
             timings: OnceLock::new(),
+            cone: OnceLock::new(),
         })
     }
 }
 
 /// Pre-sized per-node wall-time slots, created once at [`ExecPlan::warm`] time.
 ///
-/// One `AtomicU64` of accumulated nanoseconds per graph node plus a pass counter:
-/// recording from [`ExecPlan::run_into`] is two clock reads and one relaxed
-/// `fetch_add` per node, with **zero allocations** — the slots exist before the
-/// first timed pass, so the `alloc_free_plan` counting-allocator pin holds with
+/// Two `AtomicU64`s per graph node (accumulated nanoseconds and evaluations) plus a
+/// pass counter: recording from [`ExecPlan::run_into`] is two clock reads and two
+/// relaxed `fetch_add`s per node, with **zero allocations** — the slots exist before
+/// the first timed pass, so the `alloc_free_plan` counting-allocator pin holds with
 /// metrics enabled. Atomic slots also let the many worker threads sharing one
 /// campaign plan record concurrently.
 #[derive(Debug)]
 struct PlanTimings {
     /// Accumulated wall nanoseconds per node, indexed by `NodeId::index()`.
     node_nanos: Vec<AtomicU64>,
+    /// Evaluations per node: one per full or tiled pass, and one per cone pass that
+    /// actually evaluated the node ([`ExecPlan::run_cone`]).
+    node_calls: Vec<AtomicU64>,
     /// Number of completed timed passes.
     passes: AtomicU64,
     /// Segments executed by tiled passes ([`ExecPlan::run_tiled_into`]).
@@ -146,6 +150,26 @@ struct PlanTimings {
     /// Wall nanoseconds spent inside segment execution (slicing, row-group kernels,
     /// materialization) by tiled passes.
     tile_nanos: AtomicU64,
+}
+
+impl PlanTimings {
+    /// Records one evaluation of node `id` that started at `start`.
+    fn record(&self, id: NodeId, start: Instant) {
+        let nanos = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
+        self.node_nanos[id.index()].fetch_add(nanos, Ordering::Relaxed);
+        self.node_calls[id.index()].fetch_add(1, Ordering::Relaxed);
+    }
+}
+
+/// Per-node facts a fault-cone pass needs, indexed by `NodeId::index()`, derived once
+/// per plan from its order and the graph's edges.
+#[derive(Debug)]
+struct ConeIndex {
+    /// Each node's position in the plan's order.
+    position: Vec<usize>,
+    /// The position of each node's last consumer — or its own position when nothing
+    /// reads it. A deviating value stays live until the pass has passed this point.
+    last_use: Vec<usize>,
 }
 
 /// The default per-segment working-set budget [`ExecPlan::derive_tile_rows`] sizes row
@@ -275,6 +299,9 @@ pub struct ExecPlan<'g> {
     shapes: OnceLock<Vec<Option<Vec<usize>>>>,
     /// Per-node wall-time slots, created at warm time iff metrics are enabled.
     timings: OnceLock<PlanTimings>,
+    /// Positions and last uses for cone passes, built by the first
+    /// [`ExecPlan::snapshot`].
+    cone: OnceLock<ConeIndex>,
 }
 
 impl<'g> ExecPlan<'g> {
@@ -344,8 +371,7 @@ impl<'g> ExecPlan<'g> {
                 let node = self.graph.node(id)?;
                 let start = Instant::now();
                 self.backend.eval_node(node, values, feeds, interceptor)?;
-                let nanos = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                timings.node_nanos[id.index()].fetch_add(nanos, Ordering::Relaxed);
+                timings.record(id, start);
             }
             timings.passes.fetch_add(1, Ordering::Relaxed);
         } else {
@@ -354,6 +380,171 @@ impl<'g> ExecPlan<'g> {
                 self.backend.eval_node(node, values, feeds, interceptor)?;
             }
         }
+        Ok(())
+    }
+
+    /// Freezes the fault-free pass just run into `values` as a [`GoldenSnapshot`], the
+    /// starting state of [`ExecPlan::run_cone`] for that pass's feeds.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`GraphError::UnknownNode`] if a non-constant node holds no value (the
+    /// store has not completed a full pass of this plan).
+    pub fn snapshot(&self, values: &Values) -> Result<GoldenSnapshot, GraphError> {
+        // Built here, so that no cone pass allocates it.
+        self.cone_index();
+        let mut golden = GoldenSnapshot::new(self.graph.len());
+        for node in self.graph.nodes() {
+            if !matches!(node.op, Op::Const) {
+                golden.capture(values, node.id)?;
+            }
+        }
+        Ok(golden)
+    }
+
+    /// The cone pass's per-node positions and last uses, built on first use.
+    fn cone_index(&self) -> &ConeIndex {
+        self.cone.get_or_init(|| {
+            let mut position = vec![0; self.graph.len()];
+            for (p, id) in self.order.iter().enumerate() {
+                position[id.index()] = p;
+            }
+            let mut last_use = position.clone();
+            for node in self.graph.nodes() {
+                let p = position[node.id.index()];
+                for input in &node.inputs {
+                    last_use[input.index()] = last_use[input.index()].max(p);
+                }
+            }
+            ConeIndex { position, last_use }
+        })
+    }
+
+    /// Runs one faulty pass as a **fault cone**: it starts from `golden` (the snapshot of
+    /// the same feeds' fault-free pass) and evaluates only the nodes whose value can
+    /// differ from it. Returns whether `keep`'s value deviates from golden; when it
+    /// does, `values.get(keep)` is the faulty value, and when it does not, the value is
+    /// golden's bit for bit (the store's slot may then be stale — read golden's copy).
+    ///
+    /// The walk visits the order from the start. A node is evaluated iff it is
+    /// injectable and either one of `sites` or a reader of a deviating value; its
+    /// output is then compared with golden bit for bit. Every other node keeps its
+    /// golden value (restored by copy if an earlier pass through this store left it
+    /// dirty). The walk stops once every site has run and no unvisited node reads a
+    /// deviating value — a fault masked early costs only the nodes up to where it died.
+    ///
+    /// Exactness: kernels are deterministic within a process, so a node evaluated on
+    /// golden inputs reproduces its golden output, and a skipped node's output is
+    /// exactly what a full pass would compute. The result therefore equals a full
+    /// [`ExecPlan::run_into`] under the same `interceptor`, provided the interceptor
+    /// mutates only the outputs of `sites` (it sees only the nodes the cone
+    /// evaluates). Any trial order through one store is exact: the store is primed
+    /// from `golden` on first use (re-primed when the snapshot changes, or after any
+    /// full pass), and tracks per slot whether it still holds golden.
+    ///
+    /// Warmed cone passes allocate nothing: each evaluated node writes into its own
+    /// previous buffer. With metrics on, each evaluated node's time and call are
+    /// recorded in the plan's timing slots, and the pass counts as one pass.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`GraphError`] if priming fails (the snapshot does not match this
+    /// plan) or an evaluated operator fails; the store is then re-primed on next use.
+    pub fn run_cone(
+        &self,
+        values: &mut Values,
+        golden: &GoldenSnapshot,
+        sites: &[NodeId],
+        keep: NodeId,
+        interceptor: &mut dyn Interceptor,
+    ) -> Result<bool, GraphError> {
+        let result = self.cone_pass(values, golden, sites, keep, interceptor);
+        if result.is_err() {
+            values.cone.primed = None;
+        }
+        result
+    }
+
+    fn cone_pass(
+        &self,
+        values: &mut Values,
+        golden: &GoldenSnapshot,
+        sites: &[NodeId],
+        keep: NodeId,
+        interceptor: &mut dyn Interceptor,
+    ) -> Result<bool, GraphError> {
+        let index = self.cone_index();
+        if values.cone.primed != Some(golden.id) {
+            self.prime(values, golden)?;
+        }
+        let is_injectable = |id: &NodeId| {
+            self.graph
+                .node(*id)
+                .is_ok_and(|node| node.op.is_injectable())
+        };
+        let Some(last_site) = sites
+            .iter()
+            .filter(|id| is_injectable(id))
+            .map(|id| index.position[id.index()])
+            .max()
+        else {
+            return Ok(false);
+        };
+        let timings = self.timings.get();
+        let mut live_until = 0usize;
+        let mut keep_deviates = false;
+        for (pos, &id) in self.order.iter().enumerate() {
+            if pos > last_site && live_until < pos {
+                break;
+            }
+            let node = self.graph.node(id)?;
+            let i = id.index();
+            let evaluate = node.op.is_injectable()
+                && (sites.contains(&id)
+                    || node.inputs.iter().any(|x| values.cone.deviating[x.index()]));
+            if !evaluate {
+                if values.cone.dirty[i] {
+                    values.restore_golden(id, golden)?;
+                }
+                values.cone.dirty[i] = false;
+                values.cone.deviating[i] = false;
+                continue;
+            }
+            values.recycle_slot(i);
+            let start = timings.map(|_| Instant::now());
+            self.backend.eval_node(node, values, &[], interceptor)?;
+            if let (Some(t), Some(start)) = (timings, start) {
+                t.record(id, start);
+            }
+            let deviates = !values.matches_golden(id, golden);
+            values.cone.dirty[i] = deviates;
+            values.cone.deviating[i] = deviates;
+            if deviates {
+                live_until = live_until.max(index.last_use[i]);
+                keep_deviates |= id == keep;
+            }
+        }
+        if let Some(t) = timings {
+            t.passes.fetch_add(1, Ordering::Relaxed);
+        }
+        Ok(keep_deviates)
+    }
+
+    /// Fills `values` with `golden`: constants through the backend (a fixed-point
+    /// store's quantization cache makes that a no-op after the first pass), every
+    /// other node by copy.
+    fn prime(&self, values: &mut Values, golden: &GoldenSnapshot) -> Result<(), GraphError> {
+        values.reset(self.graph.len());
+        for &id in &self.order {
+            let node = self.graph.node(id)?;
+            if matches!(node.op, Op::Const) {
+                self.backend
+                    .eval_node(node, values, &[], &mut NoopInterceptor)?;
+            } else {
+                values.restore_golden(id, golden)?;
+            }
+        }
+        values.cone.primed_from(golden, self.graph.len());
         Ok(())
     }
 
@@ -523,9 +714,7 @@ impl<'g> ExecPlan<'g> {
                         if let Some(t) = timings {
                             let start = Instant::now();
                             self.backend.eval_node(node, values, feeds, interceptor)?;
-                            let nanos =
-                                u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                            t.node_nanos[id.index()].fetch_add(nanos, Ordering::Relaxed);
+                            t.record(id, start);
                         } else {
                             self.backend.eval_node(node, values, feeds, interceptor)?;
                         }
@@ -610,6 +799,12 @@ impl<'g> ExecPlan<'g> {
                         rows_done += rows as u64;
                     }
                     seg_count += 1;
+                    // One call per segment node per pass, however many row groups ran.
+                    if let Some(t) = timings {
+                        for &id in &seg.nodes {
+                            t.node_calls[id.index()].fetch_add(1, Ordering::Relaxed);
+                        }
+                    }
                     if let Some(start) = seg_start {
                         seg_nanos = seg_nanos.saturating_add(
                             u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX),
@@ -663,6 +858,7 @@ impl<'g> ExecPlan<'g> {
         if self.timings.get().is_none() && ranger_obs::enabled() {
             let _ = self.timings.set(PlanTimings {
                 node_nanos: (0..self.graph.len()).map(|_| AtomicU64::new(0)).collect(),
+                node_calls: (0..self.graph.len()).map(|_| AtomicU64::new(0)).collect(),
                 passes: AtomicU64::new(0),
                 tile_segments: AtomicU64::new(0),
                 tile_rows: AtomicU64::new(0),
@@ -695,8 +891,8 @@ impl<'g> ExecPlan<'g> {
     /// [`ranger_obs::registry()`]:
     ///
     /// - `plan.op.<Kind>.nanos` — accumulated wall time across that kind's nodes,
-    /// - `plan.op.<Kind>.calls` — kernel invocations (timed passes × nodes of the
-    ///   kind),
+    /// - `plan.op.<Kind>.calls` — node evaluations of that kind: every node once per
+    ///   full or tiled pass, and once per cone pass only where the cone evaluated it,
     ///
     /// plus `plan.passes` for the pass total, and — when tiled passes ran — the
     /// per-segment tiling counters `plan.tile.segments`, `plan.tile.rows` and
@@ -704,10 +900,9 @@ impl<'g> ExecPlan<'g> {
     /// (e.g. once per campaign on a reused plan) never double-counts. A plan that
     /// is not timing publishes nothing.
     ///
-    /// Note on `plan.op.<Kind>.calls` under tiling: the counter remains passes ×
-    /// nodes of the kind — one "call" per node per pass, regardless of how many row
-    /// groups that pass split the node into (use `plan.tile.rows` /
-    /// `plan.tile.segments` for the group count).
+    /// Note on `plan.op.<Kind>.calls` under tiling: a tiled pass counts one call per
+    /// node, regardless of how many row groups it split the node into (use
+    /// `plan.tile.rows` / `plan.tile.segments` for the group count).
     pub fn publish_timings(&self) {
         let Some(timings) = self.timings.get() else {
             return;
@@ -723,13 +918,14 @@ impl<'g> ExecPlan<'g> {
                 continue;
             };
             let nanos = timings.node_nanos[id.index()].swap(0, Ordering::Relaxed);
+            let calls = timings.node_calls[id.index()].swap(0, Ordering::Relaxed);
             let kind = node.op.kind_name();
             match kinds.iter_mut().find(|(k, _, _)| *k == kind) {
-                Some((_, total, nodes)) => {
-                    *total += nanos;
-                    *nodes += 1;
+                Some((_, total_nanos, total_calls)) => {
+                    *total_nanos += nanos;
+                    *total_calls += calls;
                 }
-                None => kinds.push((kind, nanos, 1)),
+                None => kinds.push((kind, nanos, calls)),
             }
         }
         let registry = ranger_obs::registry();
@@ -737,13 +933,13 @@ impl<'g> ExecPlan<'g> {
         registry.counter("plan.tile.segments").add(tile_segments);
         registry.counter("plan.tile.rows").add(tile_rows);
         registry.counter("plan.tile.nanos").add(tile_nanos);
-        for (kind, nanos, nodes) in kinds {
+        for (kind, nanos, calls) in kinds {
             registry
                 .counter(&format!("plan.op.{kind}.nanos"))
                 .add(nanos);
             registry
                 .counter(&format!("plan.op.{kind}.calls"))
-                .add(passes * nodes);
+                .add(calls);
         }
     }
 
@@ -946,6 +1142,30 @@ mod tests {
         assert_eq!(
             registry.counter("plan.op.MatMul.calls").value() - calls_before,
             4
+        );
+
+        // A cone pass counts only the nodes it evaluated: a site on the second MatMul
+        // runs that one node, and with no fault it stops there (no BiasAdd call).
+        let second_matmul = graph.node(y).unwrap().inputs[0];
+        let bias_calls_before = registry.counter("plan.op.BiasAdd.calls").value();
+        let snapshot = plan.snapshot(&values).unwrap();
+        plan.run_cone(
+            &mut values,
+            &snapshot,
+            &[second_matmul],
+            y,
+            &mut NoopInterceptor,
+        )
+        .unwrap();
+        assert_eq!(plan.timed_passes(), 1);
+        plan.publish_timings();
+        assert_eq!(
+            registry.counter("plan.op.MatMul.calls").value() - calls_before,
+            5
+        );
+        assert_eq!(
+            registry.counter("plan.op.BiasAdd.calls").value(),
+            bias_calls_before
         );
         ranger_obs::set_enabled(was_enabled);
     }

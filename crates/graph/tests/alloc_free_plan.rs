@@ -8,8 +8,8 @@
 
 use rand::{rngs::StdRng, SeedableRng};
 use ranger_graph::exec::NoopInterceptor;
-use ranger_graph::GraphBuilder;
-use ranger_tensor::Tensor;
+use ranger_graph::{GraphBuilder, Interceptor, Node, NodeId};
+use ranger_tensor::{QTensor, Tensor};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -35,6 +35,25 @@ unsafe impl GlobalAlloc for CountingAllocator {
 
 #[global_allocator]
 static ALLOCATOR: CountingAllocator = CountingAllocator;
+
+/// Flips bit `.1` of the first element of node `.0`'s output: an allocation-free
+/// stand-in for the fault injector.
+struct FlipFirst(NodeId, u32);
+
+impl Interceptor for FlipFirst {
+    fn after_op(&mut self, node: &Node, output: &mut Tensor) {
+        if node.id == self.0 {
+            let v = &mut output.data_mut()[0];
+            *v = f32::from_bits(v.to_bits() ^ (1 << self.1));
+        }
+    }
+
+    fn after_op_words(&mut self, node: &Node, output: &mut QTensor) {
+        if node.id == self.0 {
+            output.flip_word(0, self.1);
+        }
+    }
+}
 
 #[test]
 fn repeated_plan_passes_allocate_nothing_after_warm_up() {
@@ -257,6 +276,75 @@ fn repeated_plan_passes_allocate_nothing_after_warm_up() {
             fewest, 0,
             "warmed simd passes (tiled: {tiled}) must not allocate ({fewest} allocations \
              over 100 passes in the quietest of 3 attempts)"
+        );
+    }
+
+    // Fault-cone passes on f32, SIMD and fixed16 (no softmax, as above): once a store
+    // is primed from a golden snapshot, each trial — evaluated nodes, golden restores
+    // of dirty slots, bitwise compares, early stops and the output's mirror read —
+    // writes into buffers the store already owns. The 100 trials cycle through sites
+    // from the first layer to the output, so consecutive trials restore each other's
+    // cones.
+    let mut rng = StdRng::seed_from_u64(7);
+    let mut b = GraphBuilder::new();
+    let x = b.input("x");
+    let c = b.conv2d(x, 1, 4, 3, 1, ranger_graph::op::Padding::Same, &mut rng);
+    let r = b.relu(c);
+    let p = b.max_pool(r, 2, 2);
+    let f = b.flatten(p);
+    let out = b.dense(f, 4 * 4 * 4, 10, &mut rng);
+    let graph = b.into_graph();
+    let injectable: Vec<NodeId> = graph
+        .nodes()
+        .iter()
+        .filter(|n| n.op.is_injectable())
+        .map(|n| n.id)
+        .collect();
+    for kind in [
+        ranger_graph::BackendKind::F32,
+        ranger_graph::BackendKind::Simd,
+        ranger_graph::BackendKind::Fixed16,
+    ] {
+        let plan = graph.compile_with(kind.backend()).unwrap();
+        let feeds = [("x", Tensor::ones(vec![1, 1, 8, 8]))];
+        plan.warm(&feeds).unwrap();
+        let mut golden = plan.buffers();
+        plan.run_into(&mut golden, &feeds, &mut NoopInterceptor)
+            .unwrap();
+        let snapshot = plan.snapshot(&golden).unwrap();
+        let mut fewest = usize::MAX;
+        for _ in 0..3 {
+            let mut values = plan.buffers();
+            // Prime, and let the output's mirror claim its seed buffer.
+            plan.run_cone(
+                &mut values,
+                &snapshot,
+                &injectable[..1],
+                out,
+                &mut NoopInterceptor,
+            )
+            .unwrap();
+            let before = ALLOCATIONS.load(Ordering::SeqCst);
+            for trial in 0..100 {
+                let site = injectable[trial % injectable.len()];
+                let mut flip = FlipFirst(site, trial as u32 % 12);
+                let deviates = plan
+                    .run_cone(&mut values, &snapshot, &[site], out, &mut flip)
+                    .unwrap();
+                if deviates {
+                    values.get(out).unwrap();
+                }
+            }
+            let after = ALLOCATIONS.load(Ordering::SeqCst);
+            fewest = fewest.min(after - before);
+            if fewest == 0 {
+                break;
+            }
+        }
+        assert_eq!(
+            fewest, 0,
+            "primed {kind:?} cone passes must not allocate ({fewest} allocations over 100 \
+             trials in the quietest of 3 attempts)"
         );
     }
 

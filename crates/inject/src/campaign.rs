@@ -4,7 +4,10 @@
 //! passes of the same graph — so it executes through a compiled
 //! [`ExecPlan`]: the topological order is planned once per
 //! campaign instead of once per trial, and the plan's buffer arena makes repeated passes
-//! allocation-free. With [`CampaignConfig::batch`] above 1 the runner additionally
+//! allocation-free. On the per-sample path each faulty trial runs only its fault cone
+//! ([`ExecPlan::run_cone`]): the nodes the fault can reach, starting from the input's
+//! golden snapshot and stopping once the deviation is dead. With
+//! [`CampaignConfig::batch`] above 1 the runner additionally
 //! amortizes fixed per-pass costs across trials: golden outputs for a whole chunk of
 //! inputs are computed in one `[N, ...]` forward pass, and each faulty pass executes
 //! `batch` trials at once with a per-row fault plan
@@ -36,7 +39,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use ranger_graph::exec::{NoopInterceptor, Values};
 use ranger_graph::{
-    default_backend, BackendKind, ExecPlan, GraphError, NodeId, TiledSchedule,
+    default_backend, BackendKind, ExecPlan, GoldenSnapshot, GraphError, NodeId, TiledSchedule,
     DEFAULT_TILE_BUDGET_BYTES,
 };
 use ranger_runtime::{trial_stream_seed, ThreadPool};
@@ -591,6 +594,9 @@ pub struct PreparedCampaign<'a> {
     config: CampaignConfig,
     plan: ExecPlan<'a>,
     goldens: Vec<Tensor>,
+    /// Per input, the golden pass every per-sample trial's fault cone starts from
+    /// (empty on the batched path).
+    snapshots: Vec<GoldenSnapshot>,
     spaces: Vec<InjectionSpace>,
     categories: Vec<String>,
     chunks: Vec<TrialChunk>,
@@ -652,6 +658,9 @@ struct CampaignMetrics {
     chunk_nanos: std::sync::Arc<ranger_obs::Histogram>,
     /// Trials executed; divide by `campaign.run_nanos` for trials/sec.
     trials: std::sync::Arc<ranger_obs::Counter>,
+    /// Per-sample trials whose fault was applied but whose deviation died before the
+    /// output (the output is golden bit for bit).
+    trials_masked: std::sync::Arc<ranger_obs::Counter>,
 }
 
 impl CampaignMetrics {
@@ -665,6 +674,7 @@ impl CampaignMetrics {
             faulty_pass_nanos: registry.histogram("campaign.faulty_pass_nanos"),
             chunk_nanos: registry.histogram("campaign.chunk_nanos"),
             trials: registry.counter("campaign.trials"),
+            trials_masked: registry.counter("campaign.trials_masked"),
         })
     }
 }
@@ -745,6 +755,7 @@ impl<'a> PreparedCampaign<'a> {
                 config: *config,
                 plan,
                 goldens: Vec::new(),
+                snapshots: Vec::new(),
                 spaces: Vec::new(),
                 categories,
                 chunks: Vec::new(),
@@ -760,7 +771,7 @@ impl<'a> PreparedCampaign<'a> {
             inputs[0].batch_rows().max(1),
         );
         let mut values = plan.buffers();
-        let goldens = golden_outputs(
+        let (goldens, snapshots) = golden_outputs(
             &plan,
             &mut values,
             target,
@@ -781,6 +792,7 @@ impl<'a> PreparedCampaign<'a> {
             config: *config,
             plan,
             goldens,
+            snapshots,
             spaces,
             categories,
             chunks,
@@ -853,16 +865,36 @@ impl<'a> PreparedCampaign<'a> {
         let _chunk_span = self.metrics.as_ref().map(|m| m.chunk_nanos.span());
         let mut tally = ChunkTally::new(self.categories.len());
         if config.batch <= 1 {
-            // Per-sample path: one forward pass per trial.
-            let feeds = [(self.target.input_name, input.clone())];
+            // Per-sample path: one fault-cone pass per trial, from the input's golden
+            // snapshot. A trial whose output stays golden is judged golden against
+            // golden — the verdict a full pass would give, NaN outputs included.
+            let snapshot = &self.snapshots[unit.input];
+            let mut sites: Vec<NodeId> = Vec::with_capacity(config.fault.bits);
+            let mut masked = 0u64;
             for trial in unit.start..unit.start + unit.len {
                 let mut rng = trial_rng(config.seed, unit.input, trial);
                 let mut injector = FaultInjector::plan_random(config.fault, space, &mut rng);
+                sites.clear();
+                sites.extend(injector.plan().iter().map(|flip| flip.site.node));
                 let pass_span = self.metrics.as_ref().map(|m| m.faulty_pass_nanos.span());
-                self.plan.run_into(values, &feeds, &mut injector)?;
+                let deviates = self.plan.run_cone(
+                    values,
+                    snapshot,
+                    &sites,
+                    self.target.output,
+                    &mut injector,
+                )?;
                 drop(pass_span);
-                let faulty = values.get(self.target.output)?;
+                let faulty = if deviates {
+                    values.get(self.target.output)?
+                } else {
+                    masked += u64::from(!injector.injected().is_empty());
+                    golden
+                };
                 tally.record(self.judge, golden, faulty, injector.fully_injected());
+            }
+            if let Some(metrics) = &self.metrics {
+                metrics.trials_masked.add(masked);
             }
         } else {
             // Batched path: the whole chunk in one [len, ...] pass, one plan per row group.
@@ -918,7 +950,8 @@ impl<'a> PreparedCampaign<'a> {
 }
 
 /// Computes the fault-free output of every input: one pass per input on the per-sample
-/// path, or one `[N, ...]` pass per input-chunk when batching is enabled.
+/// path, which also keeps each pass as the input's [`GoldenSnapshot`], or one
+/// `[N, ...]` pass per input-chunk when batching is enabled (no snapshots).
 fn golden_outputs(
     plan: &ExecPlan<'_>,
     values: &mut Values,
@@ -927,17 +960,19 @@ fn golden_outputs(
     config: &CampaignConfig,
     metrics: Option<&CampaignMetrics>,
     tiled: Option<&TiledCampaign>,
-) -> Result<Vec<Tensor>, CampaignError> {
+) -> Result<(Vec<Tensor>, Vec<GoldenSnapshot>), CampaignError> {
     let mut goldens: Vec<Tensor> = Vec::with_capacity(inputs.len());
     if config.batch <= 1 {
+        let mut snapshots = Vec::with_capacity(inputs.len());
         for input in inputs {
             let feeds = [(target.input_name, input.clone())];
             let span = metrics.map(|m| m.golden_pass_nanos.span());
             plan.run_into(values, &feeds, &mut NoopInterceptor)?;
             drop(span);
             goldens.push(values.get(target.output)?.clone());
+            snapshots.push(plan.snapshot(values)?);
         }
-        return Ok(goldens);
+        return Ok((goldens, snapshots));
     }
     for chunk in inputs.chunks(config.batch) {
         let stacked = Tensor::stack_batch(chunk).map_err(|e| {
@@ -964,7 +999,7 @@ fn golden_outputs(
             row += rows;
         }
     }
-    Ok(goldens)
+    Ok((goldens, Vec::new()))
 }
 
 /// Extracts rows `[start, start + rows)` of a batched output as its own tensor — the
@@ -1173,6 +1208,63 @@ mod tests {
                 "batch = {batch}"
             );
         }
+    }
+
+    /// A golden output holding NaN, judged by a judge that flags any non-finite output:
+    /// per-sample trials whose fault dies before the output must get the verdict a full
+    /// pass gives them (golden against golden: an SDC here), not be assumed benign. The
+    /// batched full passes are the reference; the masked-trial counter must have seen
+    /// such trials, so the equality is not vacuous.
+    #[test]
+    fn masked_trials_are_judged_against_golden_not_assumed_benign() {
+        struct NonFinite;
+        impl SdcJudge for NonFinite {
+            fn categories(&self) -> Vec<String> {
+                vec!["non-finite".to_string()]
+            }
+            fn judge(&self, _golden: &Tensor, faulty: &Tensor) -> Vec<bool> {
+                vec![faulty.has_non_finite()]
+            }
+        }
+        let mut rng = StdRng::seed_from_u64(4);
+        let mut b = GraphBuilder::new();
+        let x = b.input("x");
+        let h = b.dense(x, 4, 4, &mut rng);
+        let h = b.relu(h);
+        let y = b.add(h, x);
+        let graph = b.into_graph();
+        let target = InjectionTarget {
+            graph: &graph,
+            input_name: "x",
+            output: y,
+            excluded: &[],
+        };
+        let inputs = vec![Tensor::from_vec(vec![1, 4], vec![f32::NAN, -1.0, 0.5, -2.0]).unwrap()];
+        let config = |batch| CampaignConfig {
+            trials: 64,
+            batch,
+            workers: 1,
+            backend: BackendKind::F32,
+            fault: FaultModel::single_bit_fixed32(),
+            seed: 3,
+            tile: 0,
+        };
+        let was_enabled = ranger_obs::enabled();
+        ranger_obs::set_enabled(true);
+        let masked = ranger_obs::registry().counter("campaign.trials_masked");
+        let masked_before = masked.value();
+        let per_sample = run_campaign(&target, &inputs, &NonFinite, &config(1)).unwrap();
+        let masked_trials = masked.value() - masked_before;
+        ranger_obs::set_enabled(was_enabled);
+        let batched = run_campaign(&target, &inputs, &NonFinite, &config(16)).unwrap();
+        assert_eq!(per_sample.sdc_counts, batched.sdc_counts);
+        // Assumed benign, the masked trials could not be SDCs: SDCs + masked <= 64.
+        assert!(
+            per_sample.sdc_counts[0] + masked_trials > 64,
+            "masked trials must be judged, not assumed benign ({} SDCs, {masked_trials} \
+             masked)",
+            per_sample.sdc_counts[0]
+        );
     }
 
     /// A graph with an injectable operator computed purely from constants cannot batch

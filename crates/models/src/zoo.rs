@@ -28,6 +28,9 @@ pub enum ZooError {
     Io(std::io::Error),
     /// A cached entry could not be decoded.
     Corrupt(String),
+    /// The seed exceeds 2^53 − 1: a cache entry records it as a JSON number, which
+    /// cannot carry it exactly, so the entry could never be read back.
+    InvalidSeed(u64),
 }
 
 impl fmt::Display for ZooError {
@@ -36,6 +39,11 @@ impl fmt::Display for ZooError {
             ZooError::Graph(e) => write!(f, "training failed: {e}"),
             ZooError::Io(e) => write!(f, "model zoo I/O error: {e}"),
             ZooError::Corrupt(path) => write!(f, "corrupt model zoo entry at {path}"),
+            ZooError::InvalidSeed(seed) => write!(
+                f,
+                "model seed {seed} exceeds 2^53 - 1: a zoo entry stores it as a JSON \
+                 number, which cannot carry it exactly"
+            ),
         }
     }
 }
@@ -127,8 +135,11 @@ impl ModelZoo {
     ///
     /// # Errors
     ///
-    /// Returns a [`ZooError`] if training fails or the cache cannot be read or written.
+    /// Returns [`ZooError::InvalidSeed`] for a seed above 2^53 − 1 (before reading or
+    /// training anything), or a [`ZooError`] if training fails or the cache cannot be
+    /// read or written.
     pub fn load_or_train(&self, config: &ModelConfig, seed: u64) -> Result<TrainedModel, ZooError> {
+        check_seed(seed)?;
         let path = self.cache_path(config, seed);
         if path.exists() {
             let text = std::fs::read_to_string(&path)?;
@@ -161,13 +172,15 @@ impl ModelZoo {
     ///
     /// # Errors
     ///
-    /// Returns a [`ZooError`] if a forward/backward pass fails.
+    /// Returns [`ZooError::InvalidSeed`] for a seed above 2^53 − 1 (the trained model
+    /// could not be cached), or a [`ZooError`] if a forward/backward pass fails.
     pub fn train_with(
         &self,
         config: &ModelConfig,
         cfg: &TrainConfig,
         seed: u64,
     ) -> Result<TrainedModel, ZooError> {
+        check_seed(seed)?;
         let mut model = archs::build(config, seed);
         let start = Instant::now();
         let (metrics, validation_accuracy) = if config.kind.is_steering() {
@@ -202,6 +215,14 @@ impl ModelZoo {
             seed,
         })
     }
+}
+
+/// Refuses a seed a zoo entry could not record exactly.
+fn check_seed(seed: u64) -> Result<(), ZooError> {
+    if seed > serde::MAX_EXACT_INTEGER as u64 {
+        return Err(ZooError::InvalidSeed(seed));
+    }
+    Ok(())
 }
 
 /// Fraction of validation frames whose predicted steering angle is within `threshold`
@@ -258,6 +279,45 @@ mod tests {
         let loaded = zoo.load_or_train(&cfg, 3).unwrap();
         assert_eq!(loaded.model.graph, trained.model.graph);
         assert_eq!(loaded.seed, 3);
+        let _ = std::fs::remove_dir_all(zoo.dir());
+    }
+
+    /// 2^53 − 1 round-trips through a cache entry; 2^53 is refused by both entry points
+    /// before anything is trained or written.
+    #[test]
+    fn seeds_above_the_exact_json_range_are_refused() {
+        let zoo = temp_zoo("seeds");
+        let cfg = ModelConfig::lenet();
+        let tiny = TrainConfig {
+            epochs: 1,
+            train_samples: 8,
+            validation_samples: 4,
+            ..TrainConfig::quick()
+        };
+        let largest = (1u64 << 53) - 1;
+        let trained = zoo.train_with(&cfg, &tiny, largest).unwrap();
+        std::fs::create_dir_all(zoo.dir()).unwrap();
+        std::fs::write(
+            zoo.dir()
+                .join(format!("{}_{largest}.json", cfg.cache_key())),
+            serde_json::to_string(&trained).unwrap(),
+        )
+        .unwrap();
+        let loaded = zoo.load_or_train(&cfg, largest).unwrap();
+        assert_eq!(loaded.seed, largest);
+        assert_eq!(loaded.model.graph, trained.model.graph);
+
+        for seed in [1u64 << 53, (1 << 53) + 1, u64::MAX] {
+            assert!(matches!(
+                zoo.train_with(&cfg, &tiny, seed),
+                Err(ZooError::InvalidSeed(s)) if s == seed
+            ));
+            let err = zoo.load_or_train(&cfg, seed).unwrap_err();
+            assert!(matches!(err, ZooError::InvalidSeed(s) if s == seed));
+            assert!(err.to_string().contains("2^53 - 1"), "{err}");
+        }
+        let entries = std::fs::read_dir(zoo.dir()).unwrap().count();
+        assert_eq!(entries, 1, "a refused seed must write no cache entry");
         let _ = std::fs::remove_dir_all(zoo.dir());
     }
 

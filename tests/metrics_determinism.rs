@@ -7,8 +7,9 @@
 //! (batch 64 overflows LeNet's cache budget, so those passes run on the tiled
 //! scheduler), and requires the tallies to be **bit-for-bit** identical. A second
 //! assertion block checks the flip side: the metrics-on runs really did record (per-op
-//! plan timings, row-group scheduler counters, campaign histograms, trial counts), so
-//! the equality above is not vacuous.
+//! plan timings, row-group scheduler counters, campaign histograms, trial counts and
+//! the per-sample fault cone's masked-trial count), so the equality above is not
+//! vacuous.
 //!
 //! The enable flag is process-global, so this file keeps everything in one `#[test]`
 //! (the same discipline as the graph and runtime metric tests) and restores the flag
@@ -82,6 +83,10 @@ fn sdc_counts_are_bit_for_bit_identical_with_metrics_on_and_off() {
     assert!(
         snapshot.histogram("campaign.faulty_pass_nanos").is_some(),
         "the enabled runs must have a faulty-pass latency histogram"
+    );
+    assert!(
+        snapshot.counter("campaign.trials_masked").unwrap_or(0) > 0,
+        "the enabled per-sample runs must have counted trials whose fault was masked"
     );
     assert!(
         snapshot.counter("plan.tile.segments").unwrap_or(0) > 0

@@ -251,15 +251,23 @@ fn parallel_campaign_grid_matches_serial_on_zoo_models() {
 }
 
 /// The row-group scheduler acceptance grid on real zoo architectures: on a convolutional
-/// classifier (LeNet) and a steering regressor (Comma), across the f32, SIMD and fixed16
-/// backends, batch {16, 64} × workers {1, 4} reports the per-sample counts bit-for-bit.
-/// At batch 64 both models' full-batch activations overflow the cache budget, so their
-/// passes run on the tiled scheduler in row groups with an uneven tail (28 trials per
-/// group on LeNet, 19 on Comma); tiling is pure scheduling, and the same faults land on
-/// the same elements.
+/// classifier (LeNet), a steering regressor (Comma), a residual network (ResNet-18,
+/// `Add` joins) and a fire-module network (SqueezeNet, `Concat` joins), across the f32,
+/// SIMD and fixed16 backends, batch {16, 64} × workers {1, 4} reports the per-sample
+/// counts bit-for-bit. The per-sample reference runs each trial as a fault cone from
+/// the golden pass, so the grid also pins cone execution against full batched passes
+/// through every branch shape. At batch 64 the full-batch activations overflow the
+/// cache budget, so those passes run on the tiled scheduler in row groups with an
+/// uneven tail; tiling is pure scheduling, and the same faults land on the same
+/// elements.
 #[test]
 fn tiled_campaign_grid_matches_untiled_on_zoo_models() {
-    for kind in [ModelKind::LeNet, ModelKind::Comma] {
+    for kind in [
+        ModelKind::LeNet,
+        ModelKind::Comma,
+        ModelKind::ResNet18,
+        ModelKind::SqueezeNet,
+    ] {
         let model = archs::build(&ModelConfig::new(kind), 3);
         let input = canonical_input(&model);
         let inputs = vec![input];
