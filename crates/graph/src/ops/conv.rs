@@ -4,6 +4,7 @@ use crate::error::GraphError;
 use crate::graph::NodeId;
 use crate::op::Padding;
 use ranger_tensor::Tensor;
+use std::ops::Range;
 
 /// Computes the output spatial size and the leading padding for one spatial dimension
 /// (shared with the fixed-point backend, which must agree on padding semantics exactly).
@@ -122,6 +123,13 @@ pub fn conv2d_forward(
     Ok(out)
 }
 
+/// Output channels per register tile of [`conv2d_forward_into`]; remainders take tiles
+/// of half as many, then one.
+const TILE_OC: usize = 4;
+/// Consecutive output columns per register tile of [`conv2d_forward_into`]; remainders
+/// take one tile of half as many, then tiles of one.
+const TILE_OX: usize = 8;
+
 /// [`conv2d_forward`], writing into a recycled output buffer.
 ///
 /// # Errors
@@ -137,67 +145,162 @@ pub fn conv2d_forward_into(
     out: &mut Tensor,
 ) -> Result<(), GraphError> {
     let g = conv2d_geometry(node, x.dims(), w.dims(), stride, padding)?;
-    let (n, cin, h, win) = (g.batch, g.cin, g.height, g.width);
-    let (cout, kh, kw) = (g.cout, g.kh, g.kw);
-    let (ho, pad_h) = (g.out_h, g.pad_h);
-    let (wo, pad_w) = (g.out_w, g.pad_w);
+    out.reset_fill(&[g.batch, g.cout, g.out_h, g.out_w], 0.0);
+    // Two copies of the nest: with the unit stride (every LeNet conv, most ResNet ones)
+    // a constant, a tile loads its columns as one contiguous run per tap.
+    if stride == 1 {
+        ConvNest::new(g, 1, x.data(), w.data()).run(out.data_mut());
+    } else {
+        ConvNest::new(g, stride, x.data(), w.data()).run(out.data_mut());
+    }
+    Ok(())
+}
 
-    let xdat = x.data();
-    let wdat = w.data();
-    out.reset_fill(&[n, cout, ho, wo], 0.0);
-    let odat = out.data_mut();
+/// The register-tiled loop nest of [`conv2d_forward_into`].
+///
+/// A tile of `B` output channels × `C` consecutive output columns keeps its
+/// accumulators in locals across the whole `(ic, ky, kx)` reduction and stores each
+/// output element once. Kernel rows in the padding are skipped through a `ky` range
+/// clamped per output row. Interior columns, where every `kx` tap is in bounds, run in
+/// tiles of up to [`TILE_OX`] over all taps; the border columns run one at a time over
+/// their clamped `kx` range.
+///
+/// Bit for bit the per-element nest (asserted against it in the tests below): each
+/// output element starts at `+0.0` and adds its in-bounds products `x · w` in
+/// `(ic, ky, kx)` order, a separate multiply and add each. Only independent output
+/// elements are interleaved. The nest keeps no scratch: accumulators are locals.
+struct ConvNest<'a> {
+    g: Conv2dGeometry,
+    stride: usize,
+    x: &'a [f32],
+    w: &'a [f32],
+    /// Interior output columns: `ox * stride >= pad_w` and
+    /// `ox * stride + kw <= width + pad_w`.
+    interior: Range<usize>,
+}
 
-    // Row-group blocked loop nest: the innermost loop walks one *output row* while
-    // reading one contiguous input row and one contiguous filter row, so consecutive
-    // iterations hit consecutive cache lines instead of striding across the channel and
-    // kernel dimensions per output element (the conv-locality item batched campaigns
-    // exposed: per-output-element gathers made batching cache-neutral on LeNet).
-    //
-    // The interchange is bit-for-bit safe: for any fixed output element the partial
-    // products still arrive in (ic, ky, kx) order — only the position of the `ox` loop
-    // moved — so the f32 accumulation order, and therefore every campaign count pinned
-    // on this kernel, is unchanged (asserted against the naive nest in the tests below).
-    for b in 0..n {
-        for oc in 0..cout {
-            for oy in 0..ho {
-                let out_row = &mut odat[((b * cout + oc) * ho + oy) * wo..][..wo];
-                for ic in 0..cin {
-                    for ky in 0..kh {
-                        let iy = (oy * stride + ky) as isize - pad_h as isize;
-                        if iy < 0 || iy >= h as isize {
-                            continue;
-                        }
-                        let x_row = &xdat[((b * cin + ic) * h + iy as usize) * win..][..win];
-                        let w_row = &wdat[((oc * cin + ic) * kh + ky) * kw..][..kw];
-                        for (kx, &wv) in w_row.iter().enumerate() {
-                            // Valid output columns: 0 <= ox * stride + kx - pad_w < win.
-                            let kx_off = kx as isize - pad_w as isize;
-                            // A kernel column entirely in the padding (possible when the
-                            // kernel is much wider than the input) contributes to no
-                            // output column: both bounds clamp to wo, an empty range.
-                            let ox_min = if kx_off >= 0 {
-                                0
-                            } else {
-                                wo.min(((-kx_off) as usize).div_ceil(stride))
-                            };
-                            let ox_end = if win as isize <= kx_off {
-                                0
-                            } else {
-                                wo.min((win as isize - 1 - kx_off) as usize / stride + 1)
-                            };
-                            for (o, ox) in
-                                out_row[ox_min..ox_end.max(ox_min)].iter_mut().zip(ox_min..)
-                            {
-                                let ix = (ox * stride) as isize + kx_off;
-                                *o += x_row[ix as usize] * wv;
-                            }
+impl<'a> ConvNest<'a> {
+    #[inline(always)]
+    fn new(g: Conv2dGeometry, stride: usize, x: &'a [f32], w: &'a [f32]) -> Self {
+        let lo = g.pad_w.div_ceil(stride).min(g.out_w);
+        let hi = (g.width + g.pad_w)
+            .checked_sub(g.kw)
+            .map_or(0, |span| span / stride + 1)
+            .clamp(lo, g.out_w);
+        ConvNest {
+            g,
+            stride,
+            x,
+            w,
+            interior: lo..hi,
+        }
+    }
+
+    /// The kernel rows of output row `oy` that fall inside the input.
+    #[inline(always)]
+    fn kernel_rows(&self, oy: usize) -> Range<usize> {
+        let g = &self.g;
+        let top = oy * self.stride;
+        let lo = g.pad_h.saturating_sub(top).min(g.kh);
+        lo..(g.height + g.pad_h).saturating_sub(top).clamp(lo, g.kh)
+    }
+
+    /// The kernel columns of output column `ox` that fall inside the input.
+    #[inline(always)]
+    fn kernel_cols(&self, ox: usize) -> Range<usize> {
+        let g = &self.g;
+        let left = ox * self.stride;
+        let lo = g.pad_w.saturating_sub(left).min(g.kw);
+        lo..(g.width + g.pad_w).saturating_sub(left).clamp(lo, g.kw)
+    }
+
+    #[inline(always)]
+    fn run(&self, out: &mut [f32]) {
+        let g = &self.g;
+        let plane = g.out_h * g.out_w;
+        let filter = g.cin * g.kh * g.kw;
+        for b in 0..g.batch {
+            let mut oc = 0;
+            while oc < g.cout {
+                let w = &self.w[oc * filter..];
+                let block = &mut out[(b * g.cout + oc) * plane..];
+                let rest = g.cout - oc;
+                oc += if rest >= TILE_OC {
+                    self.block::<TILE_OC>(b, w, block)
+                } else if rest >= TILE_OC / 2 {
+                    self.block::<{ TILE_OC / 2 }>(b, w, block)
+                } else {
+                    self.block::<1>(b, w, block)
+                };
+            }
+        }
+    }
+
+    /// Output planes `oc..oc + B` of batch row `b`, where `w` starts at filter `oc` and
+    /// `out` at output plane `oc`; returns `B`.
+    #[inline(always)]
+    fn block<const B: usize>(&self, b: usize, w: &[f32], out: &mut [f32]) -> usize {
+        let (lo, hi) = (self.interior.start, self.interior.end);
+        for oy in 0..self.g.out_h {
+            for ox in (0..lo).chain(hi..self.g.out_w) {
+                self.tile::<B, 1>(b, w, out, oy, ox, self.kernel_cols(ox));
+            }
+            let mut ox = lo;
+            while ox + TILE_OX <= hi {
+                self.tile::<B, TILE_OX>(b, w, out, oy, ox, 0..self.g.kw);
+                ox += TILE_OX;
+            }
+            if ox + TILE_OX / 2 <= hi {
+                self.tile::<B, { TILE_OX / 2 }>(b, w, out, oy, ox, 0..self.g.kw);
+                ox += TILE_OX / 2;
+            }
+            for ox in ox..hi {
+                self.tile::<B, 1>(b, w, out, oy, ox, 0..self.g.kw);
+            }
+        }
+        B
+    }
+
+    /// Output elements `(b, oc + j, oy, ox + c)` for `j < B`, `c < C`, over the kernel
+    /// columns `kx`, which must be in bounds for all `C` columns.
+    #[inline(always)]
+    fn tile<const B: usize, const C: usize>(
+        &self,
+        b: usize,
+        w: &[f32],
+        out: &mut [f32],
+        oy: usize,
+        ox: usize,
+        kx: Range<usize>,
+    ) {
+        let g = &self.g;
+        let (h, win, kh, kw) = (g.height, g.width, g.kh, g.kw);
+        let filter = g.cin * kh * kw;
+        let (top, left) = (oy * self.stride, ox * self.stride);
+        let span = (C - 1) * self.stride + 1;
+        let mut acc = [[0.0f32; C]; B];
+        for ic in 0..g.cin {
+            let x_chan = &self.x[(b * g.cin + ic) * h * win..][..h * win];
+            for ky in self.kernel_rows(oy) {
+                let x_row = &x_chan[(top + ky - g.pad_h) * win..][..win];
+                let w_row = (ic * kh + ky) * kw;
+                for kx in kx.clone() {
+                    let xs = &x_row[left + kx - g.pad_w..][..span];
+                    let xv: [f32; C] = std::array::from_fn(|c| xs[c * self.stride]);
+                    for (j, a) in acc.iter_mut().enumerate() {
+                        let wv = w[j * filter + w_row + kx];
+                        for (a, &xv) in a.iter_mut().zip(&xv) {
+                            *a += xv * wv;
                         }
                     }
                 }
             }
         }
+        let plane = g.out_h * g.out_w;
+        for (j, a) in acc.iter().enumerate() {
+            out[j * plane + oy * g.out_w + ox..][..C].copy_from_slice(a);
+        }
     }
-    Ok(())
 }
 
 /// 2-D convolution backward pass.
@@ -281,6 +384,7 @@ pub fn conv2d_backward(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn nid() -> NodeId {
         NodeId::new(0)
@@ -410,9 +514,9 @@ mod tests {
         }
     }
 
-    /// The straightforward per-output-element nest the blocked kernel replaced; kept here
-    /// as the semantic reference the blocked loops must match **bit-for-bit** (same
-    /// partial-product order per output element, so identical f32 rounding).
+    /// The straightforward per-output-element nest: the semantic reference the tiled
+    /// kernel must match **bit-for-bit** (same partial-product order per output element,
+    /// so identical f32 rounding).
     fn conv2d_naive(x: &Tensor, w: &Tensor, stride: usize, padding: Padding) -> Tensor {
         let (xd, wd) = (x.dims(), w.dims());
         let (n, cin, h, win) = (xd[0], xd[1], xd[2], xd[3]);
@@ -451,8 +555,35 @@ mod tests {
         Tensor::from_vec(vec![n, cout, ho, wo], odat).unwrap()
     }
 
+    /// Asserts the tiled kernel equals the naive nest bit for bit, with NaN compared as a
+    /// class: IEEE 754 leaves NaN payload propagation unspecified (docs/NUMERICS.md §6).
+    fn assert_matches_naive(x: &Tensor, w: &Tensor, stride: usize, padding: Padding) {
+        let bits = |v: f32| {
+            if v.is_nan() {
+                f32::NAN.to_bits()
+            } else {
+                v.to_bits()
+            }
+        };
+        let tiled = conv2d_forward(nid(), x, w, stride, padding).unwrap();
+        let naive = conv2d_naive(x, w, stride, padding);
+        let context = format!(
+            "x {:?} w {:?} stride {stride} {padding:?}",
+            x.dims(),
+            w.dims()
+        );
+        assert_eq!(tiled.dims(), naive.dims(), "{context}: shapes diverged");
+        for (i, (&t, &r)) in tiled.data().iter().zip(naive.data()).enumerate() {
+            assert_eq!(
+                bits(t),
+                bits(r),
+                "{context}: element {i} diverged (tiled {t}, naive {r})"
+            );
+        }
+    }
+
     #[test]
-    fn blocked_kernel_matches_naive_nest_bit_for_bit() {
+    fn tiled_kernel_matches_naive_nest_bit_for_bit() {
         use rand::{rngs::StdRng, Rng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(11);
         for (shape_x, shape_w, stride, padding) in [
@@ -463,10 +594,13 @@ mod tests {
             (vec![1, 1, 4, 4], vec![1, 1, 1, 1], 1, Padding::Same),
             (vec![1, 2, 5, 5], vec![2, 2, 4, 4], 3, Padding::Same),
             // Kernel far wider than the input: outer kernel columns lie entirely in the
-            // padding and must contribute nothing (regression: the blocked nest once
-            // sliced out of range here).
+            // padding and must contribute nothing.
             (vec![1, 1, 1, 1], vec![1, 1, 5, 5], 1, Padding::Same),
             (vec![1, 1, 2, 2], vec![1, 1, 7, 7], 2, Padding::Same),
+            // LeNet-5's two convs: a channel remainder (6 = 4 + 2), border columns, and
+            // an interior run that ends in single-column tiles (10 = 8 + 1 + 1).
+            (vec![2, 1, 28, 28], vec![6, 1, 5, 5], 1, Padding::Same),
+            (vec![2, 6, 14, 14], vec![16, 6, 5, 5], 1, Padding::Valid),
         ] {
             let nx: usize = shape_x.iter().product();
             let nw: usize = shape_w.iter().product();
@@ -480,13 +614,53 @@ mod tests {
                 (0..nw).map(|_| rng.gen_range(-2.0..2.0)).collect(),
             )
             .unwrap();
-            let blocked = conv2d_forward(nid(), &x, &w, stride, padding).unwrap();
-            let naive = conv2d_naive(&x, &w, stride, padding);
-            assert_eq!(
-                blocked, naive,
-                "blocked conv diverged from the naive nest for x {shape_x:?} w {shape_w:?} \
-                 stride {stride} {padding:?}"
-            );
+            assert_matches_naive(&x, &w, stride, padding);
+        }
+    }
+
+    /// An operand value: mostly moderate magnitudes, with signed zeros, subnormals, the
+    /// infinities, NaN and `f32::MAX` (products that overflow) mixed in.
+    fn value(rng: &mut rand::rngs::StdRng) -> f32 {
+        use rand::Rng;
+        let sign = |rng: &mut rand::rngs::StdRng| rng.gen_range(0u32..2) << 31;
+        match rng.gen_range(0u32..64) {
+            0 => [f32::INFINITY, f32::NEG_INFINITY, f32::NAN, f32::MAX][rng.gen_range(0..4)],
+            1..=4 => f32::from_bits(sign(rng)),
+            5..=8 => f32::from_bits(rng.gen_range(1u32..0x0080_0000) | sign(rng)),
+            _ => rng.gen_range(-4.0f32..4.0),
+        }
+    }
+
+    fn random_tensor(rng: &mut rand::rngs::StdRng, dims: Vec<usize>) -> Tensor {
+        let len = dims.iter().product();
+        Tensor::from_vec(dims, (0..len).map(|_| value(rng)).collect()).unwrap()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Random geometry over the ranges the tiles split on: empty batches, channels
+        /// and images, channel-block remainders (`cout` up to 9), kernels wider than
+        /// the input, strides up to 4 and both paddings.
+        #[test]
+        fn tiled_kernel_matches_naive_nest_on_random_geometry(
+            n in 0usize..4,
+            cin in 0usize..6,
+            cout in 1usize..10,
+            h in 0usize..21,
+            win in 0usize..21,
+            kh in 1usize..8,
+            kw in 1usize..8,
+            stride in 1usize..5,
+            same in 0u8..2,
+            seed in 0u64..u64::MAX,
+        ) {
+            use rand::SeedableRng;
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let x = random_tensor(&mut rng, vec![n, cin, h, win]);
+            let w = random_tensor(&mut rng, vec![cout, cin, kh, kw]);
+            let padding = if same == 1 { Padding::Same } else { Padding::Valid };
+            assert_matches_naive(&x, &w, stride, padding);
         }
     }
 

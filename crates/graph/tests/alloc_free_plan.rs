@@ -127,6 +127,46 @@ fn repeated_plan_passes_allocate_nothing_after_warm_up() {
         "cold store must be allocation-free from the second pass on"
     );
 
+    // LeNet-5's two conv geometries at batch 16 on the f32 reference: 1 -> 6 5x5 `Same`
+    // on 28x28 and 6 -> 16 5x5 `Valid` on the pooled 14x14. They reach every kind of
+    // register tile the reference conv runs (channel remainders, border columns,
+    // narrower interior tiles), and the conv keeps its accumulators in locals: warmed
+    // passes allocate nothing.
+    let mut rng = StdRng::seed_from_u64(7);
+    let mut b = GraphBuilder::new();
+    let x = b.input("x");
+    let c1 = b.conv2d(x, 1, 6, 5, 1, ranger_graph::op::Padding::Same, &mut rng);
+    let r1 = b.relu(c1);
+    let p1 = b.max_pool(r1, 2, 2);
+    let c2 = b.conv2d(p1, 6, 16, 5, 1, ranger_graph::op::Padding::Valid, &mut rng);
+    let r2 = b.relu(c2);
+    let graph = b.into_graph();
+    let plan = graph.compile().unwrap();
+    let feeds = [("x", Tensor::ones(vec![16, 1, 28, 28]))];
+    plan.warm(&feeds).unwrap();
+    let mut fewest = usize::MAX;
+    for attempt in 0..3 {
+        let mut values = plan.buffers();
+        let before = ALLOCATIONS.load(Ordering::SeqCst);
+        for _ in 0..100 {
+            plan.run_into(&mut values, &feeds, &mut NoopInterceptor)
+                .unwrap();
+        }
+        let after = ALLOCATIONS.load(Ordering::SeqCst);
+        fewest = fewest.min(after - before);
+        if attempt == 0 {
+            assert_eq!(values.get(r2).unwrap().dims(), &[16, 16, 10, 10]);
+        }
+        if fewest == 0 {
+            break;
+        }
+    }
+    assert_eq!(
+        fewest, 0,
+        "warmed f32 LeNet-5 conv passes at batch 16 must not allocate ({fewest} \
+         allocations over 100 passes in the quietest of 3 attempts)"
+    );
+
     // The fixed-point backend on the same graph shape, minus softmax (the f32-bridge
     // transcendental keeps a per-pass scratch row; conv/matmul/pool/reshape must not):
     // warmed passes — lazy-mirror read of the output included — allocate nothing. The

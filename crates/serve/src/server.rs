@@ -22,12 +22,12 @@ use crate::{CheckpointStore, ServeError};
 use ranger_inject::{CampaignResult, PreparedCampaign};
 use ranger_runtime::ThreadPool;
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, BufWriter, Write};
+use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// A campaign's lifecycle state as exposed over the wire.
 #[derive(Debug, Clone, PartialEq)]
@@ -191,14 +191,31 @@ struct ServerState {
 
 impl ServerState {
     fn pool_for(&self, workers: usize) -> ThreadPool {
+        let cores = std::thread::available_parallelism().map_or(1, usize::from);
+        let size = pool_size(workers, cores);
         self.pools
             .lock()
             .expect("pool lock poisoned")
-            .entry(workers.max(1))
-            .or_insert_with(|| ThreadPool::new(workers.max(1)))
+            .entry(size)
+            .or_insert_with(|| ThreadPool::new(size))
             .clone()
     }
 }
+
+/// The pool size for a campaign that asks for `requested` workers on a host with
+/// `cores` hardware threads: at least one, at most `cores`. A pool run spawns up to
+/// its size in threads, and the count comes from the submitted spec, so an unclamped
+/// `workers = 10^6` would ask the server for a million threads. Campaign counts are
+/// bit for bit across worker counts, so the clamp changes no result; the spec, and
+/// with it the campaign's fingerprint, keeps the requested count.
+fn pool_size(requested: usize, cores: usize) -> usize {
+    requested.clamp(1, cores.max(1))
+}
+
+/// The longest request line the server reads, newline included. Requests carry model
+/// paths and chunk tallies, never weights; a longer line is answered with an error and
+/// the connection closed, where an unbounded read would buffer whatever a client sends.
+const MAX_REQUEST_BYTES: u64 = 1 << 20;
 
 /// A bound, not-yet-running campaign server.
 pub struct CampaignServer {
@@ -269,11 +286,26 @@ fn handle_connection(state: &Arc<ServerState>, stream: TcpStream) {
         Err(_) => return,
     });
     let mut writer = BufWriter::new(stream);
-    let mut line = String::new();
-    if reader.read_line(&mut line).is_err() || line.trim().is_empty() {
+    let mut line = Vec::new();
+    if (&mut reader)
+        .take(MAX_REQUEST_BYTES + 1)
+        .read_until(b'\n', &mut line)
+        .is_err()
+    {
         return;
     }
-    let request: Request = match serde_json::from_str(line.trim()) {
+    if line.len() as u64 > MAX_REQUEST_BYTES {
+        observe_request("oversized");
+        let message = format!("request from {peer:?} is longer than {MAX_REQUEST_BYTES} bytes");
+        let _ = write_line(&mut writer, &Response::Error { message });
+        discard_pending(&mut reader);
+        return;
+    }
+    let line = match std::str::from_utf8(&line) {
+        Ok(line) if !line.trim().is_empty() => line.trim(),
+        _ => return,
+    };
+    let request: Request = match serde_json::from_str(line) {
         Ok(request) => request,
         Err(e) => {
             observe_request("unreadable");
@@ -752,10 +784,43 @@ fn stream_events(handle: &CampaignHandle, writer: &mut BufWriter<TcpStream>) {
     }
 }
 
+/// Reads and drops what a client still sends after its over-long request, until it
+/// stops or a second passes. Closing a socket with unread input sends a reset, which can
+/// destroy the error line before the client reads it; once the input is drained, the
+/// close is an orderly end of stream.
+fn discard_pending(reader: &mut BufReader<TcpStream>) {
+    let deadline = Instant::now() + Duration::from_secs(1);
+    let mut scratch = [0u8; 8192];
+    while let Some(left) = deadline.checked_duration_since(Instant::now()) {
+        if reader.get_ref().set_read_timeout(Some(left)).is_err() {
+            return;
+        }
+        if matches!(reader.read(&mut scratch), Ok(0) | Err(_)) {
+            return;
+        }
+    }
+}
+
 fn write_line(writer: &mut BufWriter<TcpStream>, response: &Response) -> Result<(), ServeError> {
     let line = serde_json::to_string(response)?;
     writer.write_all(line.as_bytes())?;
     writer.write_all(b"\n")?;
     writer.flush()?;
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn pool_size_is_clamped_to_the_host() {
+        assert_eq!(pool_size(0, 8), 1, "zero workers still runs");
+        assert_eq!(pool_size(1, 8), 1);
+        assert_eq!(pool_size(8, 8), 8);
+        assert_eq!(pool_size(9, 8), 8);
+        assert_eq!(pool_size(1_000_000, 8), 8);
+        assert_eq!(pool_size(usize::MAX, 2), 2);
+        assert_eq!(pool_size(4, 0), 1, "an unknown core count means one worker");
+    }
 }

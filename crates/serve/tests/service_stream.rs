@@ -261,3 +261,55 @@ fn a_seed_beyond_the_exact_json_range_is_refused_and_never_run() {
     server_thread.join().unwrap().unwrap();
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A request line longer than the server's 1 MiB cap is answered with an error line
+/// and its connection closed, without buffering it, and the server goes on serving.
+#[test]
+fn an_over_long_request_line_is_refused_and_the_server_keeps_serving() {
+    let dir = tmp_dir("over-long");
+    let _ = std::fs::remove_dir_all(&dir);
+    let server = CampaignServer::bind("127.0.0.1:0", &dir).unwrap();
+    let addr = server.local_addr().unwrap();
+    let server_thread = std::thread::spawn(move || server.run());
+    let client = Client::new(addr.to_string());
+    let submitted = client.submit(&small_lenet_spec()).unwrap();
+
+    // 2 MiB with no newline, written from its own thread. The answer must arrive while
+    // the client's side is still open: a server that read on to the end of the input
+    // would never answer (the read timeout fails the test instead of hanging it).
+    let stream = TcpStream::connect(addr).unwrap();
+    stream
+        .set_read_timeout(Some(std::time::Duration::from_secs(30)))
+        .unwrap();
+    let mut writer = stream.try_clone().unwrap();
+    let flood = std::thread::spawn(move || {
+        let _ = writer.write_all(&vec![b'x'; 2 << 20]);
+    });
+    let mut answer = String::new();
+    let mut reader = BufReader::new(stream);
+    reader.read_line(&mut answer).unwrap();
+    match serde_json::from_str::<Response>(answer.trim()).unwrap() {
+        Response::Error { message } => assert!(message.contains("longer than"), "{message}"),
+        other => panic!("an over-long request must get an error line, got {other:?}"),
+    }
+    // The server discards the rest of the flood, so the close that follows is an
+    // orderly end of stream, not a reset.
+    flood.join().unwrap();
+    reader
+        .get_ref()
+        .shutdown(std::net::Shutdown::Write)
+        .unwrap();
+    let mut rest = String::new();
+    assert_eq!(
+        reader.read_line(&mut rest).unwrap(),
+        0,
+        "the connection must close after the error line, got {rest:?}"
+    );
+
+    let status = client.status(&submitted.id).unwrap();
+    assert_eq!(status.id, submitted.id);
+
+    client.shutdown().unwrap();
+    server_thread.join().unwrap().unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+}
