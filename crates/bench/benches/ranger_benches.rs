@@ -15,7 +15,7 @@
 //!   SDC counts (asserted), lower ns/trial on convolution-dominated models.
 //!
 //! Run with `cargo bench -p ranger-bench`. Set `RANGER_BENCH_FILTER` to a
-//! comma-separated list of group names (e.g. `campaign_fixed,campaign_batched`) to run
+//! comma-separated list of group names (e.g. `campaign_fixed,campaign_simd`) to run
 //! only those groups. Pass `--json <path>` (after `--`, with an explicit
 //! `--bench ranger_benches` so the flag does not reach the libtest harness) or set
 //! `RANGER_BENCH_JSON` to additionally write every measurement as a per-group JSON
@@ -345,140 +345,6 @@ fn bench_injection() {
     });
 }
 
-/// The acceptance benchmark for batched campaigns: the same campaign (same seed, same
-/// trials, bit-for-bit identical SDC counts — asserted in-loop at every grid point) run
-/// per-sample (`batch = 1`) and batched at 16 and 64 trials per pass. Batching amortizes
-/// fixed per-pass costs (graph walk, operator dispatch, interceptor scan, constant
-/// materialization) but multiplies every activation by `batch`; a batch whose
-/// activations overflow the cache budget runs on the row-group tiled scheduler, which
-/// keeps each segment's live rows cache-sized.
-///
-/// Two models are measured: LeNet (convolution-dominated — batch 64 overflows the
-/// budget and tiles) and a deep narrow MLP (dispatch-dominated — every batch fits the
-/// budget and runs untiled).
-fn bench_campaign_batched() {
-    use rand::{rngs::StdRng, SeedableRng};
-    use ranger_graph::GraphBuilder;
-
-    // 256 trials: enough passes that the flat per-campaign prepare cost (plan compile +
-    // single-row warm, ~a quarter of a millisecond regardless of batch) stops dominating
-    // the per-trial figure and the comparison measures the execution schedules.
-    let trials = 256usize;
-    let judge = ClassifierJudge::top1();
-
-    let campaign = |label: &str,
-                    graph: &ranger_graph::Graph,
-                    input_name: &str,
-                    output: ranger_graph::NodeId,
-                    input: &Tensor| {
-        let target = InjectionTarget {
-            graph,
-            input_name,
-            output,
-            excluded: &[],
-        };
-        for backend in [BackendKind::F32, BackendKind::Simd] {
-            struct Entry {
-                name: String,
-                config: CampaignConfig,
-                best_ns: f64,
-                counts: Vec<u64>,
-            }
-            let mut entries: Vec<Entry> = [1usize, 16, 64]
-                .iter()
-                .map(|&batch| Entry {
-                    name: format!("campaign_batched/{label}/{backend}/batch_{batch}"),
-                    config: CampaignConfig {
-                        trials,
-                        batch,
-                        workers: 1,
-                        backend,
-                        fault: FaultModel::single_bit_fixed32(),
-                        seed: 5,
-                        tile: 0,
-                    },
-                    best_ns: f64::INFINITY,
-                    counts: Vec::new(),
-                })
-                .collect();
-            // The grid points are compared against each other (the per-sample ratio is
-            // the acceptance figure), so they are measured INTERLEAVED: each round runs
-            // one campaign per config, round-robin, and every config keeps its own
-            // per-round minimum. Sequential blocks would let slow machine drift
-            // (frequency, a neighbour waking up) land entirely on whichever config was
-            // measured at the wrong moment and fake a regression; interleaving spreads
-            // the drift across all configs alike. Round 0 is the warm-up and is not
-            // recorded.
-            let iters = 20usize;
-            for round in 0..=iters {
-                for entry in &mut entries {
-                    let start = Instant::now();
-                    let result = ranger_inject::run_campaign(
-                        &target,
-                        std::slice::from_ref(input),
-                        &judge,
-                        &entry.config,
-                    )
-                    .unwrap();
-                    let ns = start.elapsed().as_nanos() as f64;
-                    if round > 0 {
-                        entry.best_ns = entry.best_ns.min(ns);
-                    }
-                    entry.counts = result.sdc_counts;
-                }
-            }
-            let reference_counts = entries[0].counts.clone();
-            let per_sample_ns = entries[0].best_ns;
-            for entry in &entries {
-                assert_eq!(
-                    &entry.counts, &reference_counts,
-                    "batched campaign must reproduce the per-sample SDC counts ({})",
-                    entry.name
-                );
-                println!(
-                    "{:<40} {:>12.0} ns/iter   ({iters} iters, interleaved)",
-                    entry.name, entry.best_ns
-                );
-                RECORDS.lock().unwrap().push(BenchRecord {
-                    name: entry.name.clone(),
-                    ns_per_iter: entry.best_ns,
-                    iters,
-                    ns_per_trial: Some(entry.best_ns / trials as f64),
-                });
-                println!(
-                    "{}: {:>8.0} ns/trial ({:.2}x per-sample)",
-                    entry.name,
-                    entry.best_ns / trials as f64,
-                    per_sample_ns / entry.best_ns
-                );
-            }
-        }
-    };
-
-    let model = archs::build(&ModelConfig::lenet(), 0);
-    let input = model_input(&model);
-    campaign(
-        "lenet",
-        &model.graph,
-        &model.input_name,
-        model.output,
-        &input,
-    );
-
-    // Deep, narrow MLP: 64 dense+relu blocks of width 8 — fixed per-pass costs dominate.
-    let mut rng = StdRng::seed_from_u64(0);
-    let mut b = GraphBuilder::new();
-    let x = b.input("x");
-    let mut h = b.dense(x, 8, 8, &mut rng);
-    for _ in 0..63 {
-        h = b.relu(h);
-        h = b.dense(h, 8, 8, &mut rng);
-    }
-    let probs = b.softmax(h);
-    let deep = b.into_graph();
-    campaign("deep_mlp", &deep, "x", probs, &Tensor::ones(vec![1, 8]));
-}
-
 /// The acceptance benchmark for parallel campaigns: the same campaign (same seed, same
 /// trials, bit-for-bit identical SDC counts — asserted) run at 1, 2, 4 and 8 workers,
 /// reporting per-trial wall-clock. Trials are independent forward passes, so on a
@@ -580,8 +446,8 @@ fn bench_campaign_parallel() {
 
 /// The fixed-point backend benchmark: the same campaign (same seed, same index-keyed
 /// fault plans) run on the f32 reference backend and on the genuine fixed16/fixed32
-/// backends, per-sample and batched. Within each backend the batched counts must equal
-/// the per-sample counts bit-for-bit (asserted); across backends the counts may differ —
+/// backends, at batch (chunk length) 1 and 16. Within each backend the counts must be
+/// equal across batch bit-for-bit (asserted); across backends the counts may differ —
 /// that difference IS the measurement (fixed-point inference vs float inference with
 /// fixed-point corruption).
 fn bench_campaign_fixed() {
@@ -638,7 +504,7 @@ fn bench_campaign_fixed() {
                     None => reference = Some(counts.clone()),
                     Some(expected) => assert_eq!(
                         &counts, expected,
-                        "batched fixed campaign must reproduce the per-sample counts"
+                        "fixed campaign counts must not depend on the batch"
                     ),
                 }
                 note_ns_per_trial(
@@ -685,10 +551,6 @@ fn bench_campaign_fixed() {
 /// deep narrow MLP is measured too as the adversarial shape: rows of width 8 leave
 /// little lane-level parallelism, so it bounds the dispatch overhead rather than
 /// showing a win.
-///
-/// Uses the same trials/seed/batch grid as `campaign_batched`, so in a combined run
-/// `campaign_simd/lenet/simd/batch_N` is directly comparable to
-/// `campaign_batched/lenet/batch_N` (the same-run-ratio rule from docs/NUMERICS.md).
 fn bench_campaign_simd() {
     use rand::{rngs::StdRng, SeedableRng};
     use ranger_graph::GraphBuilder;
@@ -800,13 +662,12 @@ fn bench_campaign_simd() {
 fn main() {
     let json_path = json_output_path();
     let filter = std::env::var("RANGER_BENCH_FILTER").unwrap_or_default();
-    let groups: [(&str, fn()); 9] = [
+    let groups: [(&str, fn()); 8] = [
         ("insertion", bench_insertion),
         ("inference", bench_inference),
         ("exec_plan", bench_exec_plan),
         ("profiling", bench_profiling),
         ("injection", bench_injection),
-        ("campaign_batched", bench_campaign_batched),
         ("campaign_parallel", bench_campaign_parallel),
         ("campaign_fixed", bench_campaign_fixed),
         ("campaign_simd", bench_campaign_simd),

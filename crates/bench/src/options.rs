@@ -9,8 +9,8 @@ use ranger_tensor::DataType;
 pub struct ExpOptions {
     /// Fault-injection trials per input.
     pub trials: usize,
-    /// Trials executed per batched forward pass (1 = the per-sample reference path;
-    /// any value reproduces identical SDC counts).
+    /// Trials per campaign work unit (1 = sized from the trial and worker counts; any
+    /// value reproduces identical SDC counts).
     pub batch: usize,
     /// Worker threads executing campaign trials (1 = the serial path; any value
     /// reproduces identical SDC counts). Defaults to `RANGER_WORKERS` when set.

@@ -466,7 +466,7 @@ mod tests {
         .unwrap();
         assert!(report.contains("SDC rate"));
 
-        // The batched campaign path reports the same SDC rates for the same seed.
+        // 8-trial work units report the same SDC rates for the same seed.
         let batched = inject(&opts(&[
             "--in",
             protected_path.to_str().unwrap(),
@@ -625,7 +625,7 @@ mod tests {
     /// silently leaving its setting at the default.
     #[test]
     fn unknown_options_are_usage_errors() {
-        // A row-group height was an option of earlier releases; tiling now picks itself.
+        // A row-group height was an option of earlier releases; there is no tiling now.
         let removed = format!("--{}", "tile");
         let err = dispatch(
             "inject",

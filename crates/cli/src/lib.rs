@@ -124,10 +124,11 @@ COMMANDS:
     inject   --in <model.json> [--trials N] [--batch N] [--workers N] [--inputs N]
              [--backend f32|fixed16|fixed32|simd] [--bits N] [--fixed16] [--seed N]
              [--metrics-json <path>] [--profile]
-             Run a fault-injection campaign and report SDC rates. --batch N executes N
-             trials per forward pass and --workers N runs trial chunks on an N-worker
-             pool (identical results either way, less wall-clock per trial). A batch
-             whose activations overflow the cache runs in cache-sized row groups.
+             Run a fault-injection campaign and report SDC rates. Every trial runs
+             only its fault cone from the input's golden pass. --batch N groups N
+             trials into one work unit (the unit a worker runs and a checkpoint
+             records) and --workers N runs the units on an N-worker pool; results are
+             identical for any batch and worker count.
              --backend fixed16|fixed32 runs genuine fixed-point inference and flips
              bits directly in the stored integer words (faults default to the
              backend's own word format); the default f32 backend emulates fixed-point

@@ -147,9 +147,9 @@ fn a_sigkilled_server_resumes_to_the_exact_uninterrupted_counts() {
     assert_eq!(status.trials_done, reference.trials);
     assert_eq!(status.sdc_counts, reference.sdc_counts);
 
-    // Leg 3: a batched campaign submitted through `ranger-cli submit` is accepted and
-    // finishes with the per-sample counts (at batch 64 LeNet's passes run tiled). Both
-    // sides take the default backend, so the RANGER_BACKEND sweeps cover it.
+    // Leg 3: a batch-64 campaign submitted through `ranger-cli submit` is accepted and
+    // finishes with the per-sample counts. Both sides take the default backend, so the
+    // RANGER_BACKEND sweeps cover it.
     let output = Command::new(env!("CARGO_BIN_EXE_ranger-cli"))
         .args([
             "submit", "--addr", &addr, "--model", "lenet", "--inputs", "1",

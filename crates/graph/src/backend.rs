@@ -29,7 +29,7 @@
 //! path.
 
 use crate::error::GraphError;
-use crate::exec::{arity_err, eval_node_into, input, Interceptor, TileRows, Values};
+use crate::exec::{arity_err, eval_node_into, input, Interceptor, Values};
 use crate::graph::{Node, NodeId};
 use crate::op::{Op, RestorePolicy};
 use crate::ops::activation::softmax_layout;
@@ -70,36 +70,6 @@ pub trait ExecBackend: fmt::Debug + Send + Sync {
         feeds: &[(&str, Tensor)],
         interceptor: &mut dyn Interceptor,
     ) -> Result<(), GraphError>;
-
-    /// Evaluates `node` on one row group of a tiled pass
-    /// ([`ExecPlan::run_tiled_into`](crate::plan::ExecPlan::run_tiled_into)): inputs are
-    /// read through the tile overlay (each carrying input holds only the group's rows),
-    /// the output tile is stored through [`Values::set_tile`], and the interceptor fires
-    /// through the tile hooks so element-addressed mutations can translate `rows`.
-    ///
-    /// The default is the reference semantics — [`eval_node_into`] on the tile, exactly
-    /// as [`ReferenceBackend::eval_node`] evaluates the whole batch. Backends that
-    /// special-case kernels in `eval_node` must override this with the same routing.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`GraphError`] if a feed is missing or the node's operands are invalid.
-    fn eval_node_tile(
-        &self,
-        node: &Node,
-        values: &mut Values,
-        feeds: &[(&str, Tensor)],
-        interceptor: &mut dyn Interceptor,
-        rows: TileRows,
-    ) -> Result<(), GraphError> {
-        let mut output = values.take_tile_recycled(node.id);
-        eval_node_into(node, values, feeds, &mut output)?;
-        if node.op.is_injectable() {
-            interceptor.after_op_tile(node, &mut output, rows);
-        }
-        values.set_tile(node.id, output);
-        Ok(())
-    }
 }
 
 /// The `f32` reference backend: kernel dispatch through
@@ -239,23 +209,6 @@ impl ExecBackend for SimdBackend {
             interceptor.after_op(node, &mut output);
         }
         values.set(node.id, output);
-        Ok(())
-    }
-
-    fn eval_node_tile(
-        &self,
-        node: &Node,
-        values: &mut Values,
-        feeds: &[(&str, Tensor)],
-        interceptor: &mut dyn Interceptor,
-        rows: TileRows,
-    ) -> Result<(), GraphError> {
-        let mut output = values.take_tile_recycled(node.id);
-        self.eval_into(node, values, feeds, &mut output)?;
-        if node.op.is_injectable() {
-            interceptor.after_op_tile(node, &mut output, rows);
-        }
-        values.set_tile(node.id, output);
         Ok(())
     }
 }
@@ -652,25 +605,6 @@ impl ExecBackend for FixedBackend {
         // interception, so word flips and bridged generic mutations alike are always
         // visible to the next read.
         values.set_q(node.id, qout);
-        Ok(())
-    }
-
-    fn eval_node_tile(
-        &self,
-        node: &Node,
-        values: &mut Values,
-        feeds: &[(&str, Tensor)],
-        interceptor: &mut dyn Interceptor,
-        rows: TileRows,
-    ) -> Result<(), GraphError> {
-        // Constants and inputs never tile (they don't carry the batch / they feed whole),
-        // so the const-quantization cache of `eval_node` has no tile counterpart.
-        let mut qout = values.take_tile_recycled_q(node.id, self.spec);
-        self.eval_q(node, values, feeds, &mut qout)?;
-        if node.op.is_injectable() {
-            interceptor.after_op_words_tile(node, &mut qout, rows);
-        }
-        values.set_tile_q(node.id, qout);
         Ok(())
     }
 }

@@ -54,46 +54,6 @@ pub trait Interceptor {
             }
         }
     }
-
-    /// Row-group twin of [`Interceptor::after_op`], called by tiled execution
-    /// ([`ExecPlan::run_tiled_into`](crate::plan::ExecPlan::run_tiled_into)) with one
-    /// row group of `node`'s output and its position within the full batch.
-    ///
-    /// The default delegates to `after_op`, treating the tile as if it were the whole
-    /// output — exact when the tile *is* the whole batch (one row group), and the
-    /// behavior a recording hook usually wants (it observes every group). Interceptors
-    /// whose mutations are addressed in whole-batch element coordinates (the fault
-    /// injectors) override this to translate [`TileRows`] offsets, so a flip lands on
-    /// the same element no matter how the batch is tiled.
-    fn after_op_tile(&mut self, node: &Node, output: &mut Tensor, rows: TileRows) {
-        let _ = rows;
-        self.after_op(node, output);
-    }
-
-    /// Word-level twin of [`Interceptor::after_op_tile`], called by tiled execution on
-    /// fixed-point backends. The default delegates to [`Interceptor::after_op_words`]
-    /// under the same whole-output convention.
-    fn after_op_words_tile(&mut self, node: &Node, output: &mut QTensor, rows: TileRows) {
-        let _ = rows;
-        self.after_op_words(node, output);
-    }
-}
-
-/// The position of one row group within a tiled pass: rows
-/// `[row_start, row_start + rows)` of a batch of `total_rows`.
-///
-/// Handed to the tile interceptor hooks so element-addressed mutations (fault plans
-/// drawn against the whole batched output) can be translated into tile-local offsets —
-/// the tiled schedule's bit-for-bit contract depends on that translation, not on any
-/// particular tile size.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TileRows {
-    /// First batch row of this group.
-    pub row_start: usize,
-    /// Number of rows in this group (the last group may be short).
-    pub rows: usize,
-    /// Total batch rows in the pass.
-    pub total_rows: usize,
 }
 
 /// An interceptor that does nothing (fault-free golden runs).
@@ -167,19 +127,6 @@ pub struct Values {
     /// recycled through the generic path, so a store reused across plans can never leak
     /// stale words.
     qconst_tags: Vec<Option<(usize, usize, ranger_tensor::FixedSpec)>>,
-    /// Row-group scratch overlay for tiled execution (see
-    /// [`ExecPlan::run_tiled_into`](crate::plan::ExecPlan::run_tiled_into)): while a
-    /// segment runs one row group, each segment node's current tile lives here and
-    /// [`Values::get`] serves it ahead of any full-batch value. Empty (zero-length, so
-    /// every lookup is one cheap bounds-check miss) unless a tiled pass is running.
-    tile_values: Vec<Option<Tensor>>,
-    /// Recycle pool for the tile overlay, swept by [`Values::recycle_tiles`] at the end
-    /// of every row group — tile buffers reach steady-state capacity after the first
-    /// tiled pass exactly like the full-batch arena.
-    tile_recycled: Vec<Option<Tensor>>,
-    /// Fixed-point twins of the tile overlay.
-    tile_qvalues: Vec<Option<QTensor>>,
-    tile_qrecycled: Vec<Option<QTensor>>,
     /// Fault-cone bookkeeping ([`ExecPlan::run_cone`](crate::plan::ExecPlan::run_cone)).
     pub(crate) cone: ConeSlots,
 }
@@ -188,8 +135,7 @@ pub struct Values {
 #[derive(Debug, Clone, Default)]
 pub(crate) struct ConeSlots {
     /// The id of the [`GoldenSnapshot`] the store was primed from; `None` until primed,
-    /// and cleared by every [`Values::reset`] (a full or tiled pass overwrites the
-    /// slots).
+    /// and cleared by every [`Values::reset`] (a full pass overwrites the slots).
     pub(crate) primed: Option<u64>,
     /// Per node: whether the slot may hold something other than the golden value. A
     /// cone pass restores a dirty slot before anything reads it.
@@ -221,10 +167,6 @@ impl Values {
             qrecycled: vec![None; len],
             qmirrors,
             qconst_tags: vec![None; len],
-            tile_values: Vec::new(),
-            tile_recycled: Vec::new(),
-            tile_qvalues: Vec::new(),
-            tile_qrecycled: Vec::new(),
             cone: ConeSlots::default(),
         }
     }
@@ -245,10 +187,6 @@ impl Values {
         for index in 0..len {
             self.recycle_slot(index);
         }
-        // A tiled pass that aborted mid-group may have left tiles behind; sweep them to
-        // the pool so they can never shadow this pass's values. No-op (empty vectors)
-        // unless tiled execution has run on this store.
-        self.recycle_tiles();
         self.cone.primed = None;
     }
 
@@ -347,232 +285,6 @@ impl Values {
         }
     }
 
-    /// Prepares the tile overlay for a tiled pass over a graph of `len` nodes.
-    ///
-    /// Sizing the overlay lazily — only here, never in [`Values::new`] — keeps untiled
-    /// stores at four empty vectors, so the tile-first lookup in [`Values::get`] stays a
-    /// single failing bounds check on the untiled hot path.
-    pub(crate) fn begin_tiles(&mut self, len: usize) {
-        self.tile_values.resize(len, None);
-        self.tile_recycled.resize(len, None);
-        self.tile_qvalues.resize(len, None);
-        self.tile_qrecycled.resize(len, None);
-    }
-
-    /// Takes the recycled tile buffer for `id` (an empty tensor if none is pooled) —
-    /// the row-group twin of [`Values::take_recycled`].
-    pub fn take_tile_recycled(&mut self, id: NodeId) -> Tensor {
-        self.tile_recycled
-            .get_mut(id.index())
-            .and_then(Option::take)
-            .unwrap_or_else(Tensor::empty)
-    }
-
-    /// Takes the recycled tile word buffer for `id`, reformatted to `spec` — the
-    /// row-group twin of [`Values::take_recycled_q`].
-    pub fn take_tile_recycled_q(&mut self, id: NodeId, spec: ranger_tensor::FixedSpec) -> QTensor {
-        self.tile_qrecycled
-            .get_mut(id.index())
-            .and_then(Option::take)
-            .map(|mut q| {
-                q.reset_fill(spec, &[0], 0);
-                q
-            })
-            .unwrap_or_else(|| QTensor::new(spec))
-    }
-
-    /// Stores `id`'s output for the current row group (pairs with
-    /// [`Values::take_tile_recycled`]). Served by [`Values::get`] ahead of any
-    /// full-batch value until the internal end-of-group sweep recycles the tile.
-    pub fn set_tile(&mut self, id: NodeId, value: Tensor) {
-        self.tile_values[id.index()] = Some(value);
-    }
-
-    /// Word-level twin of [`Values::set_tile`]. Tile words carry no lazy mirror: a
-    /// tile is only ever read back through [`Values::get_q`] by the nodes of its own
-    /// segment, never through the f32 accessor.
-    pub fn set_tile_q(&mut self, id: NodeId, value: QTensor) {
-        self.tile_qvalues[id.index()] = Some(value);
-    }
-
-    /// Slices rows `[start, start + rows)` of `id`'s full-batch value into its tile
-    /// slot, reusing the pooled tile buffer — how a segment's carrying external inputs
-    /// are fed to the row group without copying the whole batch.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GraphError::UnknownNode`] if `id` holds no full-batch f32 value, or a
-    /// shape error if the row range is out of bounds.
-    pub(crate) fn slice_rows_to_tile(
-        &mut self,
-        id: NodeId,
-        start: usize,
-        rows: usize,
-    ) -> Result<(), GraphError> {
-        let mut buf = self.take_tile_recycled(id);
-        {
-            let src = self
-                .values
-                .get(id.index())
-                .and_then(|v| v.as_ref())
-                .ok_or(GraphError::UnknownNode(id))?;
-            src.slice_rows_into(start, rows, &mut buf)
-                .map_err(|e| GraphError::ShapeError {
-                    node: id,
-                    message: e.to_string(),
-                })?;
-        }
-        self.tile_values[id.index()] = Some(buf);
-        Ok(())
-    }
-
-    /// Word-level twin of [`Values::slice_rows_to_tile`], for fixed-point passes.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GraphError::UnknownNode`] if `id` holds no stored words, or a shape
-    /// error if the row range is out of bounds.
-    pub(crate) fn slice_rows_to_tile_q(
-        &mut self,
-        id: NodeId,
-        start: usize,
-        rows: usize,
-    ) -> Result<(), GraphError> {
-        let mut buf = self.take_tile_recycled_q(
-            id,
-            match self.qvalues.get(id.index()).and_then(|v| v.as_ref()) {
-                Some(q) => q.spec(),
-                None => return Err(GraphError::UnknownNode(id)),
-            },
-        );
-        {
-            let src = self
-                .qvalues
-                .get(id.index())
-                .and_then(|v| v.as_ref())
-                .ok_or(GraphError::UnknownNode(id))?;
-            let dims = src.dims();
-            if dims.is_empty() || start + rows > dims[0] {
-                return Err(GraphError::ShapeError {
-                    node: id,
-                    message: format!(
-                        "row range {start}..{} out of bounds for shape {dims:?}",
-                        start + rows
-                    ),
-                });
-            }
-            let per_row: usize = dims[1..].iter().product();
-            let words = &src.words()[start * per_row..(start + rows) * per_row];
-            buf.reset_rows_from_words(src.spec(), rows, &dims[1..], words)
-                .map_err(|e| GraphError::ShapeError {
-                    node: id,
-                    message: e.to_string(),
-                })?;
-        }
-        self.tile_qvalues[id.index()] = Some(buf);
-        Ok(())
-    }
-
-    /// Appends the current row-group tile of `id` to its full-batch value — the
-    /// materialization step for segment outputs consumed outside their segment. The
-    /// first group (`first == true`) claims the node's recycled full-batch buffer;
-    /// later groups append in place ([`Tensor::push_rows`]), which never reallocates
-    /// once the buffer has reached whole-batch capacity.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GraphError::UnknownNode`] if no tile (or, for later groups, no
-    /// full-batch value) exists for `id`.
-    pub(crate) fn materialize_tile(&mut self, id: NodeId, first: bool) -> Result<(), GraphError> {
-        let idx = id.index();
-        let Values {
-            values,
-            recycled,
-            tile_values,
-            ..
-        } = self;
-        let tile = tile_values
-            .get(idx)
-            .and_then(|v| v.as_ref())
-            .ok_or(GraphError::UnknownNode(id))?;
-        if first {
-            let mut full = recycled
-                .get_mut(idx)
-                .and_then(Option::take)
-                .unwrap_or_else(Tensor::empty);
-            full.reset_from_slice(tile.dims(), tile.data())
-                .expect("shape and data of an existing tensor agree");
-            values[idx] = Some(full);
-        } else {
-            let full = values
-                .get_mut(idx)
-                .and_then(|v| v.as_mut())
-                .ok_or(GraphError::UnknownNode(id))?;
-            full.push_rows(tile)
-                .expect("row groups of one node share trailing dims");
-        }
-        Ok(())
-    }
-
-    /// Word-level twin of [`Values::materialize_tile`]. Also arms the node's lazy f32
-    /// mirror exactly as [`Values::set_q`] would, so a post-pass [`Values::get`]
-    /// decodes the assembled words and never serves a stale decode.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GraphError::UnknownNode`] if no tile (or, for later groups, no
-    /// full-batch words) exists for `id`.
-    pub(crate) fn materialize_tile_q(&mut self, id: NodeId, first: bool) -> Result<(), GraphError> {
-        let idx = id.index();
-        let Values {
-            qvalues,
-            qrecycled,
-            tile_qvalues,
-            ..
-        } = self;
-        let tile = tile_qvalues
-            .get(idx)
-            .and_then(|v| v.as_ref())
-            .ok_or(GraphError::UnknownNode(id))?;
-        if first {
-            let spec = tile.spec();
-            let mut full = qrecycled
-                .get_mut(idx)
-                .and_then(Option::take)
-                .unwrap_or_else(|| QTensor::new(spec));
-            full.reset_from_words(spec, tile.dims(), tile.words())
-                .expect("shape and words of an existing tensor agree");
-            qvalues[idx] = Some(full);
-        } else {
-            let full = qvalues
-                .get_mut(idx)
-                .and_then(|v| v.as_mut())
-                .ok_or(GraphError::UnknownNode(id))?;
-            full.push_rows(tile)
-                .expect("row groups of one node share trailing dims");
-        }
-        // Arm the lazy mirror for the first post-pass read. Re-arming on every group
-        // keeps the parked seed instead of discarding it.
-        self.rearm_mirror(idx);
-        Ok(())
-    }
-
-    /// Ends a row group: every tile moves to the tile recycle pool, so the next group
-    /// (or the next tiled pass) reuses its buffers and a finished pass never serves a
-    /// partial tile through [`Values::get`].
-    pub(crate) fn recycle_tiles(&mut self) {
-        for (value, pooled) in self.tile_values.iter_mut().zip(&mut self.tile_recycled) {
-            if let Some(tensor) = value.take() {
-                *pooled = Some(tensor);
-            }
-        }
-        for (value, pooled) in self.tile_qvalues.iter_mut().zip(&mut self.tile_qrecycled) {
-            if let Some(tensor) = value.take() {
-                *pooled = Some(tensor);
-            }
-        }
-    }
-
     /// Seeds the recycle pool for `id` with a buffer pre-sized for an output of shape
     /// `dims`, so even the first pass through this store allocates nothing for that node.
     pub(crate) fn preallocate(&mut self, id: NodeId, dims: &[usize]) {
@@ -612,12 +324,6 @@ impl Values {
     ///
     /// Returns [`GraphError::UnknownNode`] if the node was not evaluated.
     pub fn get(&self, id: NodeId) -> Result<&Tensor, GraphError> {
-        // During a tiled pass a segment node's current row group shadows any full-batch
-        // value; outside tiled execution the overlay is zero-length and this is one
-        // failing bounds check.
-        if let Some(tile) = self.tile_values.get(id.index()).and_then(|v| v.as_ref()) {
-            return Ok(tile);
-        }
         if let Some(value) = self.values.get(id.index()).and_then(|v| v.as_ref()) {
             return Ok(value);
         }
@@ -662,9 +368,6 @@ impl Values {
     /// Returns [`GraphError::UnknownNode`] if the node was not evaluated on a fixed-point
     /// backend.
     pub fn get_q(&self, id: NodeId) -> Result<&QTensor, GraphError> {
-        if let Some(tile) = self.tile_qvalues.get(id.index()).and_then(|v| v.as_ref()) {
-            return Ok(tile);
-        }
         self.qvalues
             .get(id.index())
             .and_then(|v| v.as_ref())

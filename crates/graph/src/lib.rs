@@ -56,7 +56,7 @@ pub use backend::{
 };
 pub use builder::GraphBuilder;
 pub use error::GraphError;
-pub use exec::{Executor, GoldenSnapshot, Interceptor, TileRows};
+pub use exec::{Executor, GoldenSnapshot, Interceptor};
 pub use graph::{Graph, Node, NodeId};
 pub use op::Op;
-pub use plan::{ExecPlan, SegmentPlan, TileStep, TiledSchedule, DEFAULT_TILE_BUDGET_BYTES};
+pub use plan::ExecPlan;

@@ -47,7 +47,7 @@
 
 use crate::backend::{ExecBackend, ReferenceBackend};
 use crate::error::GraphError;
-use crate::exec::{GoldenSnapshot, Interceptor, NoopInterceptor, TileRows, Values};
+use crate::exec::{GoldenSnapshot, Interceptor, NoopInterceptor, Values};
 use crate::graph::{Graph, NodeId};
 use crate::op::Op;
 use ranger_tensor::Tensor;
@@ -138,18 +138,11 @@ impl Graph {
 struct PlanTimings {
     /// Accumulated wall nanoseconds per node, indexed by `NodeId::index()`.
     node_nanos: Vec<AtomicU64>,
-    /// Evaluations per node: one per full or tiled pass, and one per cone pass that
-    /// actually evaluated the node ([`ExecPlan::run_cone`]).
+    /// Evaluations per node: one per full pass, and one per cone pass that actually
+    /// evaluated the node ([`ExecPlan::run_cone`]).
     node_calls: Vec<AtomicU64>,
     /// Number of completed timed passes.
     passes: AtomicU64,
-    /// Segments executed by tiled passes ([`ExecPlan::run_tiled_into`]).
-    tile_segments: AtomicU64,
-    /// Batch rows pushed through segments by tiled passes (rows × segments).
-    tile_rows: AtomicU64,
-    /// Wall nanoseconds spent inside segment execution (slicing, row-group kernels,
-    /// materialization) by tiled passes.
-    tile_nanos: AtomicU64,
 }
 
 impl PlanTimings {
@@ -170,118 +163,6 @@ struct ConeIndex {
     /// The position of each node's last consumer — or its own position when nothing
     /// reads it. A deviating value stays live until the pass has passed this point.
     last_use: Vec<usize>,
-}
-
-/// The default per-segment working-set budget [`ExecPlan::derive_tile_rows`] sizes row
-/// groups against: half a MiB, comfortably inside a typical per-core L2 so a segment's
-/// live activations stay cache-resident between consecutive nodes.
-pub const DEFAULT_TILE_BUDGET_BYTES: usize = 512 * 1024;
-
-/// One step of a [`TiledSchedule`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum TileStep {
-    /// Consecutive nodes evaluated once on the whole batch, exactly as
-    /// [`ExecPlan::run_into`] would — constants, inputs, batch barriers (softmax), and
-    /// anything that does not tile row-wise.
-    Whole(Vec<NodeId>),
-    /// Consecutive row-tileable nodes evaluated one row group at a time.
-    Segment(SegmentPlan),
-}
-
-/// A maximal run of consecutive row-tileable nodes, with the bookkeeping tiled
-/// execution needs: which outputs must be assembled back into full-batch values, and
-/// which batch-carrying values computed outside the segment feed it.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SegmentPlan {
-    /// The segment's nodes, in execution order.
-    pub nodes: Vec<NodeId>,
-    /// For each node of `nodes`: whether its row groups are materialized into a
-    /// full-batch value (true iff the node is consumed outside the segment, kept by the
-    /// caller, or has no consumers at all). Non-materialized outputs live only as
-    /// row-group scratch and are unreadable after the pass.
-    pub materialize: Vec<bool>,
-    /// Batch-carrying inputs computed outside the segment, row-sliced into the tile
-    /// overlay for every group. Non-carrying inputs (weights, biases) are read whole.
-    pub externals: Vec<NodeId>,
-}
-
-/// A tiled execution schedule: the plan's topological order partitioned into
-/// [`TileStep`]s by [`ExecPlan::tiled_schedule`]. Owns no borrows, so campaigns build
-/// it once next to the plan and reuse it across every pass and worker.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TiledSchedule {
-    steps: Vec<TileStep>,
-}
-
-impl TiledSchedule {
-    /// The schedule's steps, in execution order.
-    pub fn steps(&self) -> &[TileStep] {
-        &self.steps
-    }
-
-    /// Number of [`TileStep::Segment`] steps — 0 means tiling degenerates to the
-    /// untiled order and callers may as well use [`ExecPlan::run_into`].
-    pub fn segments(&self) -> usize {
-        self.steps
-            .iter()
-            .filter(|s| matches!(s, TileStep::Segment(_)))
-            .count()
-    }
-}
-
-/// Classifies one node for the tiled scheduler, given the carrying flags of every
-/// already-classified (topologically earlier) node. Returns `(carrying, tileable)`:
-/// whether the node's output carries the batch in its leading dimension, and whether
-/// the node may run inside a row-group segment.
-///
-/// The rules are structural (no shapes needed):
-///
-/// - `Input` carries the batch but runs whole — the feed is copied once per pass, then
-///   row-sliced into each group as a segment external.
-/// - `Const` never carries.
-/// - `Conv2d` / `MatMul` / `BiasAdd` carry through their first operand and tile iff the
-///   data operand carries while the weight operand does not.
-/// - `Softmax` carries but is a batch **barrier** — campaigns inject whole-batch faults
-///   into its output, and keeping it whole also keeps the fixed-point kernel's row
-///   buffer out of the per-group loop.
-/// - Elementwise, pooling and shape ops tile iff their single input carries.
-/// - `Add` / `Mul` tile iff **both** operands carry; `Concat` iff all of them do
-///   (a non-carrying operand would need broadcasting the tiler does not do).
-///
-/// Anything non-tileable lands in a [`TileStep::Whole`] run, where the reference
-/// (untiled) evaluation and interception semantics apply verbatim.
-fn classify(op: &Op, inputs: &[NodeId], carrying: &[bool]) -> (bool, bool) {
-    let c = |i: usize| {
-        inputs
-            .get(i)
-            .is_some_and(|id| carrying.get(id.index()).copied().unwrap_or(false))
-    };
-    match op {
-        Op::Input => (true, false),
-        Op::Const => (false, false),
-        Op::Conv2d { .. } | Op::MatMul | Op::BiasAdd => (c(0), inputs.len() == 2 && c(0) && !c(1)),
-        Op::Softmax => (c(0), false),
-        Op::Add | Op::Mul => (c(0) || c(1), inputs.len() == 2 && c(0) && c(1)),
-        Op::Concat => {
-            let any = (0..inputs.len()).any(c);
-            let all = !inputs.is_empty() && (0..inputs.len()).all(c);
-            (any, all)
-        }
-        Op::Relu
-        | Op::Tanh
-        | Op::Sigmoid
-        | Op::Atan
-        | Op::Elu
-        | Op::MaxPool { .. }
-        | Op::AvgPool { .. }
-        | Op::GlobalAvgPool
-        | Op::Flatten
-        | Op::Reshape { .. }
-        | Op::ScalarMul { .. }
-        | Op::Identity
-        | Op::Clamp { .. }
-        | Op::RangeRestore { .. } => (c(0), inputs.len() == 1 && c(0)),
-    }
 }
 
 /// A compiled execution plan over a borrowed [`Graph`].
@@ -548,280 +429,6 @@ impl<'g> ExecPlan<'g> {
         Ok(())
     }
 
-    /// Partitions this plan's topological order into a [`TiledSchedule`]: maximal runs
-    /// of row-tileable nodes become [`TileStep::Segment`]s, everything else stays in
-    /// [`TileStep::Whole`] runs with the untiled semantics. `keep` names nodes whose
-    /// full-batch outputs the caller will read after the pass (a campaign passes its
-    /// injection target's output); they are materialized even when consumed only inside
-    /// their segment.
-    ///
-    /// The partition is structural — no shapes needed, so the schedule can be built
-    /// before warming — and deterministic: the same graph always yields the same steps.
-    pub fn tiled_schedule(&self, keep: &[NodeId]) -> TiledSchedule {
-        let mut carrying = vec![false; self.graph.len()];
-        let mut steps: Vec<TileStep> = Vec::new();
-        let mut whole: Vec<NodeId> = Vec::new();
-        let mut seg: Vec<NodeId> = Vec::new();
-        for &id in &self.order {
-            let Ok(node) = self.graph.node(id) else {
-                continue;
-            };
-            let (carries, tileable) = classify(&node.op, &node.inputs, &carrying);
-            if let Some(slot) = carrying.get_mut(id.index()) {
-                *slot = carries;
-            }
-            if tileable {
-                if !whole.is_empty() {
-                    steps.push(TileStep::Whole(std::mem::take(&mut whole)));
-                }
-                seg.push(id);
-            } else {
-                if !seg.is_empty() {
-                    let plan = self.finalize_segment(std::mem::take(&mut seg), keep, &carrying);
-                    steps.push(TileStep::Segment(plan));
-                }
-                whole.push(id);
-            }
-        }
-        if !seg.is_empty() {
-            let plan = self.finalize_segment(seg, keep, &carrying);
-            steps.push(TileStep::Segment(plan));
-        }
-        if !whole.is_empty() {
-            steps.push(TileStep::Whole(whole));
-        }
-        TiledSchedule { steps }
-    }
-
-    /// Completes a segment's bookkeeping: which outputs to materialize, which carrying
-    /// values to row-slice in.
-    fn finalize_segment(
-        &self,
-        nodes: Vec<NodeId>,
-        keep: &[NodeId],
-        carrying: &[bool],
-    ) -> SegmentPlan {
-        let mut materialize = Vec::with_capacity(nodes.len());
-        for &id in &nodes {
-            let consumers = self.graph.consumers(id);
-            let escapes = consumers.is_empty() || consumers.iter().any(|c| !nodes.contains(c));
-            materialize.push(escapes || keep.contains(&id));
-        }
-        let mut externals: Vec<NodeId> = Vec::new();
-        for &id in &nodes {
-            let Ok(node) = self.graph.node(id) else {
-                continue;
-            };
-            for &input in &node.inputs {
-                if carrying.get(input.index()).copied().unwrap_or(false)
-                    && !nodes.contains(&input)
-                    && !externals.contains(&input)
-                {
-                    externals.push(input);
-                }
-            }
-        }
-        SegmentPlan {
-            nodes,
-            materialize,
-            externals,
-        }
-    }
-
-    /// Derives a row-group height from this plan's warmed shapes: the largest
-    /// `tile_rows` whose worst-case segment working set (one row of every segment node
-    /// plus every sliced external, 4 bytes per element, times `tile_rows`) fits
-    /// `budget_bytes`. Returns at least 1; [`ExecPlan::run_tiled_into`] caps the value
-    /// at the pass's actual batch rows.
-    ///
-    /// Requires a [warmed](ExecPlan::warm) plan — without recorded shapes (or with a
-    /// schedule that has no segments) there is nothing to size against and the answer
-    /// is 1.
-    pub fn derive_tile_rows(&self, schedule: &TiledSchedule, budget_bytes: usize) -> usize {
-        let Some(shapes) = self.shapes.get() else {
-            return 1;
-        };
-        let row_bytes = |id: NodeId| -> usize {
-            shapes
-                .get(id.index())
-                .and_then(|dims| dims.as_ref())
-                .map(|dims| {
-                    let per_row: usize = dims.get(1..).map(|d| d.iter().product()).unwrap_or(1);
-                    per_row.max(1) * std::mem::size_of::<f32>()
-                })
-                .unwrap_or(0)
-        };
-        let mut worst = 0usize;
-        for step in &schedule.steps {
-            if let TileStep::Segment(seg) = step {
-                let bytes: usize = seg
-                    .nodes
-                    .iter()
-                    .chain(&seg.externals)
-                    .map(|&id| row_bytes(id))
-                    .sum();
-                worst = worst.max(bytes);
-            }
-        }
-        if worst == 0 {
-            return 1;
-        }
-        (budget_bytes / worst).max(1)
-    }
-
-    /// Runs one forward pass under a [`TiledSchedule`], `tile_rows` batch rows at a
-    /// time: each [`TileStep::Segment`] slices its carrying externals into row-group
-    /// views, pushes the group through every segment node back-to-back (so the group's
-    /// live activations stay cache-resident across the segment), materializes the
-    /// outputs that escape the segment, and recycles the group's scratch.
-    /// [`TileStep::Whole`] runs evaluate exactly as [`ExecPlan::run_into`] does.
-    ///
-    /// Semantics: with an interceptor that translates [`TileRows`] offsets (the fault
-    /// injectors) — or with none — the pass's readable outputs are **bit-for-bit**
-    /// identical to the untiled pass at every tile size, because every kernel sees the
-    /// same per-row operands in the same order and row groups merely partition the
-    /// batch. Only nodes evaluated whole or materialized are readable afterwards;
-    /// interior segment scratch is not.
-    ///
-    /// `tile_rows` is clamped to `[1, batch rows]`; `tile_rows >= batch` degenerates to
-    /// one group per segment (still exercising the tile code path).
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`GraphError`] if a feed is missing, any operator receives invalid
-    /// operands, or a segment external lacks a leading batch dimension shared by its
-    /// peers.
-    pub fn run_tiled_into(
-        &self,
-        values: &mut Values,
-        feeds: &[(&str, Tensor)],
-        interceptor: &mut dyn Interceptor,
-        schedule: &TiledSchedule,
-        tile_rows: usize,
-    ) -> Result<(), GraphError> {
-        values.reset(self.graph.len());
-        values.begin_tiles(self.graph.len());
-        let timings = self.timings.get();
-        let spec = self.backend.spec();
-        let mut seg_count = 0u64;
-        let mut rows_done = 0u64;
-        let mut seg_nanos = 0u64;
-        for step in &schedule.steps {
-            match step {
-                TileStep::Whole(nodes) => {
-                    for &id in nodes {
-                        let node = self.graph.node(id)?;
-                        if let Some(t) = timings {
-                            let start = Instant::now();
-                            self.backend.eval_node(node, values, feeds, interceptor)?;
-                            t.record(id, start);
-                        } else {
-                            self.backend.eval_node(node, values, feeds, interceptor)?;
-                        }
-                    }
-                }
-                TileStep::Segment(seg) => {
-                    let seg_start = timings.map(|_| Instant::now());
-                    // Every carrying external must agree on the batch row count.
-                    let mut total_rows: Option<usize> = None;
-                    for &e in &seg.externals {
-                        let dims = values.dims_of(e).ok_or(GraphError::UnknownNode(e))?;
-                        let lead = *dims.first().ok_or_else(|| GraphError::ShapeError {
-                            node: e,
-                            message: "tiled segment input requires a leading batch dimension"
-                                .into(),
-                        })?;
-                        match total_rows {
-                            None => total_rows = Some(lead),
-                            Some(rows) if rows == lead => {}
-                            Some(rows) => {
-                                return Err(GraphError::ShapeError {
-                                    node: e,
-                                    message: format!(
-                                        "segment inputs disagree on batch rows: {lead} vs {rows}"
-                                    ),
-                                });
-                            }
-                        }
-                    }
-                    let total_rows = total_rows.unwrap_or(0);
-                    let step_rows = tile_rows.clamp(1, total_rows.max(1));
-                    let mut row_start = 0usize;
-                    while row_start < total_rows {
-                        let rows = step_rows.min(total_rows - row_start);
-                        let tr = TileRows {
-                            row_start,
-                            rows,
-                            total_rows,
-                        };
-                        for &e in &seg.externals {
-                            if spec.is_some() {
-                                values.slice_rows_to_tile_q(e, row_start, rows)?;
-                            } else {
-                                values.slice_rows_to_tile(e, row_start, rows)?;
-                            }
-                        }
-                        for &id in &seg.nodes {
-                            let node = self.graph.node(id)?;
-                            if let Some(t) = timings {
-                                let start = Instant::now();
-                                self.backend.eval_node_tile(
-                                    node,
-                                    values,
-                                    feeds,
-                                    interceptor,
-                                    tr,
-                                )?;
-                                let nanos =
-                                    u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                                t.node_nanos[id.index()].fetch_add(nanos, Ordering::Relaxed);
-                            } else {
-                                self.backend.eval_node_tile(
-                                    node,
-                                    values,
-                                    feeds,
-                                    interceptor,
-                                    tr,
-                                )?;
-                            }
-                        }
-                        for (&id, &mat) in seg.nodes.iter().zip(&seg.materialize) {
-                            if mat {
-                                if spec.is_some() {
-                                    values.materialize_tile_q(id, row_start == 0)?;
-                                } else {
-                                    values.materialize_tile(id, row_start == 0)?;
-                                }
-                            }
-                        }
-                        values.recycle_tiles();
-                        row_start += rows;
-                        rows_done += rows as u64;
-                    }
-                    seg_count += 1;
-                    // One call per segment node per pass, however many row groups ran.
-                    if let Some(t) = timings {
-                        for &id in &seg.nodes {
-                            t.node_calls[id.index()].fetch_add(1, Ordering::Relaxed);
-                        }
-                    }
-                    if let Some(start) = seg_start {
-                        seg_nanos = seg_nanos.saturating_add(
-                            u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX),
-                        );
-                    }
-                }
-            }
-        }
-        if let Some(t) = timings {
-            t.passes.fetch_add(1, Ordering::Relaxed);
-            t.tile_segments.fetch_add(seg_count, Ordering::Relaxed);
-            t.tile_rows.fetch_add(rows_done, Ordering::Relaxed);
-            t.tile_nanos.fetch_add(seg_nanos, Ordering::Relaxed);
-        }
-        Ok(())
-    }
-
     /// Runs one forward pass on `feeds` and records every node's output shape, making
     /// [`ExecPlan::output_dims`] available. Shapes are computed at most once per plan;
     /// subsequent calls only run the pass if recording has not happened yet.
@@ -860,9 +467,6 @@ impl<'g> ExecPlan<'g> {
                 node_nanos: (0..self.graph.len()).map(|_| AtomicU64::new(0)).collect(),
                 node_calls: (0..self.graph.len()).map(|_| AtomicU64::new(0)).collect(),
                 passes: AtomicU64::new(0),
-                tile_segments: AtomicU64::new(0),
-                tile_rows: AtomicU64::new(0),
-                tile_nanos: AtomicU64::new(0),
             });
         }
     }
@@ -892,25 +496,16 @@ impl<'g> ExecPlan<'g> {
     ///
     /// - `plan.op.<Kind>.nanos` — accumulated wall time across that kind's nodes,
     /// - `plan.op.<Kind>.calls` — node evaluations of that kind: every node once per
-    ///   full or tiled pass, and once per cone pass only where the cone evaluated it,
+    ///   full pass, and once per cone pass only where the cone evaluated it,
     ///
-    /// plus `plan.passes` for the pass total, and — when tiled passes ran — the
-    /// per-segment tiling counters `plan.tile.segments`, `plan.tile.rows` and
-    /// `plan.tile.nanos`. Slots are swapped to zero, so calling this repeatedly
-    /// (e.g. once per campaign on a reused plan) never double-counts. A plan that
-    /// is not timing publishes nothing.
-    ///
-    /// Note on `plan.op.<Kind>.calls` under tiling: a tiled pass counts one call per
-    /// node, regardless of how many row groups it split the node into (use
-    /// `plan.tile.rows` / `plan.tile.segments` for the group count).
+    /// plus `plan.passes` for the pass total. Slots are swapped to zero, so calling this
+    /// repeatedly (e.g. once per campaign on a reused plan) never double-counts. A plan
+    /// that is not timing publishes nothing.
     pub fn publish_timings(&self) {
         let Some(timings) = self.timings.get() else {
             return;
         };
         let passes = timings.passes.swap(0, Ordering::Relaxed);
-        let tile_segments = timings.tile_segments.swap(0, Ordering::Relaxed);
-        let tile_rows = timings.tile_rows.swap(0, Ordering::Relaxed);
-        let tile_nanos = timings.tile_nanos.swap(0, Ordering::Relaxed);
         // Aggregate per op kind; the kind set is tiny, so a linear scan beats a map.
         let mut kinds: Vec<(&'static str, u64, u64)> = Vec::new();
         for &id in &self.order {
@@ -930,9 +525,6 @@ impl<'g> ExecPlan<'g> {
         }
         let registry = ranger_obs::registry();
         registry.counter("plan.passes").add(passes);
-        registry.counter("plan.tile.segments").add(tile_segments);
-        registry.counter("plan.tile.rows").add(tile_rows);
-        registry.counter("plan.tile.nanos").add(tile_nanos);
         for (kind, nanos, calls) in kinds {
             registry
                 .counter(&format!("plan.op.{kind}.nanos"))
@@ -1168,138 +760,6 @@ mod tests {
             bias_calls_before
         );
         ranger_obs::set_enabled(was_enabled);
-    }
-
-    /// A conv stack with a batch barrier in the middle of the carrying chain: input →
-    /// conv → relu → pool → flatten → dense → softmax. Exercises Whole steps (input,
-    /// constants, softmax), one real segment, and materialization of the segment
-    /// output the softmax consumes.
-    fn conv_net() -> (Graph, NodeId) {
-        let mut rng = StdRng::seed_from_u64(11);
-        let mut b = GraphBuilder::new();
-        let x = b.input("x");
-        let c = b.conv2d(x, 2, 3, 3, 1, crate::op::Padding::Same, &mut rng);
-        let c = b.relu(c);
-        let p = b.max_pool(c, 2, 2);
-        let f = b.flatten(p);
-        let h = b.dense(f, 3 * 3 * 3, 8, &mut rng);
-        let h = b.tanh(h);
-        let y = b.dense(h, 8, 4, &mut rng);
-        let probs = b.softmax(y);
-        (b.into_graph(), probs)
-    }
-
-    #[test]
-    fn tiled_schedule_partitions_around_barriers_and_constants() {
-        let (graph, probs) = conv_net();
-        let plan = graph.compile().unwrap();
-        let schedule = plan.tiled_schedule(&[probs]);
-        assert!(
-            schedule.segments() >= 1,
-            "the conv chain must form a segment"
-        );
-        // The softmax node is a barrier: it must sit in a Whole step.
-        for step in schedule.steps() {
-            if let TileStep::Segment(seg) = step {
-                for &id in &seg.nodes {
-                    assert!(
-                        !matches!(
-                            graph.node(id).unwrap().op,
-                            Op::Softmax | Op::Const | Op::Input
-                        ),
-                        "barriers and non-carrying nodes must not tile"
-                    );
-                }
-                assert_eq!(seg.nodes.len(), seg.materialize.len());
-            }
-        }
-        // Scheduling is deterministic.
-        assert_eq!(schedule, plan.tiled_schedule(&[probs]));
-    }
-
-    #[test]
-    fn tiled_pass_matches_untiled_bit_for_bit_across_backends_and_tile_sizes() {
-        use crate::backend::BackendKind;
-        let (graph, probs) = conv_net();
-        let feed: Vec<f32> = (0..6 * 2 * 6 * 6)
-            .map(|i| (i as f32 * 0.13).sin())
-            .collect();
-        let feeds = [("x", Tensor::from_vec(vec![6, 2, 6, 6], feed).unwrap())];
-        for kind in BackendKind::all() {
-            let plan = graph.compile_with(kind.backend()).unwrap();
-            let untiled = plan.run(&feeds, &mut NoopInterceptor).unwrap();
-            let schedule = plan.tiled_schedule(&[probs]);
-            assert!(schedule.segments() >= 1);
-            // Tile sizes spanning single-row, uneven tail, exact divisor and >= batch.
-            for tile_rows in [1usize, 2, 4, 6, 9] {
-                let mut values = plan.buffers();
-                plan.run_tiled_into(
-                    &mut values,
-                    &feeds,
-                    &mut NoopInterceptor,
-                    &schedule,
-                    tile_rows,
-                )
-                .unwrap();
-                let (a, b) = (untiled.get(probs).unwrap(), values.get(probs).unwrap());
-                assert_eq!(a.dims(), b.dims());
-                let (ab, bb): (Vec<u32>, Vec<u32>) = (
-                    a.data().iter().map(|v| v.to_bits()).collect(),
-                    b.data().iter().map(|v| v.to_bits()).collect(),
-                );
-                assert_eq!(ab, bb, "{kind:?} tile_rows={tile_rows} diverged");
-            }
-        }
-    }
-
-    #[test]
-    fn tiled_pass_reuses_buffers_and_keeps_interior_scratch_unreadable() {
-        let (graph, probs) = conv_net();
-        let plan = graph.compile().unwrap();
-        let feeds = [("x", Tensor::ones(vec![4, 2, 6, 6]))];
-        plan.warm(&feeds).unwrap();
-        let schedule = plan.tiled_schedule(&[probs]);
-        let relu = graph
-            .nodes()
-            .iter()
-            .find(|n| matches!(n.op, Op::Relu))
-            .unwrap()
-            .id;
-        let mut values = plan.buffers();
-        for _ in 0..3 {
-            plan.run_tiled_into(&mut values, &feeds, &mut NoopInterceptor, &schedule, 2)
-                .unwrap();
-            // probs (whole-step) and the kept output are readable...
-            assert_eq!(values.get(probs).unwrap().dims(), &[4, 4]);
-            // ... but interior segment scratch (the relu, consumed only by the pool in
-            // the same segment) is not a full-batch value after the pass.
-            assert!(
-                values.get(relu).is_err(),
-                "interior segment outputs must not be readable post-pass"
-            );
-            // An untiled pass through the same store restores full readability.
-            plan.run_into(&mut values, &feeds, &mut NoopInterceptor)
-                .unwrap();
-            assert_eq!(values.get(relu).unwrap().dims(), &[4, 3, 6, 6]);
-        }
-    }
-
-    #[test]
-    fn derive_tile_rows_scales_with_the_budget() {
-        let (graph, probs) = conv_net();
-        let plan = graph.compile().unwrap();
-        let schedule = plan.tiled_schedule(&[probs]);
-        // Unwarmed: nothing to size against.
-        assert_eq!(
-            plan.derive_tile_rows(&schedule, DEFAULT_TILE_BUDGET_BYTES),
-            1
-        );
-        plan.warm(&[("x", Tensor::ones(vec![4, 2, 6, 6]))]).unwrap();
-        let small = plan.derive_tile_rows(&schedule, 1);
-        let big = plan.derive_tile_rows(&schedule, usize::MAX / 2);
-        assert_eq!(small, 1, "a tiny budget still yields one row");
-        assert!(big >= small, "a bigger budget never shrinks the group");
-        assert!(big > 1, "an effectively unbounded budget allows many rows");
     }
 
     #[test]

@@ -212,60 +212,9 @@ fn repeated_plan_passes_allocate_nothing_after_warm_up() {
          allocations over 100 passes in the quietest of 3 attempts)"
     );
 
-    // The row-group tiled scheduler on a batched feed: the first tiled pass sizes the
-    // per-node tile overlays inside Values (they live outside the plan, exactly like
-    // the ordinary buffers), and every warmed+primed pass after it — segment scratch,
-    // row views, overlay reuse included — allocates nothing. Priming one tiled pass
-    // first is the documented contract: warm() records shapes, the first run_tiled_into
-    // claims the overlay arena.
-    let mut rng = StdRng::seed_from_u64(7);
-    let mut b = GraphBuilder::new();
-    let x = b.input("x");
-    let c = b.conv2d(x, 1, 4, 3, 1, ranger_graph::op::Padding::Same, &mut rng);
-    let r = b.relu(c);
-    let p = b.max_pool(r, 2, 2);
-    let f = b.flatten(p);
-    let h = b.dense(f, 4 * 4 * 4, 10, &mut rng);
-    let probs = b.softmax(h);
-    let graph = b.into_graph();
-    let plan = graph.compile().unwrap();
-    let feeds = [("x", Tensor::ones(vec![8, 1, 8, 8]))];
-    plan.warm(&feeds).unwrap();
-    let schedule = plan.tiled_schedule(&[probs]);
-    assert!(
-        schedule.segments() > 0,
-        "the conv/pool/dense prefix must form at least one tileable segment"
-    );
-    let mut fewest = usize::MAX;
-    for attempt in 0..3 {
-        let mut values = plan.buffers();
-        // Prime: the first tiled pass claims the overlay buffers for every segment.
-        plan.run_tiled_into(&mut values, &feeds, &mut NoopInterceptor, &schedule, 2)
-            .unwrap();
-        let before = ALLOCATIONS.load(Ordering::SeqCst);
-        for _ in 0..100 {
-            plan.run_tiled_into(&mut values, &feeds, &mut NoopInterceptor, &schedule, 2)
-                .unwrap();
-        }
-        let after = ALLOCATIONS.load(Ordering::SeqCst);
-        fewest = fewest.min(after - before);
-        if attempt == 0 {
-            assert_eq!(values.get(probs).unwrap().dims(), &[8, 10]);
-        }
-        if fewest == 0 {
-            break;
-        }
-    }
-    assert_eq!(
-        fewest, 0,
-        "warmed+primed run_tiled_into must not allocate ({fewest} allocations over 100 \
-         tiled passes in the quietest of 3 attempts)"
-    );
-
-    // The SIMD backend on the same graph: its conv kernel keeps one batch row's phase
-    // planes and wide output in per-thread scratch, grown by warm()'s pass and reused
-    // after it. A warmed untiled pass and a primed tiled pass (tile rows need the same
-    // per-row scratch) both allocate nothing.
+    // The SIMD backend on the same graph, batched: its conv kernel keeps one batch
+    // row's phase planes and wide output in per-thread scratch, grown by warm()'s pass
+    // and reused after it, so warmed passes allocate nothing.
     let mut rng = StdRng::seed_from_u64(7);
     let mut b = GraphBuilder::new();
     let x = b.input("x");
@@ -281,43 +230,28 @@ fn repeated_plan_passes_allocate_nothing_after_warm_up() {
         .unwrap();
     let feeds = [("x", Tensor::ones(vec![8, 1, 8, 8]))];
     plan.warm(&feeds).unwrap();
-    let schedule = plan.tiled_schedule(&[probs]);
-    assert!(schedule.segments() > 0);
-    for tiled in [false, true] {
-        let mut fewest = usize::MAX;
-        for attempt in 0..3 {
-            let mut values = plan.buffers();
-            let pass = |values: &mut ranger_graph::exec::Values| {
-                if tiled {
-                    plan.run_tiled_into(values, &feeds, &mut NoopInterceptor, &schedule, 2)
-                } else {
-                    plan.run_into(values, &feeds, &mut NoopInterceptor)
-                }
-                .unwrap()
-            };
-            if tiled {
-                // Prime: the first tiled pass claims the overlay buffers.
-                pass(&mut values);
-            }
-            let before = ALLOCATIONS.load(Ordering::SeqCst);
-            for _ in 0..100 {
-                pass(&mut values);
-            }
-            let after = ALLOCATIONS.load(Ordering::SeqCst);
-            fewest = fewest.min(after - before);
-            if attempt == 0 {
-                assert_eq!(values.get(probs).unwrap().dims(), &[8, 10]);
-            }
-            if fewest == 0 {
-                break;
-            }
+    let mut fewest = usize::MAX;
+    for attempt in 0..3 {
+        let mut values = plan.buffers();
+        let before = ALLOCATIONS.load(Ordering::SeqCst);
+        for _ in 0..100 {
+            plan.run_into(&mut values, &feeds, &mut NoopInterceptor)
+                .unwrap();
         }
-        assert_eq!(
-            fewest, 0,
-            "warmed simd passes (tiled: {tiled}) must not allocate ({fewest} allocations \
-             over 100 passes in the quietest of 3 attempts)"
-        );
+        let after = ALLOCATIONS.load(Ordering::SeqCst);
+        fewest = fewest.min(after - before);
+        if attempt == 0 {
+            assert_eq!(values.get(probs).unwrap().dims(), &[8, 10]);
+        }
+        if fewest == 0 {
+            break;
+        }
     }
+    assert_eq!(
+        fewest, 0,
+        "warmed simd passes must not allocate ({fewest} allocations over 100 passes in \
+         the quietest of 3 attempts)"
+    );
 
     // Fault-cone passes on f32, SIMD and fixed16 (no softmax, as above): once a store
     // is primed from a golden snapshot, each trial — evaluated nodes, golden restores

@@ -4,15 +4,11 @@
 //! passes of the same graph — so it executes through a compiled
 //! [`ExecPlan`]: the topological order is planned once per
 //! campaign instead of once per trial, and the plan's buffer arena makes repeated passes
-//! allocation-free. On the per-sample path each faulty trial runs only its fault cone
-//! ([`ExecPlan::run_cone`]): the nodes the fault can reach, starting from the input's
-//! golden snapshot and stopping once the deviation is dead. With
-//! [`CampaignConfig::batch`] above 1 the runner additionally
-//! amortizes fixed per-pass costs across trials: golden outputs for a whole chunk of
-//! inputs are computed in one `[N, ...]` forward pass, and each faulty pass executes
-//! `batch` trials at once with a per-row fault plan
-//! ([`BatchFaultInjector`]). With [`CampaignConfig::workers`] above 1 the faulty passes
-//! additionally run on a work-stealing [`ThreadPool`], one buffer arena per worker. With
+//! allocation-free. Every faulty trial runs only its fault cone ([`ExecPlan::run_cone`]):
+//! the nodes the fault can reach, starting from the input's golden snapshot and stopping
+//! once the deviation is dead. Trials are grouped into work units of
+//! [`CampaignConfig::batch`] trials; with [`CampaignConfig::workers`] above 1 the units
+//! run on a work-stealing [`ThreadPool`], one buffer arena per worker. With
 //! [`CampaignConfig::backend`] the whole campaign — golden passes included — executes on
 //! an alternative [`ExecBackend`](ranger_graph::ExecBackend): on the fixed16/fixed32
 //! backends the model genuinely computes in the Q format and faults flip bits directly
@@ -24,24 +20,21 @@
 //! trial `t` of input `i` seeds its generator from
 //! [`trial_stream_seed`]`(config.seed, i, t)` (see [`trial_rng`]) and draws the whole
 //! plan from that generator. Plans therefore depend only on logical indices, never on
-//! execution order — the serial path, the batched path and the parallel path draw
-//! identical plans, and the SDC/benign counts are **bit-for-bit identical for any worker
-//! count and any batch size** (pinned by unit tests here and proptests in
+//! execution order — the serial path and the parallel path draw identical plans, and the
+//! SDC/benign counts are **bit-for-bit identical for any worker count and any chunk
+//! length** (pinned by unit tests here and proptests in
 //! `tests/pipeline_parity.rs`). Per-trial outputs also match running each pass through a
 //! fresh [`Executor`](ranger_graph::Executor).
 
 use crate::fault::FaultModel;
-use crate::injector::{BatchFaultInjector, FaultInjector};
+use crate::injector::FaultInjector;
 use crate::judge::SdcJudge;
 use crate::space::InjectionSpace;
 use crate::InjectionTarget;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use ranger_graph::exec::{NoopInterceptor, Values};
-use ranger_graph::{
-    default_backend, BackendKind, ExecPlan, GoldenSnapshot, GraphError, NodeId, TiledSchedule,
-    DEFAULT_TILE_BUDGET_BYTES,
-};
+use ranger_graph::{default_backend, BackendKind, ExecPlan, GoldenSnapshot, GraphError, NodeId};
 use ranger_runtime::{trial_stream_seed, ThreadPool};
 use ranger_tensor::stats::Proportion;
 use ranger_tensor::{DataType, Tensor};
@@ -53,9 +46,11 @@ use std::fmt;
 pub struct CampaignConfig {
     /// Number of fault-injection trials per input.
     pub trials: usize,
-    /// How many trials (or golden inputs) to execute per batched forward pass. `1` runs
-    /// the reference per-sample path; larger values run the same trials in `[batch, ...]`
-    /// passes with bit-for-bit identical SDC counts.
+    /// How many consecutive trials of one input make up a work unit when the campaign
+    /// runs with a default partition ([`default_chunk_len`]): the unit a worker executes
+    /// and a checkpoint records. `1` lets the chunk length follow the trial and worker
+    /// counts instead. Every trial runs as its own fault cone whatever the value, so the
+    /// SDC counts are bit-for-bit identical for any batch.
     pub batch: usize,
     /// How many worker threads execute the faulty passes. `1` runs everything inline on
     /// the calling thread; larger values run trial chunks on a work-stealing pool with
@@ -75,10 +70,8 @@ pub struct CampaignConfig {
     pub seed: u64,
     /// Reserved; must be `0` ([`CampaignConfig::validate`] rejects anything else).
     ///
-    /// Batched passes pick their row-group schedule themselves (see
-    /// [`PreparedCampaign::with_chunk_len`]), and tiling never changes a count. The field
-    /// stays only because campaign fingerprints hash the config's JSON: dropping it
-    /// would re-key every existing checkpoint.
+    /// The field stays only because campaign fingerprints hash the config's JSON:
+    /// dropping it would re-key every existing checkpoint.
     pub tile: usize,
 }
 
@@ -161,8 +154,8 @@ impl CampaignConfig {
         }
         if self.batch == 0 {
             return Err(CampaignError::InvalidConfig(
-                "campaign batch must be positive: use batch = 1 for the per-sample path \
-                 or batch = k to run k trials per forward pass"
+                "campaign batch must be positive: use batch = 1 to size work units from \
+                 the trial and worker counts, or batch = k for k trials per work unit"
                     .to_string(),
             ));
         }
@@ -183,8 +176,7 @@ impl CampaignConfig {
         }
         if self.tile != 0 {
             return Err(CampaignError::InvalidConfig(format!(
-                "campaign tile {} is not supported: the field is reserved and must be 0 \
-                 (batched campaigns pick their row-group schedule themselves)",
+                "campaign tile {} is not supported: the field is reserved and must be 0",
                 self.tile
             )));
         }
@@ -366,11 +358,11 @@ impl CampaignResult {
 ///
 /// This is the reproduction's **canonical draw order**: one independent generator per
 /// `(input, trial)` pair, seeded from
-/// [`trial_stream_seed`]`(seed, input, trial)`. Every campaign path — serial, batched,
-/// parallel — draws each trial's plan from exactly this generator, which is what makes
-/// the reported counts independent of batch size and worker count. Reference
-/// implementations (e.g. the executor-per-pass parity tests) must derive their plans the
-/// same way to match a campaign trial-for-trial.
+/// [`trial_stream_seed`]`(seed, input, trial)`. Every campaign path — serial or
+/// parallel, any chunk length — draws each trial's plan from exactly this generator,
+/// which is what makes the reported counts independent of batch size and worker count.
+/// Reference implementations (e.g. the executor-per-pass parity tests) must derive their
+/// plans the same way to match a campaign trial-for-trial.
 pub fn trial_rng(seed: u64, input: usize, trial: usize) -> StdRng {
     StdRng::seed_from_u64(trial_stream_seed(seed, input as u64, trial as u64))
 }
@@ -433,11 +425,11 @@ impl ChunkTally {
 /// The canonical trials-per-work-unit for `config` (the partition [`run_campaign`] and
 /// [`PreparedCampaign::new`] use).
 ///
-/// With batching enabled every unit is exactly one batched forward pass. On the
-/// per-sample path the unit size only affects scheduling granularity (never the results,
-/// which are keyed by trial index): chunks are sized so each worker sees a handful of
-/// units — enough for stealing to rebalance stragglers without paying per-trial
-/// task overhead — and capped so campaigns with many trials still interleave inputs.
+/// With `batch` above 1 every unit holds `batch` trials. With `batch = 1` chunks are
+/// sized so each worker sees a handful of units — enough for stealing to rebalance
+/// stragglers without paying per-trial task overhead — and capped so campaigns with many
+/// trials still interleave inputs. Either way the unit size affects only scheduling and
+/// checkpoint granularity, never the results, which are keyed by trial index.
 pub fn default_chunk_len(config: &CampaignConfig) -> usize {
     if config.batch > 1 {
         config.batch
@@ -451,9 +443,7 @@ pub fn default_chunk_len(config: &CampaignConfig) -> usize {
 /// within an input, `TrialChunk::index` numbering the units `0..`.
 ///
 /// Any `chunk_len` produces the same campaign counts (trials are index-keyed); it is a
-/// scheduling and checkpoint-granularity knob only. Batched campaigns execute one chunk
-/// per forward pass, so their chunk length must equal the batch size
-/// ([`PreparedCampaign::with_chunk_len`] enforces this).
+/// scheduling and checkpoint-granularity knob only.
 pub fn campaign_chunks(
     config: &CampaignConfig,
     num_inputs: usize,
@@ -482,11 +472,10 @@ pub fn campaign_chunks(
 ///
 /// Trial `t` of input `i` draws its fault plan from the index-keyed generator
 /// [`trial_rng`]`(config.seed, i, t)`, so the reported counts are a pure function of the
-/// configuration: with `config.batch > 1` the faulty runs execute one trial-chunk per
-/// `[batch, ...]` pass, with `config.workers > 1` the chunks run on a work-stealing
-/// [`ThreadPool`] (one plan buffer arena per worker, partial tallies reduced in chunk
-/// order) — and every combination produces SDC/benign counts **bit-for-bit identical**
-/// to the serial per-sample path.
+/// configuration: `config.batch` sets how many trials make up a work unit, with
+/// `config.workers > 1` the units run on a work-stealing [`ThreadPool`] (one plan buffer
+/// arena per worker, partial tallies reduced in chunk order) — and every combination
+/// produces SDC/benign counts **bit-for-bit identical** to the serial path.
 ///
 /// # Errors
 ///
@@ -594,52 +583,12 @@ pub struct PreparedCampaign<'a> {
     config: CampaignConfig,
     plan: ExecPlan<'a>,
     goldens: Vec<Tensor>,
-    /// Per input, the golden pass every per-sample trial's fault cone starts from
-    /// (empty on the batched path).
+    /// Per input, the golden pass every trial's fault cone starts from.
     snapshots: Vec<GoldenSnapshot>,
     spaces: Vec<InjectionSpace>,
     categories: Vec<String>,
     chunks: Vec<TrialChunk>,
     metrics: Option<CampaignMetrics>,
-    tiled: Option<TiledCampaign>,
-}
-
-/// The tiled-scheduler state of a prepared campaign: the segment schedule (computed once
-/// per campaign, not per pass) and the row-group height every batched pass — golden and
-/// faulty — runs with.
-struct TiledCampaign {
-    schedule: TiledSchedule,
-    tile_rows: usize,
-}
-
-/// Decides whether a campaign's batched passes run on the tiled scheduler, from the
-/// warmed plan's per-row shapes.
-///
-/// A batched campaign tiles exactly when the plan has a tileable segment and the
-/// full-batch segment working set overflows [`DEFAULT_TILE_BUDGET_BYTES`], i.e. the
-/// number of trials whose rows fit the budget is below `batch`; row groups then hold that
-/// many trials (at least one). Otherwise tiling would only add segment bookkeeping to a
-/// pass whose activations already fit cache, so the pass runs untiled. The per-sample
-/// path (`batch = 1`) never tiles. Tiling changes no count either way.
-fn select_tiling(
-    plan: &ExecPlan<'_>,
-    output: NodeId,
-    batch: usize,
-    rows_per_trial: usize,
-) -> Option<TiledCampaign> {
-    if batch <= 1 {
-        return None;
-    }
-    let schedule = plan.tiled_schedule(&[output]);
-    if schedule.segments() == 0 {
-        return None;
-    }
-    let fitting_trials =
-        plan.derive_tile_rows(&schedule, DEFAULT_TILE_BUDGET_BYTES) / rows_per_trial;
-    (fitting_trials < batch).then(|| TiledCampaign {
-        schedule,
-        tile_rows: fitting_trials.max(1) * rows_per_trial,
-    })
 }
 
 /// Metric handles for the campaign hot path, resolved once at preparation time so
@@ -652,14 +601,14 @@ fn select_tiling(
 struct CampaignMetrics {
     /// Latency of each golden (fault-free) forward pass.
     golden_pass_nanos: std::sync::Arc<ranger_obs::Histogram>,
-    /// Latency of each faulty forward pass (one trial per-sample, one chunk batched).
+    /// Latency of each faulty (fault-cone) pass, one per trial.
     faulty_pass_nanos: std::sync::Arc<ranger_obs::Histogram>,
     /// Completion latency of each work unit, quantiles included.
     chunk_nanos: std::sync::Arc<ranger_obs::Histogram>,
     /// Trials executed; divide by `campaign.run_nanos` for trials/sec.
     trials: std::sync::Arc<ranger_obs::Counter>,
-    /// Per-sample trials whose fault was applied but whose deviation died before the
-    /// output (the output is golden bit for bit).
+    /// Trials whose fault was applied but whose deviation died before the output (the
+    /// output is golden bit for bit).
     trials_masked: std::sync::Arc<ranger_obs::Counter>,
 }
 
@@ -699,18 +648,12 @@ impl<'a> PreparedCampaign<'a> {
 
     /// Prepares a campaign partitioned into `chunk_len`-trial work units.
     ///
-    /// Any chunk length reproduces the same counts; it only sets scheduling and
-    /// checkpoint granularity. Batched campaigns execute one chunk per `[batch, ...]`
-    /// forward pass, so `chunk_len` must equal `config.batch` when batching is enabled.
-    /// After warming, a batched campaign whose full-batch activations overflow
-    /// [`DEFAULT_TILE_BUDGET_BYTES`] runs its passes on the row-group tiled scheduler
-    /// ([`ExecPlan::run_tiled_into`]) at the height that fits the budget; every other
-    /// campaign runs untiled. Both report the same counts.
+    /// Any chunk length reproduces the same counts, whatever `config.batch` is; it only
+    /// sets scheduling and checkpoint granularity.
     ///
     /// # Errors
     ///
-    /// See [`PreparedCampaign::new`]; additionally rejects a zero `chunk_len` and a
-    /// batched configuration whose `chunk_len` differs from the batch size.
+    /// See [`PreparedCampaign::new`]; additionally rejects a zero `chunk_len`.
     pub fn with_chunk_len(
         target: &'a InjectionTarget<'a>,
         inputs: &'a [Tensor],
@@ -724,26 +667,11 @@ impl<'a> PreparedCampaign<'a> {
                 "campaign chunk length must be positive".to_string(),
             ));
         }
-        if config.batch > 1 && chunk_len != config.batch {
-            return Err(CampaignError::InvalidConfig(format!(
-                "campaign chunk length {chunk_len} does not match batch size {}: a \
-                 batched campaign executes exactly one chunk per forward pass",
-                config.batch
-            )));
-        }
         // Plan once onto the configured backend (an uncompilable graph errors even for
         // an empty input list, as it always has); golden and faulty passes execute on
         // the same backend, so on a fixed-point backend the whole campaign — reference
-        // outputs included — is genuine fixed-point inference. Warming runs one
-        // single-row pass: that records every per-row shape (all the tiling decision
-        // needs — `derive_tile_rows` sizes row groups from `dims[1..]`, which a lead of
-        // 1 records exactly) at 1/batch the cost of warming with the batched feed. On
-        // LeNet at batch 64 the batched warm pass costs as much compute as a whole
-        // 64-trial campaign, which single-handedly erased batching's throughput win.
-        // The price is one allocation burst on each worker arena's first batched pass
-        // (the cold-store contract: first pass sizes, every later pass is
-        // allocation-free); that is per worker per campaign, not per chunk, and
-        // disappears against any real trial count.
+        // outputs included — is genuine fixed-point inference. Warming records every
+        // node's shape, so each worker's arena comes pre-sized from `buffers()`.
         let plan = target.graph.compile_with(config.backend.backend())?;
         let categories = judge.categories();
         let metrics = CampaignMetrics::resolve();
@@ -760,26 +688,12 @@ impl<'a> PreparedCampaign<'a> {
                 categories,
                 chunks: Vec::new(),
                 metrics,
-                tiled: None,
             });
         }
         plan.warm(&[(target.input_name, inputs[0].clone())])?;
-        let tiled = select_tiling(
-            &plan,
-            target.output,
-            config.batch,
-            inputs[0].batch_rows().max(1),
-        );
         let mut values = plan.buffers();
-        let (goldens, snapshots) = golden_outputs(
-            &plan,
-            &mut values,
-            target,
-            inputs,
-            config,
-            metrics.as_ref(),
-            tiled.as_ref(),
-        )?;
+        let (goldens, snapshots) =
+            golden_outputs(&plan, &mut values, target, inputs, metrics.as_ref())?;
         let spaces: Vec<InjectionSpace> = inputs
             .iter()
             .map(|input| InjectionSpace::build_on(&plan, target, input))
@@ -797,7 +711,6 @@ impl<'a> PreparedCampaign<'a> {
             categories,
             chunks,
             metrics,
-            tiled,
         })
     }
 
@@ -844,94 +757,59 @@ impl<'a> PreparedCampaign<'a> {
 
     /// Executes one work unit in the given arena and returns its partial tally.
     ///
-    /// Chunks are independent: any execution order, any thread, any subset. The tally of
-    /// a chunk depends only on the campaign configuration and the chunk geometry.
+    /// Each trial runs as a fault cone from its input's golden snapshot. A trial whose
+    /// output stays golden is judged golden against golden — the verdict a full pass
+    /// would give, NaN outputs included. Chunks are independent: any execution order,
+    /// any thread, any subset. The tally of a chunk depends only on the campaign
+    /// configuration and the chunk geometry.
     ///
     /// # Errors
     ///
-    /// Returns a [`CampaignError`] if a forward pass fails or the input cannot be
-    /// batched.
+    /// Returns [`CampaignError::InvalidConfig`] if the input's injection space is empty
+    /// (every operator is excluded, so no trial has a site to strike), or a
+    /// [`CampaignError`] if a pass fails.
     pub fn run_chunk(
         &self,
         values: &mut Values,
         unit: TrialChunk,
     ) -> Result<ChunkTally, CampaignError> {
-        let input = &self.inputs[unit.input];
         let golden = &self.goldens[unit.input];
+        let snapshot = &self.snapshots[unit.input];
         let space = &self.spaces[unit.input];
         let config = &self.config;
+        if space.total_values() == 0 {
+            return Err(CampaignError::InvalidConfig(format!(
+                "input {} has an empty injection space: every operator is excluded from \
+                 injection, so no trial has a site to strike",
+                unit.input
+            )));
+        }
         // Pre-resolved handles, pure observation: no registry lock, no RNG, and the
         // recorded values are never read back by campaign logic.
         let _chunk_span = self.metrics.as_ref().map(|m| m.chunk_nanos.span());
         let mut tally = ChunkTally::new(self.categories.len());
-        if config.batch <= 1 {
-            // Per-sample path: one fault-cone pass per trial, from the input's golden
-            // snapshot. A trial whose output stays golden is judged golden against
-            // golden — the verdict a full pass would give, NaN outputs included.
-            let snapshot = &self.snapshots[unit.input];
-            let mut sites: Vec<NodeId> = Vec::with_capacity(config.fault.bits);
-            let mut masked = 0u64;
-            for trial in unit.start..unit.start + unit.len {
-                let mut rng = trial_rng(config.seed, unit.input, trial);
-                let mut injector = FaultInjector::plan_random(config.fault, space, &mut rng);
-                sites.clear();
-                sites.extend(injector.plan().iter().map(|flip| flip.site.node));
-                let pass_span = self.metrics.as_ref().map(|m| m.faulty_pass_nanos.span());
-                let deviates = self.plan.run_cone(
-                    values,
-                    snapshot,
-                    &sites,
-                    self.target.output,
-                    &mut injector,
-                )?;
-                drop(pass_span);
-                let faulty = if deviates {
-                    values.get(self.target.output)?
-                } else {
-                    masked += u64::from(!injector.injected().is_empty());
-                    golden
-                };
-                tally.record(self.judge, golden, faulty, injector.fully_injected());
-            }
-            if let Some(metrics) = &self.metrics {
-                metrics.trials_masked.add(masked);
-            }
-        } else {
-            // Batched path: the whole chunk in one [len, ...] pass, one plan per row group.
-            let plans: Vec<FaultInjector> = (unit.start..unit.start + unit.len)
-                .map(|trial| {
-                    let mut rng = trial_rng(config.seed, unit.input, trial);
-                    FaultInjector::plan_random(config.fault, space, &mut rng)
-                })
-                .collect();
-            let feed = input.repeat_batch(plans.len()).map_err(|e| {
-                CampaignError::InvalidConfig(format!("campaign input cannot be batched: {e}"))
-            })?;
-            let rows_per_trial = input.batch_rows();
-            let mut injector = BatchFaultInjector::new(plans, space);
-            let feeds = [(self.target.input_name, feed)];
+        let mut sites: Vec<NodeId> = Vec::with_capacity(config.fault.bits);
+        let mut masked = 0u64;
+        for trial in unit.start..unit.start + unit.len {
+            let mut rng = trial_rng(config.seed, unit.input, trial);
+            let mut injector = FaultInjector::plan_random(config.fault, space, &mut rng);
+            sites.clear();
+            sites.extend(injector.plan().iter().map(|flip| flip.site.node));
             let pass_span = self.metrics.as_ref().map(|m| m.faulty_pass_nanos.span());
-            match &self.tiled {
-                Some(tiled) => self.plan.run_tiled_into(
-                    values,
-                    &feeds,
-                    &mut injector,
-                    &tiled.schedule,
-                    tiled.tile_rows,
-                )?,
-                None => self.plan.run_into(values, &feeds, &mut injector)?,
-            }
+            let deviates =
+                self.plan
+                    .run_cone(values, snapshot, &sites, self.target.output, &mut injector)?;
             drop(pass_span);
-            if let Some(violation) = injector.violation() {
-                return Err(CampaignError::InvalidConfig(violation.to_string()));
-            }
-            let output = values.get(self.target.output)?;
-            for (t, trial) in injector.trials().iter().enumerate() {
-                let faulty = slice_row_group(output, t * rows_per_trial, rows_per_trial)?;
-                tally.record(self.judge, golden, &faulty, trial.fully_injected());
-            }
+            let faulty = if deviates {
+                values.get(self.target.output)?
+            } else {
+                masked += u64::from(!injector.injected().is_empty());
+                golden
+            };
+            tally.record(self.judge, golden, faulty, injector.fully_injected());
         }
         if let Some(metrics) = &self.metrics {
+            metrics.trials_masked.add(masked);
             metrics.trials.add(tally.trials);
         }
         Ok(tally)
@@ -949,70 +827,26 @@ impl<'a> PreparedCampaign<'a> {
     }
 }
 
-/// Computes the fault-free output of every input: one pass per input on the per-sample
-/// path, which also keeps each pass as the input's [`GoldenSnapshot`], or one
-/// `[N, ...]` pass per input-chunk when batching is enabled (no snapshots).
+/// Computes the fault-free output of every input, one pass per input, and keeps each
+/// pass as the input's [`GoldenSnapshot`].
 fn golden_outputs(
     plan: &ExecPlan<'_>,
     values: &mut Values,
     target: &InjectionTarget<'_>,
     inputs: &[Tensor],
-    config: &CampaignConfig,
     metrics: Option<&CampaignMetrics>,
-    tiled: Option<&TiledCampaign>,
 ) -> Result<(Vec<Tensor>, Vec<GoldenSnapshot>), CampaignError> {
-    let mut goldens: Vec<Tensor> = Vec::with_capacity(inputs.len());
-    if config.batch <= 1 {
-        let mut snapshots = Vec::with_capacity(inputs.len());
-        for input in inputs {
-            let feeds = [(target.input_name, input.clone())];
-            let span = metrics.map(|m| m.golden_pass_nanos.span());
-            plan.run_into(values, &feeds, &mut NoopInterceptor)?;
-            drop(span);
-            goldens.push(values.get(target.output)?.clone());
-            snapshots.push(plan.snapshot(values)?);
-        }
-        return Ok((goldens, snapshots));
-    }
-    for chunk in inputs.chunks(config.batch) {
-        let stacked = Tensor::stack_batch(chunk).map_err(|e| {
-            CampaignError::InvalidConfig(format!("campaign inputs cannot be batched: {e}"))
-        })?;
-        let feeds = [(target.input_name, stacked)];
+    let mut goldens = Vec::with_capacity(inputs.len());
+    let mut snapshots = Vec::with_capacity(inputs.len());
+    for input in inputs {
+        let feeds = [(target.input_name, input.clone())];
         let span = metrics.map(|m| m.golden_pass_nanos.span());
-        match tiled {
-            Some(tiled) => plan.run_tiled_into(
-                values,
-                &feeds,
-                &mut NoopInterceptor,
-                &tiled.schedule,
-                tiled.tile_rows,
-            )?,
-            None => plan.run_into(values, &feeds, &mut NoopInterceptor)?,
-        }
+        plan.run_into(values, &feeds, &mut NoopInterceptor)?;
         drop(span);
-        let output = values.get(target.output)?;
-        let mut row = 0usize;
-        for input in chunk {
-            let rows = input.batch_rows();
-            goldens.push(slice_row_group(output, row, rows)?);
-            row += rows;
-        }
+        goldens.push(values.get(target.output)?.clone());
+        snapshots.push(plan.snapshot(values)?);
     }
-    Ok((goldens, Vec::new()))
-}
-
-/// Extracts rows `[start, start + rows)` of a batched output as its own tensor — the
-/// value the same forward pass would have produced for that input (or trial) alone.
-fn slice_row_group(output: &Tensor, start: usize, rows: usize) -> Result<Tensor, CampaignError> {
-    output.slice_rows(start, rows).map_err(|_| {
-        CampaignError::InvalidConfig(format!(
-            "campaign output of shape {:?} does not carry the leading batch dimension \
-             (needed rows [{start}, {})) — run this campaign with batch = 1",
-            output.dims(),
-            start + rows
-        ))
-    })
+    Ok((goldens, snapshots))
 }
 
 #[cfg(test)]
@@ -1033,6 +867,33 @@ mod tests {
         let y = b.dense(h, 8, 4, &mut rng);
         let probs = b.softmax(y);
         (b.into_graph(), probs)
+    }
+
+    /// The per-category SDC counts of a hand-rolled campaign: one fresh f32 `Executor`
+    /// full pass per trial, plans drawn from the canonical per-(input, trial) streams.
+    /// The reference every cone campaign must reproduce.
+    fn full_pass_counts(
+        target: &InjectionTarget<'_>,
+        inputs: &[Tensor],
+        judge: &dyn SdcJudge,
+        config: &CampaignConfig,
+    ) -> Vec<u64> {
+        let mut counts = vec![0u64; judge.categories().len()];
+        let exec = Executor::new(target.graph);
+        for (i, input) in inputs.iter().enumerate() {
+            let feeds = [(target.input_name, input.clone())];
+            let golden = exec.run_simple(&feeds, target.output).unwrap();
+            let space = InjectionSpace::build(target, input).unwrap();
+            for t in 0..config.trials {
+                let mut rng = trial_rng(config.seed, i, t);
+                let mut injector = FaultInjector::plan_random(config.fault, &space, &mut rng);
+                let faulty = exec.run_with(&feeds, target.output, &mut injector).unwrap();
+                for (count, sdc) in counts.iter_mut().zip(judge.judge(&golden, &faulty)) {
+                    *count += u64::from(sdc);
+                }
+            }
+        }
+        counts
     }
 
     #[test]
@@ -1084,28 +945,10 @@ mod tests {
         };
         let judge = ClassifierJudge::top1();
         let fast = run_campaign(&target, &inputs, &judge, &config).unwrap();
-
-        // Reference: a fresh Executor run per pass, plans drawn from the canonical
-        // per-(input, trial) streams.
-        let mut counts = vec![0u64; 1];
-        let exec = Executor::new(&graph);
-        for (i, input) in inputs.iter().enumerate() {
-            let golden = exec.run_simple(&[("x", input.clone())], probs).unwrap();
-            let space = InjectionSpace::build(&target, input).unwrap();
-            for t in 0..config.trials {
-                let mut rng = trial_rng(config.seed, i, t);
-                let mut injector = FaultInjector::plan_random(config.fault, &space, &mut rng);
-                let faulty = exec
-                    .run_with(&[("x", input.clone())], probs, &mut injector)
-                    .unwrap();
-                for (count, sdc) in counts.iter_mut().zip(judge.judge(&golden, &faulty)) {
-                    if sdc {
-                        *count += 1;
-                    }
-                }
-            }
-        }
-        assert_eq!(fast.sdc_counts, counts);
+        assert_eq!(
+            fast.sdc_counts,
+            full_pass_counts(&target, &inputs, &judge, &config)
+        );
     }
 
     /// The parallel-campaign acceptance: identical SDC counts, trials and unactivated
@@ -1154,8 +997,8 @@ mod tests {
         }
     }
 
-    /// The batched campaign acceptance: identical SDC counts, trials and unactivated
-    /// tallies for every batch size, including sizes that do not divide the trial count.
+    /// The chunk-length acceptance: identical SDC counts, trials and unactivated tallies
+    /// for every batch, including batches that do not divide the trial count.
     #[test]
     fn batched_campaign_matches_per_sample_campaign_bit_for_bit() {
         let (graph, probs) = toy_classifier();
@@ -1211,10 +1054,10 @@ mod tests {
     }
 
     /// A golden output holding NaN, judged by a judge that flags any non-finite output:
-    /// per-sample trials whose fault dies before the output must get the verdict a full
-    /// pass gives them (golden against golden: an SDC here), not be assumed benign. The
-    /// batched full passes are the reference; the masked-trial counter must have seen
-    /// such trials, so the equality is not vacuous.
+    /// trials whose fault dies before the output must get the verdict a full pass gives
+    /// them (golden against golden: an SDC here), not be assumed benign. Hand-rolled
+    /// full passes are the reference; the masked-trial counter must have seen such
+    /// trials, so the equality is not vacuous.
     #[test]
     fn masked_trials_are_judged_against_golden_not_assumed_benign() {
         struct NonFinite;
@@ -1240,9 +1083,9 @@ mod tests {
             excluded: &[],
         };
         let inputs = vec![Tensor::from_vec(vec![1, 4], vec![f32::NAN, -1.0, 0.5, -2.0]).unwrap()];
-        let config = |batch| CampaignConfig {
+        let config = CampaignConfig {
             trials: 64,
-            batch,
+            batch: 1,
             workers: 1,
             backend: BackendKind::F32,
             fault: FaultModel::single_bit_fixed32(),
@@ -1253,11 +1096,13 @@ mod tests {
         ranger_obs::set_enabled(true);
         let masked = ranger_obs::registry().counter("campaign.trials_masked");
         let masked_before = masked.value();
-        let per_sample = run_campaign(&target, &inputs, &NonFinite, &config(1)).unwrap();
+        let per_sample = run_campaign(&target, &inputs, &NonFinite, &config).unwrap();
         let masked_trials = masked.value() - masked_before;
         ranger_obs::set_enabled(was_enabled);
-        let batched = run_campaign(&target, &inputs, &NonFinite, &config(16)).unwrap();
-        assert_eq!(per_sample.sdc_counts, batched.sdc_counts);
+        assert_eq!(
+            per_sample.sdc_counts,
+            full_pass_counts(&target, &inputs, &NonFinite, &config)
+        );
         // Assumed benign, the masked trials could not be SDCs: SDCs + masked <= 64.
         assert!(
             per_sample.sdc_counts[0] + masked_trials > 64,
@@ -1267,11 +1112,11 @@ mod tests {
         );
     }
 
-    /// A graph with an injectable operator computed purely from constants cannot batch
-    /// that operator's faults; the batched campaign must reject it loudly instead of
-    /// silently reporting different counts than `batch = 1`.
+    /// An injectable operator computed purely from constants keeps its output size
+    /// whatever the chunk length: every trial runs its own cone, so the graph runs at
+    /// batch 16 and reproduces the per-sample counts and the full-pass reference.
     #[test]
-    fn batched_campaign_rejects_non_batch_scaling_operators() {
+    fn batched_campaign_runs_non_batch_scaling_operators() {
         use ranger_graph::{Graph, Op};
         let mut g = Graph::new();
         let x = g.add_input("x");
@@ -1286,22 +1131,24 @@ mod tests {
             output: y,
             excluded: &[],
         };
-        let inputs = vec![Tensor::ones(vec![1, 3])];
+        let inputs = vec![Tensor::from_vec(vec![1, 3], vec![0.5, -1.0, 2.0]).unwrap()];
         let judge = ClassifierJudge::top1();
         let config = |batch| CampaignConfig {
-            trials: 20,
+            trials: 40,
             batch,
             workers: 1,
+            backend: BackendKind::F32,
+            fault: FaultModel::single_bit_fixed32(),
             seed: 4,
-            ..CampaignConfig::default()
+            tile: 0,
         };
-        // The per-sample path handles such graphs fine.
-        run_campaign(&target, &inputs, &judge, &config(1)).unwrap();
-        // The batched path refuses with a descriptive error.
-        let err = run_campaign(&target, &inputs, &judge, &config(4)).unwrap_err();
-        assert!(
-            err.to_string().contains("batch dimension"),
-            "unexpected error: {err}"
+        let per_sample = run_campaign(&target, &inputs, &judge, &config(1)).unwrap();
+        let batched = run_campaign(&target, &inputs, &judge, &config(16)).unwrap();
+        assert_eq!(batched, per_sample);
+        assert_eq!(batched.trials, 40);
+        assert_eq!(
+            batched.sdc_counts,
+            full_pass_counts(&target, &inputs, &judge, &config(16))
         );
     }
 
@@ -1406,78 +1253,6 @@ mod tests {
         assert_eq!(legacy, config);
     }
 
-    /// The tiling rule: a batched campaign tiles exactly when its full-batch segment
-    /// working set overflows the cache budget. LeNet's rows fit the budget 28 trials at
-    /// a time, so batch 64 tiles (in groups smaller than the batch) and batch 16 does
-    /// not; a deep narrow MLP fits far more than 64 trials; the per-sample path
-    /// never tiles. The tiled LeNet campaign then reproduces the per-sample counts on
-    /// the default backend, so the `RANGER_BACKEND` sweeps run the tiled path too.
-    #[test]
-    fn tiling_is_selected_only_when_the_full_batch_overflows_the_cache_budget() {
-        use ranger_models::{archs, ModelConfig};
-
-        let tile_rows = |graph: &ranger_graph::Graph, feed: &str, output, input: Tensor, batch| {
-            let plan = graph.compile().unwrap();
-            let rows_per_trial = input.batch_rows();
-            plan.warm(&[(feed, input)]).unwrap();
-            select_tiling(&plan, output, batch, rows_per_trial).map(|tiled| tiled.tile_rows)
-        };
-
-        let lenet = archs::build(&ModelConfig::lenet(), 0);
-        let (c, h, w) = lenet.config.kind.image_domain().unwrap().image_shape();
-        let image = Tensor::ones(vec![1, c, h, w]);
-        let lenet_rows = |batch| {
-            tile_rows(
-                &lenet.graph,
-                &lenet.input_name,
-                lenet.output,
-                image.clone(),
-                batch,
-            )
-        };
-        assert_eq!(
-            lenet_rows(64),
-            Some(28),
-            "LeNet at batch 64 overflows the budget"
-        );
-        assert_eq!(lenet_rows(16), None, "LeNet at batch 16 fits the budget");
-        assert_eq!(lenet_rows(1), None, "the per-sample path never tiles");
-
-        let mut rng = StdRng::seed_from_u64(0);
-        let mut b = GraphBuilder::new();
-        let x = b.input("x");
-        let mut h = b.dense(x, 8, 8, &mut rng);
-        for _ in 0..63 {
-            h = b.relu(h);
-            h = b.dense(h, 8, 8, &mut rng);
-        }
-        let deep = b.into_graph();
-        let deep_rows = |batch| tile_rows(&deep, "x", h, Tensor::ones(vec![1, 8]), batch);
-        assert_eq!(deep_rows(64), None, "a deep narrow MLP fits the budget");
-        assert_eq!(deep_rows(1), None, "the per-sample path never tiles");
-
-        let target = InjectionTarget {
-            graph: &lenet.graph,
-            input_name: &lenet.input_name,
-            output: lenet.output,
-            excluded: &lenet.excluded_from_injection,
-        };
-        let judge = ClassifierJudge::top1();
-        // 72 trials: a 64-trial pass in groups of 28, 28 and 8, then an 8-trial pass.
-        let config = |batch| CampaignConfig {
-            trials: 72,
-            batch,
-            workers: 1,
-            seed: 19,
-            ..CampaignConfig::default()
-        };
-        let inputs = [image];
-        let per_sample = run_campaign(&target, &inputs, &judge, &config(1)).unwrap();
-        let tiled = run_campaign(&target, &inputs, &judge, &config(64)).unwrap();
-        assert_eq!(tiled.sdc_counts, per_sample.sdc_counts);
-        assert_eq!(tiled.unactivated, per_sample.unactivated);
-    }
-
     #[test]
     fn protection_with_clamps_never_increases_sdc_rate() {
         let (graph, probs) = toy_classifier();
@@ -1569,8 +1344,8 @@ mod tests {
 
     /// The fixed-point backend acceptance grid: on both fixed backends, every
     /// (workers × batch) combination reports the serial per-sample SDC counts
-    /// bit-for-bit — integer kernels are row-independent and fault plans are keyed by
-    /// (input, trial) index, so neither pass shape nor schedule can reach the counts.
+    /// bit-for-bit — fault plans are keyed by (input, trial) index, so neither the chunk
+    /// length nor the schedule can reach the counts.
     #[test]
     fn fixed_backend_campaigns_are_bit_for_bit_deterministic_across_workers_and_batch() {
         let (graph, probs) = toy_classifier();
@@ -1700,20 +1475,17 @@ mod tests {
     /// the suppressed ones — a multi-chunk service failure is not one failure.
     #[test]
     fn parallel_failures_report_the_suppressed_count() {
-        use ranger_graph::{Graph, Op};
-        let mut g = Graph::new();
-        let x = g.add_input("x");
-        // Same non-batch-scaling shape as above: every batched chunk fails.
-        let c = g.add_const("c", Tensor::ones(vec![50]), false);
-        let _frozen = g.add_node("frozen", Op::Identity, vec![c]);
-        let y = g.add_node("double", Op::ScalarMul { factor: 2.0 }, vec![x]);
+        let (graph, probs) = toy_classifier();
+        // Every operator excluded: the golden pass runs, every chunk has no site to
+        // strike and fails.
+        let excluded: Vec<NodeId> = graph.nodes().iter().map(|n| n.id).collect();
         let target = InjectionTarget {
-            graph: &g,
+            graph: &graph,
             input_name: "x",
-            output: y,
-            excluded: &[],
+            output: probs,
+            excluded: &excluded,
         };
-        let inputs = vec![Tensor::ones(vec![1, 3])];
+        let inputs = vec![Tensor::ones(vec![1, 6])];
         let judge = ClassifierJudge::top1();
         let config = |trials| CampaignConfig {
             trials,
@@ -1734,7 +1506,7 @@ mod tests {
                 assert_eq!(*suppressed, 4, "expected 4 suppressed failures: {err}");
                 assert_eq!((*input, *chunk), (0, 0), "earliest failing unit: {err}");
                 assert!(
-                    first.to_string().contains("batch dimension"),
+                    first.to_string().contains("empty injection space"),
                     "first error lost its message: {first}"
                 );
             }
@@ -1820,10 +1592,10 @@ mod tests {
         assert_eq!(result.unactivated, reference.unactivated);
     }
 
-    /// A batched campaign's chunk length is its batch size — anything else is rejected
-    /// before any pass runs.
+    /// The chunk length is free whatever the batch: a batch-4 campaign cut into 3-trial
+    /// chunks reproduces `run_campaign`'s counts. Only a zero chunk length is rejected.
     #[test]
-    fn prepared_campaign_rejects_chunk_len_batch_mismatch() {
+    fn prepared_campaign_accepts_any_chunk_len_whatever_the_batch() {
         let (graph, probs) = toy_classifier();
         let target = InjectionTarget {
             graph: &graph,
@@ -1836,12 +1608,20 @@ mod tests {
         let config = CampaignConfig {
             trials: 12,
             batch: 4,
+            workers: 1,
+            seed: 8,
             ..CampaignConfig::default()
         };
-        let err = PreparedCampaign::with_chunk_len(&target, &inputs, &judge, &config, 3)
-            .err()
-            .expect("mismatched chunk length must be rejected");
-        assert!(err.to_string().contains("does not match batch size"));
+        let reference = run_campaign(&target, &inputs, &judge, &config).unwrap();
+        let prepared = PreparedCampaign::with_chunk_len(&target, &inputs, &judge, &config, 3)
+            .expect("a chunk length other than the batch is valid");
+        assert_eq!(prepared.chunks().len(), 4);
+        let mut values = prepared.buffers();
+        let mut result = prepared.empty_result();
+        for &chunk in prepared.chunks() {
+            result.absorb(&prepared.run_chunk(&mut values, chunk).unwrap());
+        }
+        assert_eq!(result, reference);
         let err = PreparedCampaign::with_chunk_len(&target, &inputs, &judge, &config, 0)
             .err()
             .expect("zero chunk length must be rejected");

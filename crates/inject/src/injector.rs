@@ -3,7 +3,7 @@
 use crate::fault::FaultModel;
 use crate::space::{InjectionSite, InjectionSpace};
 use rand::Rng;
-use ranger_graph::{Interceptor, Node, NodeId, TileRows};
+use ranger_graph::{Interceptor, Node, NodeId};
 use ranger_tensor::{DataType, QTensor, Tensor};
 
 /// One planned corruption: a site plus the bit to flip there.
@@ -107,272 +107,6 @@ impl Interceptor for FaultInjector {
             }
         }
     }
-
-    /// Tiled twin of `after_op`: the plan's element coordinates address the **full**
-    /// batched output, so each flip lands in exactly the row group that owns its
-    /// element — whatever the tile size, every planned element is flipped exactly once
-    /// per pass, which is what pins tiled and untiled passes bit-for-bit.
-    fn after_op_tile(&mut self, node: &Node, output: &mut Tensor, rows: TileRows) {
-        let per_row = output.len() / rows.rows.max(1);
-        let base = rows.row_start * per_row;
-        let full_len = per_row * rows.total_rows;
-        for flip in &self.plan {
-            if flip.site.node == node.id
-                && flip.site.element < full_len
-                && (base..base + output.len()).contains(&flip.site.element)
-            {
-                let local = flip.site.element - base;
-                let value = output.data()[local];
-                let corrupted = self.fault.datatype.flip_bit(value, flip.bit);
-                output.data_mut()[local] = corrupted;
-                self.injected.push(*flip);
-            }
-        }
-    }
-
-    /// Word-level twin of [`FaultInjector::after_op_tile`], with the datatype rule of
-    /// [`FaultInjector::after_op_words`].
-    fn after_op_words_tile(&mut self, node: &Node, output: &mut QTensor, rows: TileRows) {
-        let per_row = output.len() / rows.rows.max(1);
-        let base = rows.row_start * per_row;
-        let full_len = per_row * rows.total_rows;
-        for flip in &self.plan {
-            if flip.site.node == node.id
-                && flip.site.element < full_len
-                && (base..base + output.len()).contains(&flip.site.element)
-            {
-                let local = flip.site.element - base;
-                if self.fault.datatype == DataType::Fixed(output.spec()) {
-                    output.flip_word(local, flip.bit);
-                } else {
-                    let value = output.get_f32(local);
-                    let corrupted = self.fault.datatype.flip_bit(value, flip.bit);
-                    output.set_from_f32(local, corrupted);
-                }
-                self.injected.push(*flip);
-            }
-        }
-    }
-}
-
-/// An [`Interceptor`] that applies one [`FaultInjector`] plan per row group of a batched
-/// forward pass.
-///
-/// A batched campaign replicates one input `k` times along the leading batch dimension
-/// and runs all `k` trials in a single forward pass; trial `t` owns rows
-/// `[t * rows_per_trial, (t + 1) * rows_per_trial)` of every operator output. Because the
-/// operators process batch rows independently, flipping a bit inside trial `t`'s rows
-/// corrupts exactly the values the same plan would corrupt in a single-sample pass — the
-/// per-trial outputs (and therefore the SDC counts) are bit-for-bit identical.
-///
-/// The equivalence requires the targeted operator's output to carry the batch dimension.
-/// The injector checks each targeted output against the single-sample size recorded in
-/// the [`InjectionSpace`] the plans were drawn from; an operator whose output does not
-/// scale (e.g. one computed purely from constants) is never silently mis-injected —
-/// instead [`BatchFaultInjector::violation`] reports it after the pass, and the campaign
-/// runner turns that into an error.
-#[derive(Debug, Clone)]
-pub struct BatchFaultInjector {
-    trials: Vec<FaultInjector>,
-    space: InjectionSpace,
-    violation: Option<String>,
-    /// Every trial's planned flips as `(node index, trial, plan index)`, sorted by
-    /// node. The interceptor hooks fire once per operator — and once per (operator,
-    /// row group) under tiling — so scanning every trial's whole plan inside each
-    /// hook is O(trials × nodes × row groups) per pass; with this index a hook is a
-    /// binary search plus exactly the flips that target its operator. Sorted by
-    /// `(node, trial, plan index)`, the index visits a node's flips in the same
-    /// trial-major order the scan did, so injection order — and therefore every
-    /// count — is unchanged.
-    flips_by_node: Vec<(usize, usize, usize)>,
-}
-
-impl BatchFaultInjector {
-    /// Creates a batched injector applying `trials[t]` to row group `t`. `space` is the
-    /// injection space the trial plans were drawn from; it provides each operator's
-    /// single-sample output size.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `trials` is empty.
-    pub fn new(trials: Vec<FaultInjector>, space: &InjectionSpace) -> Self {
-        assert!(
-            !trials.is_empty(),
-            "a batched injector needs at least one trial"
-        );
-        let mut flips_by_node: Vec<(usize, usize, usize)> = trials
-            .iter()
-            .enumerate()
-            .flat_map(|(t, injector)| {
-                injector
-                    .plan
-                    .iter()
-                    .enumerate()
-                    .map(move |(f, flip)| (flip.site.node.index(), t, f))
-            })
-            .collect();
-        flips_by_node.sort_unstable();
-        BatchFaultInjector {
-            trials,
-            space: space.clone(),
-            violation: None,
-            flips_by_node,
-        }
-    }
-
-    /// The indices into `flips_by_node` whose flips target `node`.
-    fn flips_of(&self, node: NodeId) -> std::ops::Range<usize> {
-        let idx = node.index();
-        let start = self.flips_by_node.partition_point(|&(n, _, _)| n < idx);
-        let end = start + self.flips_by_node[start..].partition_point(|&(n, _, _)| n == idx);
-        start..end
-    }
-
-    /// The per-trial injectors, in row-group order (borrow after the pass to read each
-    /// trial's [`FaultInjector::injected`] record).
-    pub fn trials(&self) -> &[FaultInjector] {
-        &self.trials
-    }
-
-    /// If a planned flip targeted an operator whose output did not carry the batch
-    /// dimension, describes the first such operator; `None` after a clean pass.
-    pub fn violation(&self) -> Option<&str> {
-        self.violation.as_deref()
-    }
-}
-
-impl BatchFaultInjector {
-    /// Validates that `node`'s batched output scales with the trial count and returns the
-    /// per-trial slice length; records the violation (once) and returns `None` otherwise.
-    fn checked_per_trial(&mut self, node: &Node, output_len: usize) -> Option<usize> {
-        let k = self.trials.len();
-        let per_trial = self.space.values_of(node.id).unwrap_or(output_len / k);
-        if output_len != per_trial * k {
-            if self.violation.is_none() {
-                self.violation = Some(format!(
-                    "operator '{}' produced {} values under a batch of {k} trials \
-                     (expected {}): its output does not carry the batch dimension, \
-                     so its faults cannot be batched — run this campaign with \
-                     batch = 1",
-                    node.name,
-                    output_len,
-                    per_trial * k
-                ));
-            }
-            return None;
-        }
-        Some(per_trial)
-    }
-}
-
-impl Interceptor for BatchFaultInjector {
-    fn after_op(&mut self, node: &Node, output: &mut Tensor) {
-        // The per-trial slice length is the operator's single-sample output size, as
-        // recorded in the injection space the plans were sampled from (for hand-built
-        // plans targeting nodes outside the space, the even split is the only guess).
-        for k in self.flips_of(node.id) {
-            let (_, t, f) = self.flips_by_node[k];
-            let flip = self.trials[t].plan[f];
-            let Some(per_trial) = self.checked_per_trial(node, output.len()) else {
-                continue;
-            };
-            if flip.site.element < per_trial {
-                let index = t * per_trial + flip.site.element;
-                let injector = &mut self.trials[t];
-                let value = output.data()[index];
-                let corrupted = injector.fault.datatype.flip_bit(value, flip.bit);
-                output.data_mut()[index] = corrupted;
-                injector.injected.push(flip);
-            }
-        }
-    }
-
-    /// The word-level twin of the batched `after_op`: each trial's planned bits flip
-    /// directly in its own row group of the stored integer words (see
-    /// [`FaultInjector::after_op_words`] for the datatype rule), with the same
-    /// batch-scaling violation check.
-    fn after_op_words(&mut self, node: &Node, output: &mut QTensor) {
-        for k in self.flips_of(node.id) {
-            let (_, t, f) = self.flips_by_node[k];
-            let flip = self.trials[t].plan[f];
-            let Some(per_trial) = self.checked_per_trial(node, output.len()) else {
-                continue;
-            };
-            if flip.site.element < per_trial {
-                let index = t * per_trial + flip.site.element;
-                let injector = &mut self.trials[t];
-                if injector.fault.datatype == DataType::Fixed(output.spec()) {
-                    output.flip_word(index, flip.bit);
-                } else {
-                    let value = output.get_f32(index);
-                    let corrupted = injector.fault.datatype.flip_bit(value, flip.bit);
-                    output.set_from_f32(index, corrupted);
-                }
-                injector.injected.push(flip);
-            }
-        }
-    }
-
-    /// Tiled twin of the batched `after_op`. Trial `t` owns elements
-    /// `[t * per_trial, (t + 1) * per_trial)` of the **full** batched output; a row
-    /// group covers the contiguous element range `[base, base + tile len)`. A planned
-    /// flip fires iff its global index falls inside the current group — row groups
-    /// partition the batch, so across the groups of one pass every flip fires exactly
-    /// once, at the same element the untiled pass would corrupt. No alignment between
-    /// tile boundaries and trial boundaries is required.
-    fn after_op_tile(&mut self, node: &Node, output: &mut Tensor, rows: TileRows) {
-        let per_row = output.len() / rows.rows.max(1);
-        let base = rows.row_start * per_row;
-        let full_len = per_row * rows.total_rows;
-        for k in self.flips_of(node.id) {
-            let (_, t, f) = self.flips_by_node[k];
-            let flip = self.trials[t].plan[f];
-            let Some(per_trial) = self.checked_per_trial(node, full_len) else {
-                continue;
-            };
-            if flip.site.element < per_trial {
-                let global = t * per_trial + flip.site.element;
-                if (base..base + output.len()).contains(&global) {
-                    let local = global - base;
-                    let injector = &mut self.trials[t];
-                    let value = output.data()[local];
-                    let corrupted = injector.fault.datatype.flip_bit(value, flip.bit);
-                    output.data_mut()[local] = corrupted;
-                    injector.injected.push(flip);
-                }
-            }
-        }
-    }
-
-    /// Word-level twin of [`BatchFaultInjector::after_op_tile`], with the datatype rule
-    /// of [`FaultInjector::after_op_words`].
-    fn after_op_words_tile(&mut self, node: &Node, output: &mut QTensor, rows: TileRows) {
-        let per_row = output.len() / rows.rows.max(1);
-        let base = rows.row_start * per_row;
-        let full_len = per_row * rows.total_rows;
-        for k in self.flips_of(node.id) {
-            let (_, t, f) = self.flips_by_node[k];
-            let flip = self.trials[t].plan[f];
-            let Some(per_trial) = self.checked_per_trial(node, full_len) else {
-                continue;
-            };
-            if flip.site.element < per_trial {
-                let global = t * per_trial + flip.site.element;
-                if (base..base + output.len()).contains(&global) {
-                    let local = global - base;
-                    let injector = &mut self.trials[t];
-                    if injector.fault.datatype == DataType::Fixed(output.spec()) {
-                        output.flip_word(local, flip.bit);
-                    } else {
-                        let value = output.get_f32(local);
-                        let corrupted = injector.fault.datatype.flip_bit(value, flip.bit);
-                        output.set_from_f32(local, corrupted);
-                    }
-                    injector.injected.push(flip);
-                }
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -449,91 +183,6 @@ mod tests {
         assert_eq!(injector.targeted_nodes().len(), 3);
     }
 
-    #[test]
-    fn batched_trials_match_single_sample_passes_bit_for_bit() {
-        let (graph, y) = toy();
-        let target = InjectionTarget {
-            graph: &graph,
-            input_name: "x",
-            output: y,
-            excluded: &[],
-        };
-        let input = Tensor::ones(vec![1, 3]);
-        let space = InjectionSpace::build(&target, &input).unwrap();
-        let fault = FaultModel::single_bit_fixed32();
-        let mut rng = StdRng::seed_from_u64(5);
-        let trials: Vec<FaultInjector> = (0..3)
-            .map(|_| FaultInjector::plan_random(fault, &space, &mut rng))
-            .collect();
-
-        let exec = Executor::new(&graph);
-        // Reference: each trial as its own single-sample pass.
-        let singles: Vec<Tensor> = trials
-            .iter()
-            .map(|injector| {
-                let mut injector = injector.clone();
-                exec.run_with(&[("x", input.clone())], y, &mut injector)
-                    .unwrap()
-            })
-            .collect();
-
-        // Batched: all three trials in one [3, ...] pass.
-        let feed = input.repeat_batch(3).unwrap();
-        let mut batched = BatchFaultInjector::new(trials, &space);
-        let out = exec.run_with(&[("x", feed)], y, &mut batched).unwrap();
-        for (t, single) in singles.iter().enumerate() {
-            assert_eq!(
-                out.batch_row(t).unwrap(),
-                *single,
-                "trial {t} diverged between the batched and single-sample pass"
-            );
-        }
-        assert!(batched.trials().iter().all(FaultInjector::fully_injected));
-        assert!(batched.violation().is_none());
-    }
-
-    /// An injectable operator computed purely from constants produces the same output
-    /// length whatever the batch size; targeting it in a batched pass must be flagged,
-    /// never silently mis-injected.
-    #[test]
-    fn non_batch_scaling_targets_are_flagged_not_silently_diverged() {
-        use ranger_graph::{Graph, Op};
-        let mut g = Graph::new();
-        let x = g.add_input("x");
-        let c = g.add_const("c", Tensor::ones(vec![6]), false);
-        let frozen = g.add_node("frozen", Op::Identity, vec![c]);
-        let y = g.add_node("double", Op::ScalarMul { factor: 2.0 }, vec![x]);
-
-        let target = InjectionTarget {
-            graph: &g,
-            input_name: "x",
-            output: y,
-            excluded: &[],
-        };
-        let input = Tensor::ones(vec![1, 3]);
-        let space = InjectionSpace::build(&target, &input).unwrap();
-        assert_eq!(space.values_of(frozen), Some(6));
-
-        let fault = FaultModel::single_bit_fixed32();
-        let flip = PlannedFlip {
-            site: InjectionSite {
-                node: frozen,
-                element: 0,
-            },
-            bit: 1,
-        };
-        let trials = vec![FaultInjector::with_plan(fault, vec![flip]); 2];
-        let mut batched = BatchFaultInjector::new(trials, &space);
-        let feed = input.repeat_batch(2).unwrap();
-        Executor::new(&g)
-            .run_with(&[("x", feed)], y, &mut batched)
-            .unwrap();
-        let violation = batched.violation().expect("violation must be flagged");
-        assert!(violation.contains("frozen") && violation.contains("batch dimension"));
-        // The frozen constant was never corrupted.
-        assert!(batched.trials().iter().all(|t| t.injected().is_empty()));
-    }
-
     /// On a fixed-point backend the injector flips stored words; the lazily decoded f32
     /// mirror served by `Values::get` must always reflect the flip — over repeated
     /// passes through one arena, with mirrors decoded between passes (the campaign
@@ -580,63 +229,6 @@ mod tests {
             )
             .unwrap();
             assert_eq!(values.get(y).unwrap(), &golden, "bit {bit}");
-        }
-    }
-
-    /// The tiled bit-for-bit discipline at the injector level: the same batched plans,
-    /// run through the tiled scheduler at several tile sizes (including a non-divisor
-    /// and one larger than the batch), corrupt exactly the same elements as the untiled
-    /// batched pass — on the f32 reference and on a fixed-point backend's words.
-    #[test]
-    fn batched_tiled_passes_match_untiled_at_every_tile_size() {
-        use ranger_graph::BackendKind;
-        let (graph, y) = toy();
-        let target = InjectionTarget {
-            graph: &graph,
-            input_name: "x",
-            output: y,
-            excluded: &[],
-        };
-        let input = Tensor::ones(vec![1, 3]);
-        let space = InjectionSpace::build(&target, &input).unwrap();
-        for kind in [BackendKind::F32, BackendKind::Fixed16] {
-            let fault = match kind {
-                BackendKind::Fixed16 => FaultModel {
-                    datatype: ranger_tensor::DataType::fixed16(),
-                    bits: 1,
-                },
-                _ => FaultModel::single_bit_fixed32(),
-            };
-            let mut rng = StdRng::seed_from_u64(9);
-            let trials: Vec<FaultInjector> = (0..4)
-                .map(|_| FaultInjector::plan_random(fault, &space, &mut rng))
-                .collect();
-            let plan = graph.compile_with(kind.backend()).unwrap();
-            let feeds = [("x", input.repeat_batch(4).unwrap())];
-            let mut untiled = BatchFaultInjector::new(trials.clone(), &space);
-            let golden = plan.run(&feeds, &mut untiled).unwrap();
-            let golden_out = golden.get(y).unwrap();
-            assert!(untiled.trials().iter().all(FaultInjector::fully_injected));
-
-            let schedule = plan.tiled_schedule(&[y]);
-            assert!(schedule.segments() >= 1);
-            for tile_rows in [1usize, 2, 3, 7] {
-                let mut tiled = BatchFaultInjector::new(trials.clone(), &space);
-                let mut values = plan.buffers();
-                plan.run_tiled_into(&mut values, &feeds, &mut tiled, &schedule, tile_rows)
-                    .unwrap();
-                assert!(
-                    tiled.trials().iter().all(FaultInjector::fully_injected),
-                    "{kind:?} tile_rows={tile_rows}: every flip must land exactly once"
-                );
-                assert!(tiled.violation().is_none());
-                let out = values.get(y).unwrap();
-                let (a, b): (Vec<u32>, Vec<u32>) = (
-                    golden_out.data().iter().map(|v| v.to_bits()).collect(),
-                    out.data().iter().map(|v| v.to_bits()).collect(),
-                );
-                assert_eq!(a, b, "{kind:?} tile_rows={tile_rows} diverged");
-            }
         }
     }
 

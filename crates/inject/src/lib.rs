@@ -44,13 +44,13 @@
 //! };
 //! let config = CampaignConfig {
 //!     trials: 20,
-//!     batch: 4,   // 4 trials per forward pass …
+//!     batch: 4,   // 4 trials per work unit …
 //!     workers: 2, // … scheduled across 2 worker threads —
 //!     // any (batch, workers) combination reports identical SDC counts.
 //!     backend: BackendKind::F32, // or Fixed16/Fixed32 for genuine fixed-point inference
 //!     fault: FaultModel::single_bit_fixed32(),
 //!     seed: 1,
-//!     tile: 0, // reserved: batched passes pick their row-group schedule themselves
+//!     tile: 0, // reserved: must be 0
 //! };
 //! let inputs = vec![Tensor::ones(vec![1, 4])];
 //! let judge = ClassifierJudge::top1();
@@ -73,7 +73,7 @@ pub use campaign::{
     CampaignResult, ChunkTally, PreparedCampaign, TrialChunk,
 };
 pub use fault::FaultModel;
-pub use injector::{BatchFaultInjector, FaultInjector};
+pub use injector::FaultInjector;
 pub use judge::{ClassifierJudge, SdcJudge, SteeringJudge};
 // Backend selection is part of the campaign configuration surface; re-exported so
 // campaign callers need not depend on ranger-graph directly.
@@ -88,7 +88,7 @@ pub mod prelude {
         CampaignResult, ChunkTally, PreparedCampaign, TrialChunk,
     };
     pub use crate::fault::FaultModel;
-    pub use crate::injector::{BatchFaultInjector, FaultInjector};
+    pub use crate::injector::FaultInjector;
     pub use crate::judge::{ClassifierJudge, SdcJudge, SteeringJudge};
     pub use crate::sensitivity::{bit_sensitivity, BitSensitivity};
     pub use crate::space::{InjectionSite, InjectionSpace};

@@ -12,8 +12,8 @@
 //!   in task order whatever the interleaving was.
 //! * [`rng`] — the **per-(input, trial) RNG stream derivation**: SplitMix64-mixed
 //!   sub-seeds so every trial draws its fault plan from an independent, index-keyed
-//!   stream. Serial, batched and parallel drivers that key their draws this way produce
-//!   bit-for-bit identical plans for any worker count and any batch size.
+//!   stream. Serial and parallel drivers that key their draws this way produce
+//!   bit-for-bit identical plans for any worker count and any chunk length.
 //!
 //! The two halves compose into the determinism model documented in `ARCHITECTURE.md`:
 //! *schedule-free randomness* (streams keyed by logical indices, never by execution

@@ -8,9 +8,9 @@
 //! This module re-keys the randomness: every `(campaign seed, input index, trial index)`
 //! triple derives its **own** 64-bit sub-seed via two chained SplitMix64 finalization
 //! rounds, and the trial's generator is seeded from that sub-seed alone. Plans therefore
-//! depend only on logical indices, never on execution order — the serial, batched and
-//! parallel campaign paths all draw identical plans, bit for bit, for any worker count
-//! and any batch size.
+//! depend only on logical indices, never on execution order — serial and parallel
+//! campaigns draw identical plans, bit for bit, for any worker count and any chunk
+//! length.
 //!
 //! The derivation is **frozen**: it is the canonical draw order of every campaign in the
 //! reproduction (pinned by the `trial_stream_seeds_are_pinned` test below), so reported

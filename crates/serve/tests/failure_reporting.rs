@@ -3,7 +3,7 @@
 //! failure of the lowest chunk index — bare when it is the only one, wrapped in
 //! `CampaignError::Failures` only when others were suppressed behind it.
 
-use ranger_graph::{NodeId, Op};
+use ranger_graph::NodeId;
 use ranger_inject::{BackendKind, CampaignConfig, CampaignError, FaultModel, PreparedCampaign};
 use ranger_models::{archs, ModelConfig, ModelKind};
 use ranger_runtime::ThreadPool;
@@ -11,7 +11,6 @@ use ranger_serve::{
     drive, work, CampaignServer, CampaignSpec, CheckpointStore, Client, ModelSpec, NullSink,
     SavedModel, ServeError, WorkOptions,
 };
-use ranger_tensor::Tensor;
 use std::path::PathBuf;
 use std::sync::atomic::AtomicBool;
 
@@ -22,24 +21,14 @@ fn tmp_dir(name: &str) -> PathBuf {
     ))
 }
 
-/// A LeNet whose only injectable operator is a constant's identity, which does not
-/// scale with the batch: golden passes (batch 1) succeed, every batched faulty chunk
-/// fails. Two chunks, one worker, so the first failure stops the second chunk from
-/// ever starting.
+/// A LeNet with every operator excluded from injection: golden passes succeed, and
+/// every chunk fails because its input's injection space is empty. Two chunks, one
+/// worker, so the first failure stops the second chunk from ever starting.
 fn failing_spec(dir: &std::path::Path) -> CampaignSpec {
     let seed = 13;
     let mut model = archs::build(&ModelConfig::new(ModelKind::LeNet), seed);
-    let frozen = model
-        .graph
-        .add_const("frozen", Tensor::ones(vec![50]), false);
-    let frozen = model
-        .graph
-        .add_node("frozen_id", Op::Identity, vec![frozen]);
-    model.excluded_from_injection = (0..model.graph.len())
-        .map(NodeId::new)
-        .filter(|&id| id != frozen)
-        .collect();
-    let path = dir.join("frozen-lenet.json");
+    model.excluded_from_injection = (0..model.graph.len()).map(NodeId::new).collect();
+    let path = dir.join("excluded-lenet.json");
     SavedModel {
         model,
         seed,
@@ -106,7 +95,7 @@ fn a_lone_chunk_failure_is_reported_bare_by_drive_and_by_work() {
     )
     .unwrap_err();
     let local = lone_failure(error);
-    assert!(local.contains("batch dimension"), "{local}");
+    assert!(local.contains("empty injection space"), "{local}");
     assert!(store.is_empty(), "a failed chunk is never made durable");
 
     // Remote: a worker joining a coordinated campaign reports the same failure.

@@ -228,8 +228,8 @@ impl QTensor {
 
     /// Appends the rows of `src` along the leading (batch) dimension, mirroring
     /// [`Tensor::push_rows`]: within reserved capacity the append reuses the backing
-    /// allocation, so tiled execution can assemble a full-batch word tensor from
-    /// row-group outputs without reallocating.
+    /// allocation, so row groups assemble into a full-batch word tensor without
+    /// reallocating.
     ///
     /// # Errors
     ///

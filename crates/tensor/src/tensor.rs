@@ -374,7 +374,7 @@ impl Tensor {
     //
     // Tensors use the leading dimension as the batch dimension throughout the workspace.
     // These helpers assemble `[N, ...]` batches from single-sample tensors and slice
-    // per-sample rows back out — the plumbing of batched fault-injection campaigns.
+    // per-sample rows back out.
 
     /// Concatenates tensors along the leading (batch) dimension: `k` tensors of shape
     /// `[n_i, d...]` become one `[sum(n_i), d...]` tensor.
@@ -504,8 +504,8 @@ impl Tensor {
 
     /// Appends the rows of `src` to this tensor along the leading (batch) dimension:
     /// `[n, d...]` followed by `[m, d...]` becomes `[n + m, d...]`. Within reserved
-    /// capacity the append reuses the backing allocation, which is how tiled execution
-    /// materializes a full-batch value from row-group outputs without reallocating.
+    /// capacity the append reuses the backing allocation, so row groups assemble into a
+    /// full-batch value without reallocating.
     ///
     /// # Errors
     ///

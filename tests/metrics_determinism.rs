@@ -3,12 +3,10 @@
 //! count.
 //!
 //! The pin runs the same LeNet campaign twice — registry off, then registry on — for
-//! every (workers × batch × backend) combination the campaign driver dispatches over
-//! (batch 64 overflows LeNet's cache budget, so those passes run on the tiled
-//! scheduler), and requires the tallies to be **bit-for-bit** identical. A second
-//! assertion block checks the flip side: the metrics-on runs really did record (per-op
-//! plan timings, row-group scheduler counters, campaign histograms, trial counts and
-//! the per-sample fault cone's masked-trial count), so the equality above is not
+//! every (workers × batch × backend) combination, and requires the tallies to be
+//! **bit-for-bit** identical. A second assertion block checks the flip side: the
+//! metrics-on runs really did record (per-op plan timings, campaign histograms, trial
+//! counts and the fault cone's masked-trial count), so the equality above is not
 //! vacuous.
 //!
 //! The enable flag is process-global, so this file keeps everything in one `#[test]`
@@ -86,12 +84,7 @@ fn sdc_counts_are_bit_for_bit_identical_with_metrics_on_and_off() {
     );
     assert!(
         snapshot.counter("campaign.trials_masked").unwrap_or(0) > 0,
-        "the enabled per-sample runs must have counted trials whose fault was masked"
-    );
-    assert!(
-        snapshot.counter("plan.tile.segments").unwrap_or(0) > 0
-            && snapshot.counter("plan.tile.rows").unwrap_or(0) > 0,
-        "the enabled tiled runs must have published row-group scheduler counters"
+        "the enabled runs must have counted trials whose fault was masked"
     );
     ranger_obs::set_enabled(was_enabled);
 }

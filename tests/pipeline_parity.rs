@@ -13,7 +13,10 @@ use ranger_engine::{
 };
 use ranger_graph::exec::NoopInterceptor;
 use ranger_graph::{Executor, GraphBuilder};
-use ranger_inject::{BackendKind, CampaignConfig, FaultModel};
+use ranger_inject::{
+    trial_rng, BackendKind, CampaignConfig, FaultInjector, FaultModel, InjectionSpace,
+    InjectionTarget, SdcJudge,
+};
 use ranger_models::zoo::ModelZoo;
 use ranger_models::{archs, ModelConfig, ModelKind, TrainConfig};
 use ranger_tensor::Tensor;
@@ -124,7 +127,7 @@ proptest! {
     /// The batched/parallel-campaign acceptance property: ANY campaign configuration
     /// produces identical SDC counts (and trial/unactivated tallies) for every
     /// `(batch, workers)` combination, on random MLPs and random fault models — fault
-    /// plans are keyed by `(input, trial)` index, so neither the pass shape nor the
+    /// plans are keyed by `(input, trial)` index, so neither the chunk length nor the
     /// schedule can reach the counts.
     #[test]
     fn batched_and_parallel_campaign_parity_on_random_campaigns(
@@ -250,18 +253,46 @@ fn parallel_campaign_grid_matches_serial_on_zoo_models() {
     }
 }
 
-/// The row-group scheduler acceptance grid on real zoo architectures: on a convolutional
+/// The SDC counts and unactivated tally of `config` computed the long way: one full
+/// `ExecPlan` pass per trial on the configured backend, plans drawn from the canonical
+/// per-(input, trial) streams.
+fn full_pass_counts(
+    target: &InjectionTarget<'_>,
+    inputs: &[Tensor],
+    judge: &dyn SdcJudge,
+    config: &CampaignConfig,
+) -> (Vec<u64>, u64) {
+    let plan = target.graph.compile_with(config.backend.backend()).unwrap();
+    let mut values = plan.buffers();
+    let mut counts = vec![0u64; judge.categories().len()];
+    let mut unactivated = 0u64;
+    for (i, input) in inputs.iter().enumerate() {
+        let feeds = [(target.input_name, input.clone())];
+        let golden = plan.run_simple(&feeds, target.output).unwrap();
+        let space = InjectionSpace::build_on(&plan, target, input).unwrap();
+        for t in 0..config.trials {
+            let mut rng = trial_rng(config.seed, i, t);
+            let mut injector = FaultInjector::plan_random(config.fault, &space, &mut rng);
+            plan.run_into(&mut values, &feeds, &mut injector).unwrap();
+            let faulty = values.get(target.output).unwrap();
+            for (count, sdc) in counts.iter_mut().zip(judge.judge(&golden, faulty)) {
+                *count += u64::from(sdc);
+            }
+            unactivated += u64::from(!injector.fully_injected());
+        }
+    }
+    (counts, unactivated)
+}
+
+/// The fault-cone acceptance grid on real zoo architectures: on a convolutional
 /// classifier (LeNet), a steering regressor (Comma), a residual network (ResNet-18,
 /// `Add` joins) and a fire-module network (SqueezeNet, `Concat` joins), across the f32,
-/// SIMD and fixed16 backends, batch {16, 64} × workers {1, 4} reports the per-sample
-/// counts bit-for-bit. The per-sample reference runs each trial as a fault cone from
-/// the golden pass, so the grid also pins cone execution against full batched passes
-/// through every branch shape. At batch 64 the full-batch activations overflow the
-/// cache budget, so those passes run on the tiled scheduler in row groups with an
-/// uneven tail; tiling is pure scheduling, and the same faults land on the same
-/// elements.
+/// SIMD and fixed16 backends, every campaign trial runs as a fault cone from the golden
+/// pass, and batch {1, 16, 64} × workers {1, 4} reports the counts of one full pass per
+/// trial bit-for-bit. This pins the cone against full passes through every branch
+/// shape, and the counts across chunk lengths (64 leaves an uneven tail of 8).
 #[test]
-fn tiled_campaign_grid_matches_untiled_on_zoo_models() {
+fn cone_campaign_grid_matches_full_passes_on_zoo_models() {
     for kind in [
         ModelKind::LeNet,
         ModelKind::Comma,
@@ -271,12 +302,12 @@ fn tiled_campaign_grid_matches_untiled_on_zoo_models() {
         let model = archs::build(&ModelConfig::new(kind), 3);
         let input = canonical_input(&model);
         let inputs = vec![input];
-        let judge: Box<dyn ranger_inject::SdcJudge> = if kind.is_steering() {
+        let judge: Box<dyn SdcJudge> = if kind.is_steering() {
             Box::new(ranger_inject::SteeringJudge::paper_thresholds(false))
         } else {
             Box::new(ranger_inject::ClassifierJudge::top1())
         };
-        let target = ranger_inject::InjectionTarget {
+        let target = InjectionTarget {
             graph: &model.graph,
             input_name: &model.input_name,
             output: model.output,
@@ -287,7 +318,6 @@ fn tiled_campaign_grid_matches_untiled_on_zoo_models() {
             (BackendKind::Simd, FaultModel::single_bit_fixed32()),
             (BackendKind::Fixed16, FaultModel::single_bit_fixed16()),
         ] {
-            // 72 trials: one full 64-trial pass plus a short one at batch 64.
             let config = |batch, workers| CampaignConfig {
                 trials: 72,
                 batch,
@@ -297,10 +327,9 @@ fn tiled_campaign_grid_matches_untiled_on_zoo_models() {
                 seed: 37,
                 tile: 0,
             };
-            let reference =
-                ranger_inject::run_campaign(&target, &inputs, judge.as_ref(), &config(1, 1))
-                    .unwrap();
-            for batch in [16usize, 64] {
+            let (counts, unactivated) =
+                full_pass_counts(&target, &inputs, judge.as_ref(), &config(1, 1));
+            for batch in [1usize, 16, 64] {
                 for workers in [1usize, 4] {
                     let run = ranger_inject::run_campaign(
                         &target,
@@ -311,11 +340,11 @@ fn tiled_campaign_grid_matches_untiled_on_zoo_models() {
                     .unwrap();
                     let label = format!("{kind} on {backend}: batch {batch} × workers {workers}");
                     assert_eq!(
-                        run.sdc_counts, reference.sdc_counts,
-                        "{label} diverged from the per-sample SDC counts"
+                        run.sdc_counts, counts,
+                        "{label} diverged from the full-pass SDC counts"
                     );
-                    assert_eq!(run.trials, reference.trials, "{label}");
-                    assert_eq!(run.unactivated, reference.unactivated, "{label}");
+                    assert_eq!(run.trials, 72, "{label}");
+                    assert_eq!(run.unactivated, unactivated, "{label}");
                 }
             }
         }
@@ -407,10 +436,9 @@ fn pipeline_reproduces_legacy_fig6_campaign_counts_exactly() {
     // The protected graphs are structurally identical too.
     assert_eq!(outcome.protected.model.graph, protected.graph);
 
-    // The batched/parallel acceptance criterion: the same fig6-style pipeline with a
-    // batched campaign (16 trials per forward pass), a parallel campaign (4 workers),
-    // both at once, and a batch wide enough for LeNet to tile reproduces the per-sample
-    // SDC counts bit-for-bit, in both arms.
+    // The chunk-length/parallel acceptance criterion: the same fig6-style pipeline with
+    // 16- and 64-trial work units, a parallel campaign (4 workers) and both at once
+    // reproduces the serial SDC counts bit-for-bit, in both arms.
     for (batch, workers) in [(16usize, 1usize), (1, 4), (16, 4), (64, 4)] {
         let variant = Pipeline::for_model(kind)
             .seed(seed)
