@@ -429,31 +429,33 @@ impl<'g> ExecPlan<'g> {
         Ok(())
     }
 
-    /// Runs one forward pass on `feeds` and records every node's output shape, making
-    /// [`ExecPlan::output_dims`] available. Shapes are computed at most once per plan;
-    /// subsequent calls only run the pass if recording has not happened yet.
+    /// Runs one fault-free forward pass on `feeds` into a fresh value store and returns
+    /// it. The plan's first warm also records every node's output shape, making
+    /// [`ExecPlan::output_dims`] available and pre-sizing every later
+    /// [`ExecPlan::buffers`] store; later warms only run their pass.
     ///
-    /// Recording is explicit (not part of [`ExecPlan::run_into`]) so single-shot
-    /// executions — including every [`Executor`](crate::exec::Executor) call, which
-    /// compiles a throwaway plan — never pay for shape bookkeeping they cannot use.
+    /// Campaigns warm with their first input's golden pass, so warming costs no pass of
+    /// its own. Recording is explicit (not part of [`ExecPlan::run_into`]) so
+    /// single-shot executions — including every [`Executor`](crate::exec::Executor)
+    /// call, which compiles a throwaway plan — never pay for shape bookkeeping they
+    /// cannot use. With metrics enabled, warming creates the plan's timing slots first,
+    /// so its own pass is timed too.
     ///
     /// # Errors
     ///
     /// See [`ExecPlan::run_into`].
-    pub fn warm(&self, feeds: &[(&str, Tensor)]) -> Result<(), GraphError> {
-        if self.shapes.get().is_some() {
-            self.ensure_timings();
-            return Ok(());
-        }
-        let values = self.run(feeds, &mut NoopInterceptor)?;
-        // dims_of reads shapes from whichever representation the backend stored, so
-        // warming a fixed-point plan records every node without decoding any mirror.
-        let recorded: Vec<Option<Vec<usize>>> = (0..self.graph.len())
-            .map(|i| values.dims_of(NodeId::new(i)).map(|d| d.to_vec()))
-            .collect();
-        let _ = self.shapes.set(recorded);
+    pub fn warm(&self, feeds: &[(&str, Tensor)]) -> Result<Values, GraphError> {
         self.ensure_timings();
-        Ok(())
+        let values = self.run(feeds, &mut NoopInterceptor)?;
+        if self.shapes.get().is_none() {
+            // dims_of reads shapes from whichever representation the backend stored, so
+            // warming a fixed-point plan records every node without decoding any mirror.
+            let recorded: Vec<Option<Vec<usize>>> = (0..self.graph.len())
+                .map(|i| values.dims_of(NodeId::new(i)).map(|d| d.to_vec()))
+                .collect();
+            let _ = self.shapes.set(recorded);
+        }
+        Ok(values)
     }
 
     /// Creates the per-node timing slots if metrics are enabled and none exist yet.
@@ -677,9 +679,10 @@ mod tests {
         assert!(plan.output_dims(y).is_none(), "no shapes before warming");
         plan.warm(&[("x", Tensor::ones(vec![1, 4]))]).unwrap();
         assert_eq!(plan.output_dims(y), Some(&[1usize, 2][..]));
-        // Warming twice is a no-op.
-        plan.warm(&[("x", Tensor::ones(vec![1, 4]))]).unwrap();
-        assert_eq!(plan.order().len(), graph.len());
+        // Warming again runs its pass and returns it, keeping the recorded shapes.
+        let values = plan.warm(&[("x", Tensor::ones(vec![1, 4]))]).unwrap();
+        assert_eq!(values.get(y).unwrap().dims(), &[1, 2]);
+        assert_eq!(plan.output_dims(y), Some(&[1usize, 2][..]));
     }
 
     /// One test (not several) because it toggles the process-global enable flag:
@@ -713,9 +716,9 @@ mod tests {
             )
             .unwrap();
         }
-        // warm() itself ran one pass before the slots existed; only the two
-        // explicit passes are timed.
-        assert_eq!(plan.timed_passes(), 2);
+        // warm() creates the slots before its own pass, so it is timed with the two
+        // explicit passes.
+        assert_eq!(plan.timed_passes(), 3);
         assert!(plan.node_nanos(y).is_some());
 
         // Publishing drains the slots into per-kind registry counters. Deltas, not
@@ -723,17 +726,17 @@ mod tests {
         let registry = ranger_obs::registry();
         let calls_before = registry.counter("plan.op.MatMul.calls").value();
         plan.publish_timings();
-        // toy() has two dense layers = two MatMul nodes, each called twice.
+        // toy() has two dense layers = two MatMul nodes, each called three times.
         assert_eq!(
             registry.counter("plan.op.MatMul.calls").value() - calls_before,
-            4
+            6
         );
         assert_eq!(plan.timed_passes(), 0, "publishing drains the slots");
         // Publishing again adds nothing.
         plan.publish_timings();
         assert_eq!(
             registry.counter("plan.op.MatMul.calls").value() - calls_before,
-            4
+            6
         );
 
         // A cone pass counts only the nodes it evaluated: a site on the second MatMul
@@ -753,7 +756,7 @@ mod tests {
         plan.publish_timings();
         assert_eq!(
             registry.counter("plan.op.MatMul.calls").value() - calls_before,
-            5
+            7
         );
         assert_eq!(
             registry.counter("plan.op.BiasAdd.calls").value(),

@@ -408,18 +408,28 @@ impl ChunkTally {
         }
     }
 
-    /// Counts one faulty run into the tally.
-    fn record(&mut self, judge: &dyn SdcJudge, golden: &Tensor, faulty: &Tensor, injected: bool) {
-        if !injected {
+    /// Counts one trial into the tally.
+    fn record(&mut self, outcome: &TrialOutcome) {
+        if !outcome.applied {
             self.unactivated += 1;
         }
-        for (count, sdc) in self.sdc_counts.iter_mut().zip(judge.judge(golden, faulty)) {
+        for (count, &sdc) in self.sdc_counts.iter_mut().zip(&outcome.sdc) {
             if sdc {
                 *count += 1;
             }
         }
         self.trials += 1;
     }
+}
+
+/// What one trial observed ([`PreparedCampaign::run_trial`]).
+pub(crate) struct TrialOutcome {
+    /// The judge's verdict per category: `true` where the trial was an SDC.
+    pub(crate) sdc: Vec<bool>,
+    /// Whether every planned flip was applied.
+    pub(crate) applied: bool,
+    /// Whether a flip was applied but its deviation died before the output.
+    pub(crate) masked: bool,
 }
 
 /// The canonical trials-per-work-unit for `config` (the partition [`run_campaign`] and
@@ -670,34 +680,34 @@ impl<'a> PreparedCampaign<'a> {
         // Plan once onto the configured backend (an uncompilable graph errors even for
         // an empty input list, as it always has); golden and faulty passes execute on
         // the same backend, so on a fixed-point backend the whole campaign — reference
-        // outputs included — is genuine fixed-point inference. Warming records every
-        // node's shape, so each worker's arena comes pre-sized from `buffers()`.
+        // outputs included — is genuine fixed-point inference.
         let plan = target.graph.compile_with(config.backend.backend())?;
         let categories = judge.categories();
         let metrics = CampaignMetrics::resolve();
-        if inputs.is_empty() {
-            return Ok(PreparedCampaign {
-                target,
-                inputs,
-                judge,
-                config: *config,
-                plan,
-                goldens: Vec::new(),
-                snapshots: Vec::new(),
-                spaces: Vec::new(),
-                categories,
-                chunks: Vec::new(),
-                metrics,
-            });
+        // One fault-free pass per input supplies everything the trials need: the golden
+        // output, the snapshot every cone starts from, and the injection space. Input
+        // 0's pass warms the plan, recording the shapes that pre-size every arena
+        // `buffers()` hands out.
+        let mut goldens = Vec::with_capacity(inputs.len());
+        let mut snapshots = Vec::with_capacity(inputs.len());
+        let mut spaces = Vec::with_capacity(inputs.len());
+        let mut store: Option<Values> = None;
+        for input in inputs {
+            let feeds = [(target.input_name, input.clone())];
+            let span = metrics.as_ref().map(|m| m.golden_pass_nanos.span());
+            let values = match store.take() {
+                None => plan.warm(&feeds)?,
+                Some(mut values) => {
+                    plan.run_into(&mut values, &feeds, &mut NoopInterceptor)?;
+                    values
+                }
+            };
+            drop(span);
+            goldens.push(values.get(target.output)?.clone());
+            snapshots.push(plan.snapshot(&values)?);
+            spaces.push(InjectionSpace::from_pass(&plan, &values, target.excluded)?);
+            store = Some(values);
         }
-        plan.warm(&[(target.input_name, inputs[0].clone())])?;
-        let mut values = plan.buffers();
-        let (goldens, snapshots) =
-            golden_outputs(&plan, &mut values, target, inputs, metrics.as_ref())?;
-        let spaces: Vec<InjectionSpace> = inputs
-            .iter()
-            .map(|input| InjectionSpace::build_on(&plan, target, input))
-            .collect::<Result<_, _>>()?;
         let chunks = campaign_chunks(config, inputs.len(), chunk_len);
         Ok(PreparedCampaign {
             target,
@@ -757,11 +767,12 @@ impl<'a> PreparedCampaign<'a> {
 
     /// Executes one work unit in the given arena and returns its partial tally.
     ///
-    /// Each trial runs as a fault cone from its input's golden snapshot. A trial whose
-    /// output stays golden is judged golden against golden — the verdict a full pass
-    /// would give, NaN outputs included. Chunks are independent: any execution order,
-    /// any thread, any subset. The tally of a chunk depends only on the campaign
-    /// configuration and the chunk geometry.
+    /// Each trial draws its plan from its canonical stream ([`trial_rng`]) and runs as a
+    /// fault cone from its input's golden snapshot. A trial whose output stays golden is
+    /// judged golden against golden — the verdict a full pass would give, NaN outputs
+    /// included. Chunks are independent: any execution order, any thread, any subset.
+    /// The tally of a chunk depends only on the campaign configuration and the chunk
+    /// geometry.
     ///
     /// # Errors
     ///
@@ -773,8 +784,6 @@ impl<'a> PreparedCampaign<'a> {
         values: &mut Values,
         unit: TrialChunk,
     ) -> Result<ChunkTally, CampaignError> {
-        let golden = &self.goldens[unit.input];
-        let snapshot = &self.snapshots[unit.input];
         let space = &self.spaces[unit.input];
         let config = &self.config;
         if space.total_values() == 0 {
@@ -793,26 +802,55 @@ impl<'a> PreparedCampaign<'a> {
         for trial in unit.start..unit.start + unit.len {
             let mut rng = trial_rng(config.seed, unit.input, trial);
             let mut injector = FaultInjector::plan_random(config.fault, space, &mut rng);
-            sites.clear();
-            sites.extend(injector.plan().iter().map(|flip| flip.site.node));
-            let pass_span = self.metrics.as_ref().map(|m| m.faulty_pass_nanos.span());
-            let deviates =
-                self.plan
-                    .run_cone(values, snapshot, &sites, self.target.output, &mut injector)?;
-            drop(pass_span);
-            let faulty = if deviates {
-                values.get(self.target.output)?
-            } else {
-                masked += u64::from(!injector.injected().is_empty());
-                golden
-            };
-            tally.record(self.judge, golden, faulty, injector.fully_injected());
+            let outcome = self.run_trial(values, unit.input, &mut injector, &mut sites)?;
+            masked += u64::from(outcome.masked);
+            tally.record(&outcome);
         }
         if let Some(metrics) = &self.metrics {
             metrics.trials_masked.add(masked);
             metrics.trials.add(tally.trials);
         }
         Ok(tally)
+    }
+
+    /// Runs one trial on input `input` as [`PreparedCampaign::run_chunk`] describes: the
+    /// fault cone of `injector`'s plan, judged against the golden output. `sites` is
+    /// scratch for the plan's target nodes, kept by the caller so trials reuse its
+    /// allocation.
+    pub(crate) fn run_trial(
+        &self,
+        values: &mut Values,
+        input: usize,
+        injector: &mut FaultInjector,
+        sites: &mut Vec<NodeId>,
+    ) -> Result<TrialOutcome, CampaignError> {
+        let golden = &self.goldens[input];
+        sites.clear();
+        sites.extend(injector.plan().iter().map(|flip| flip.site.node));
+        let pass_span = self.metrics.as_ref().map(|m| m.faulty_pass_nanos.span());
+        let deviates = self.plan.run_cone(
+            values,
+            &self.snapshots[input],
+            sites,
+            self.target.output,
+            injector,
+        )?;
+        drop(pass_span);
+        let faulty = if deviates {
+            values.get(self.target.output)?
+        } else {
+            golden
+        };
+        Ok(TrialOutcome {
+            sdc: self.judge.judge(golden, faulty),
+            applied: injector.fully_injected(),
+            masked: !deviates && !injector.injected().is_empty(),
+        })
+    }
+
+    /// The injection space of input `input`, read off its golden pass.
+    pub(crate) fn space(&self, input: usize) -> &InjectionSpace {
+        &self.spaces[input]
     }
 
     /// Drains the plan's per-node timing slots into the global metrics registry
@@ -825,28 +863,6 @@ impl<'a> PreparedCampaign<'a> {
     pub fn publish_metrics(&self) {
         self.plan.publish_timings();
     }
-}
-
-/// Computes the fault-free output of every input, one pass per input, and keeps each
-/// pass as the input's [`GoldenSnapshot`].
-fn golden_outputs(
-    plan: &ExecPlan<'_>,
-    values: &mut Values,
-    target: &InjectionTarget<'_>,
-    inputs: &[Tensor],
-    metrics: Option<&CampaignMetrics>,
-) -> Result<(Vec<Tensor>, Vec<GoldenSnapshot>), CampaignError> {
-    let mut goldens = Vec::with_capacity(inputs.len());
-    let mut snapshots = Vec::with_capacity(inputs.len());
-    for input in inputs {
-        let feeds = [(target.input_name, input.clone())];
-        let span = metrics.map(|m| m.golden_pass_nanos.span());
-        plan.run_into(values, &feeds, &mut NoopInterceptor)?;
-        drop(span);
-        goldens.push(values.get(target.output)?.clone());
-        snapshots.push(plan.snapshot(values)?);
-    }
-    Ok((goldens, snapshots))
 }
 
 #[cfg(test)]

@@ -8,14 +8,14 @@
 //! monotonicity assumption behind Ranger and shows how range restriction "transfers"
 //! faults from the high-order bits to the harmless low-order ones.
 
+use crate::campaign::{CampaignConfig, CampaignError, PreparedCampaign};
 use crate::fault::FaultModel;
 use crate::injector::{FaultInjector, PlannedFlip};
 use crate::judge::SdcJudge;
-use crate::space::InjectionSpace;
 use crate::InjectionTarget;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use ranger_graph::{Executor, GraphError};
+use ranger_graph::BackendKind;
 use ranger_tensor::stats::Proportion;
 use ranger_tensor::Tensor;
 use serde::{Deserialize, Serialize};
@@ -72,9 +72,14 @@ impl BitSensitivity {
 /// that bit, and judges the outcomes against the fault-free output using the first
 /// category of `judge`.
 ///
+/// Sites are drawn bit-major from one generator seeded with `seed`, weighted by the
+/// input's injection space. Every trial runs through the campaign's trial function: a
+/// fault cone from the input's golden pass on the `f32` reference backend, which equals a
+/// full faulty pass bit for bit.
+///
 /// # Errors
 ///
-/// Returns a [`GraphError`] if any forward pass fails.
+/// Returns a [`CampaignError`] if the golden pass or any trial fails.
 pub fn bit_sensitivity(
     target: &InjectionTarget<'_>,
     input: &Tensor,
@@ -82,10 +87,23 @@ pub fn bit_sensitivity(
     fault: FaultModel,
     trials_per_bit: usize,
     seed: u64,
-) -> Result<BitSensitivity, GraphError> {
-    let exec = Executor::new(target.graph);
-    let golden = exec.run_simple(&[(target.input_name, input.clone())], target.output)?;
-    let space = InjectionSpace::build(target, input)?;
+) -> Result<BitSensitivity, CampaignError> {
+    // The campaign supplies the plan, the golden pass, the space and the trial function;
+    // its own per-trial draws are never made, so its seed and trial count stay at values
+    // that merely validate (`seed` may exceed what a campaign config accepts).
+    let config = CampaignConfig {
+        trials: 1,
+        batch: 1,
+        workers: 1,
+        backend: BackendKind::F32,
+        fault,
+        seed: 0,
+        tile: 0,
+    };
+    let campaign = PreparedCampaign::new(target, std::slice::from_ref(input), judge, &config)?;
+    let space = campaign.space(0);
+    let mut values = campaign.buffers();
+    let mut sites = Vec::with_capacity(1);
     let mut rng = StdRng::seed_from_u64(seed);
     let width = fault.datatype.bit_width();
     let mut per_bit = Vec::with_capacity(width as usize);
@@ -97,14 +115,8 @@ pub fn bit_sensitivity(
                 bit,
             }];
             let mut injector = FaultInjector::with_plan(fault, plan);
-            let faulty = exec.run_with(
-                &[(target.input_name, input.clone())],
-                target.output,
-                &mut injector,
-            )?;
-            if judge.judge(&golden, &faulty)[0] {
-                sdcs += 1;
-            }
+            let trial = campaign.run_trial(&mut values, 0, &mut injector, &mut sites)?;
+            sdcs += u64::from(trial.sdc[0]);
         }
         per_bit.push(Proportion::new(sdcs, trials_per_bit as u64));
     }
@@ -115,8 +127,8 @@ pub fn bit_sensitivity(
 mod tests {
     use super::*;
     use crate::judge::ClassifierJudge;
-    use rand::{rngs::StdRng, SeedableRng};
-    use ranger_graph::GraphBuilder;
+    use crate::space::InjectionSpace;
+    use ranger_graph::{Executor, GraphBuilder};
 
     fn toy_classifier() -> (ranger_graph::Graph, ranger_graph::NodeId) {
         let mut rng = StdRng::seed_from_u64(8);
@@ -127,6 +139,84 @@ mod tests {
         let y = b.dense(h, 16, 4, &mut rng);
         let probs = b.softmax(y);
         (b.into_graph(), probs)
+    }
+
+    /// `graph` with every ReLU clamped to a generous bound.
+    fn clamped(graph: &ranger_graph::Graph) -> ranger_graph::Graph {
+        let mut protected = graph.clone();
+        let relus: Vec<_> = protected
+            .nodes()
+            .iter()
+            .filter(|n| matches!(n.op, ranger_graph::Op::Relu))
+            .map(|n| n.id)
+            .collect();
+        for id in relus {
+            protected
+                .insert_after(id, "ranger", ranger_graph::Op::Clamp { lo: 0.0, hi: 20.0 })
+                .unwrap();
+        }
+        protected
+    }
+
+    /// The per-bit table computed the long way: one fresh `Executor` full pass per
+    /// trial, sites drawn bit-major from one `seed`-keyed generator over the reference
+    /// space.
+    fn full_pass_sensitivity(
+        target: &InjectionTarget<'_>,
+        input: &Tensor,
+        judge: &dyn SdcJudge,
+        fault: FaultModel,
+        trials_per_bit: usize,
+        seed: u64,
+    ) -> Vec<Proportion> {
+        let exec = Executor::new(target.graph);
+        let feeds = [(target.input_name, input.clone())];
+        let golden = exec.run_simple(&feeds, target.output).unwrap();
+        let space = InjectionSpace::build(target, input).unwrap();
+        let mut rng = StdRng::seed_from_u64(seed);
+        (0..fault.datatype.bit_width())
+            .map(|bit| {
+                let mut sdcs = 0u64;
+                for _ in 0..trials_per_bit {
+                    let plan = vec![PlannedFlip {
+                        site: space.sample(&mut rng),
+                        bit,
+                    }];
+                    let mut injector = FaultInjector::with_plan(fault, plan);
+                    let faulty = exec.run_with(&feeds, target.output, &mut injector).unwrap();
+                    sdcs += u64::from(judge.judge(&golden, &faulty)[0]);
+                }
+                Proportion::new(sdcs, trials_per_bit as u64)
+            })
+            .collect()
+    }
+
+    /// The cone-backed table equals the full-pass reference bit for bit, for every bit,
+    /// on the unprotected and the clamped graph, including a seed no campaign config
+    /// accepts.
+    #[test]
+    fn bit_sensitivity_matches_full_pass_reference_for_every_bit() {
+        let (graph, probs) = toy_classifier();
+        let protected = clamped(&graph);
+        let input = Tensor::filled(vec![1, 6], 0.8);
+        let judge = ClassifierJudge::top1();
+        let fault = FaultModel::single_bit_fixed32();
+        for (name, graph) in [("unprotected", &graph), ("clamped", &protected)] {
+            let target = InjectionTarget {
+                graph,
+                input_name: "x",
+                output: probs,
+                excluded: &[],
+            };
+            for seed in [5, u64::MAX - 2] {
+                let table = bit_sensitivity(&target, &input, &judge, fault, 12, seed).unwrap();
+                assert_eq!(
+                    table.per_bit,
+                    full_pass_sensitivity(&target, &input, &judge, fault, 12, seed),
+                    "{name}, seed {seed}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -182,19 +272,7 @@ mod tests {
             };
             bit_sensitivity(&target, &input, &judge, fault, 30, 5).unwrap()
         };
-        // Clamp every ReLU with a generous bound.
-        let mut protected = graph.clone();
-        let relus: Vec<_> = protected
-            .nodes()
-            .iter()
-            .filter(|n| matches!(n.op, ranger_graph::Op::Relu))
-            .map(|n| n.id)
-            .collect();
-        for id in relus {
-            protected
-                .insert_after(id, "ranger", ranger_graph::Op::Clamp { lo: 0.0, hi: 20.0 })
-                .unwrap();
-        }
+        let protected = clamped(&graph);
         let with_ranger = {
             let target = InjectionTarget {
                 graph: &protected,

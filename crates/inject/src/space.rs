@@ -2,9 +2,9 @@
 
 use crate::InjectionTarget;
 use rand::Rng;
-use ranger_graph::exec::{Executor, Interceptor};
-use ranger_graph::{ExecPlan, GraphError, Node, NodeId};
-use ranger_tensor::{FixedSpec, QTensor, Tensor};
+use ranger_graph::exec::{NoopInterceptor, Values};
+use ranger_graph::{ExecPlan, GraphError, NodeId};
+use ranger_tensor::{FixedSpec, Tensor};
 
 /// One concrete place a fault can strike: an element of an operator's output tensor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -20,8 +20,8 @@ pub struct InjectionSite {
 ///
 /// The paper injects faults "into the output values of operators in the graph", i.e. the
 /// probability that a given operator is hit is proportional to the number of values it
-/// produces (its share of the state space). The space is computed from one profiling run
-/// because output shapes are only known at execution time.
+/// produces (its share of the state space). Output shapes are only known at execution
+/// time, so the space is read off a finished forward pass ([`InjectionSpace::from_pass`]).
 #[derive(Debug, Clone)]
 pub struct InjectionSpace {
     sites: Vec<(NodeId, usize)>,
@@ -31,76 +31,50 @@ pub struct InjectionSpace {
     spec: Option<FixedSpec>,
 }
 
-struct SizeRecorder<'a> {
-    excluded: &'a [NodeId],
-    sites: Vec<(NodeId, usize)>,
-}
-
-impl Interceptor for SizeRecorder<'_> {
-    fn after_op(&mut self, node: &Node, output: &mut Tensor) {
-        if !self.excluded.contains(&node.id) {
-            self.sites.push((node.id, output.len()));
-        }
-    }
-
-    // On a fixed-point backend, record the word count directly — no dequantized mirror
-    // round trip is needed to size the state space.
-    fn after_op_words(&mut self, node: &Node, output: &mut QTensor) {
-        if !self.excluded.contains(&node.id) {
-            self.sites.push((node.id, output.len()));
-        }
-    }
-}
-
 impl InjectionSpace {
-    /// Profiles `target` on `input` with the `f32` reference executor and builds the
-    /// injection space.
+    /// Profiles `target` on `input` with one pass of the `f32` reference plan and builds
+    /// the injection space from it.
     ///
     /// # Errors
     ///
-    /// Returns a [`GraphError`] if the profiling forward pass fails.
+    /// Returns a [`GraphError`] if the graph does not compile or the pass fails.
     pub fn build(target: &InjectionTarget<'_>, input: &Tensor) -> Result<Self, GraphError> {
-        let mut recorder = SizeRecorder {
-            excluded: target.excluded,
-            sites: Vec::new(),
-        };
-        let exec = Executor::new(target.graph);
-        exec.run(&[(target.input_name, input.clone())], &mut recorder)?;
-        Ok(Self::from_recorder(recorder, None))
+        let plan = target.graph.compile()?;
+        let values = plan.run(&[(target.input_name, input.clone())], &mut NoopInterceptor)?;
+        Self::from_pass(&plan, &values, target.excluded)
     }
 
-    /// Profiles `target` on `input` through an already-compiled plan, so the space
-    /// reflects the tensors the plan's backend actually materializes — on a fixed-point
-    /// backend that means the raw integer words faults will strike, and the space records
-    /// their [word layout](InjectionSpace::word_layout).
+    /// Builds the space from a forward pass of `plan` that `values` holds: in the plan's
+    /// order, every injectable node not in `excluded` contributes its output's element
+    /// count. On a fixed-point backend the space records the plan's
+    /// [word layout](InjectionSpace::word_layout), the raw integer words faults strike.
     ///
-    /// (Operator output *element counts* are backend-independent, so spaces built on any
-    /// backend weight operators identically and seeded fault plans stay comparable across
-    /// backends.)
+    /// Element counts are backend-independent, so spaces read off any backend's pass
+    /// weight operators identically and seeded fault plans stay comparable across
+    /// backends.
     ///
     /// # Errors
     ///
-    /// Returns a [`GraphError`] if the profiling forward pass fails.
-    pub fn build_on(
+    /// Returns [`GraphError::UnknownNode`] if an injectable node holds no value (`values`
+    /// has not completed a pass of `plan`).
+    pub fn from_pass(
         plan: &ExecPlan<'_>,
-        target: &InjectionTarget<'_>,
-        input: &Tensor,
+        values: &Values,
+        excluded: &[NodeId],
     ) -> Result<Self, GraphError> {
-        let mut recorder = SizeRecorder {
-            excluded: target.excluded,
-            sites: Vec::new(),
-        };
-        plan.run(&[(target.input_name, input.clone())], &mut recorder)?;
-        Ok(Self::from_recorder(recorder, plan.backend().spec()))
-    }
-
-    fn from_recorder(recorder: SizeRecorder<'_>, spec: Option<FixedSpec>) -> Self {
-        let total = recorder.sites.iter().map(|(_, n)| n).sum();
-        InjectionSpace {
-            sites: recorder.sites,
-            total,
-            spec,
+        let graph = plan.graph();
+        let mut sites = Vec::new();
+        for &id in plan.order() {
+            if graph.node(id)?.op.is_injectable() && !excluded.contains(&id) {
+                let dims = values.dims_of(id).ok_or(GraphError::UnknownNode(id))?;
+                sites.push((id, dims.iter().product()));
+            }
         }
+        Ok(InjectionSpace {
+            total: sites.iter().map(|(_, n)| n).sum(),
+            sites,
+            spec: plan.backend().spec(),
+        })
     }
 
     /// Total number of injectable values (the state space size).
@@ -108,9 +82,9 @@ impl InjectionSpace {
         self.total
     }
 
-    /// The fixed-point word layout of the injectable values, when the space was profiled
-    /// on a fixed-point backend ([`InjectionSpace::build_on`]); `None` when the values
-    /// are `f32` tensors.
+    /// The fixed-point word layout of the injectable values, when the space was read off
+    /// a fixed-point backend's pass ([`InjectionSpace::from_pass`]); `None` when the
+    /// values are `f32` tensors.
     pub fn word_layout(&self) -> Option<FixedSpec> {
         self.spec
     }
@@ -240,28 +214,73 @@ mod tests {
         space.sample(&mut rng);
     }
 
-    /// Spaces built on a fixed-point plan weight operators identically to the reference
-    /// space (element counts are backend-independent) and record the word layout faults
-    /// will strike.
+    /// The interceptor-recorded layout `from_pass` must reproduce: every node the
+    /// injector could strike, in execution order, with its output length.
+    struct LengthRecorder<'a> {
+        excluded: &'a [NodeId],
+        sites: Vec<(NodeId, usize)>,
+    }
+
+    impl ranger_graph::Interceptor for LengthRecorder<'_> {
+        fn after_op(&mut self, node: &ranger_graph::Node, output: &mut Tensor) {
+            if !self.excluded.contains(&node.id) {
+                self.sites.push((node.id, output.len()));
+            }
+        }
+    }
+
+    /// Spaces read off any backend's pass list the same operators, in the same order,
+    /// with the same element counts as an interceptor watching a reference pass, and
+    /// record the word layout faults will strike.
     #[test]
     fn plan_built_space_matches_reference_and_records_layout() {
-        use ranger_graph::BackendKind;
-        let (graph, y, _) = toy_target();
+        use ranger_graph::{BackendKind, Executor};
+        let (graph, y, relu) = toy_target();
+        let excluded = vec![relu];
         let target = InjectionTarget {
             graph: &graph,
             input_name: "x",
             output: y,
-            excluded: &[],
+            excluded: &excluded,
         };
-        let input = Tensor::ones(vec![1, 4]);
-        let reference = InjectionSpace::build(&target, &input).unwrap();
+        let feeds = [("x", Tensor::ones(vec![1, 4]))];
+        let mut recorder = LengthRecorder {
+            excluded: &excluded,
+            sites: Vec::new(),
+        };
+        Executor::new(&graph).run(&feeds, &mut recorder).unwrap();
+        assert_eq!(recorder.sites.len(), 4, "the ReLU is excluded");
+        let reference = InjectionSpace::build(&target, &feeds[0].1).unwrap();
+        assert_eq!(reference.sites, recorder.sites);
         assert_eq!(reference.word_layout(), None);
-        for kind in [BackendKind::F32, BackendKind::Fixed16, BackendKind::Fixed32] {
+        for kind in [
+            BackendKind::F32,
+            BackendKind::Simd,
+            BackendKind::Fixed16,
+            BackendKind::Fixed32,
+        ] {
             let plan = graph.compile_with(kind.backend()).unwrap();
-            let space = InjectionSpace::build_on(&plan, &target, &input).unwrap();
-            assert_eq!(space.total_values(), reference.total_values(), "{kind}");
-            assert_eq!(space.operator_count(), reference.operator_count(), "{kind}");
+            let values = plan.run(&feeds, &mut NoopInterceptor).unwrap();
+            let space = InjectionSpace::from_pass(&plan, &values, &excluded).unwrap();
+            assert_eq!(space.sites, recorder.sites, "{kind}");
+            for node in graph.nodes() {
+                let expected = recorder
+                    .sites
+                    .iter()
+                    .find(|(id, _)| *id == node.id)
+                    .map(|(_, n)| *n);
+                assert_eq!(space.values_of(node.id), expected, "{kind}: {}", node.name);
+            }
+            assert_eq!(space.total_values(), 6 + 6 + 2 + 2, "{kind}");
             assert_eq!(space.word_layout(), kind.spec(), "{kind}");
         }
+    }
+
+    #[test]
+    fn a_store_without_a_finished_pass_is_rejected() {
+        let (graph, y, _) = toy_target();
+        let plan = graph.compile().unwrap();
+        let err = InjectionSpace::from_pass(&plan, &plan.buffers(), &[y]).unwrap_err();
+        assert!(matches!(err, GraphError::UnknownNode(_)), "{err}");
     }
 }

@@ -112,64 +112,12 @@ impl ThreadPool {
         N: Fn(usize) -> S + Sync,
     {
         let tasks: Vec<F> = tasks.into_iter().collect();
-        let task_count = tasks.len();
-        if task_count == 0 {
-            return Vec::new();
-        }
-        if self.workers == 1 {
-            // Inline fast path: no threads, same semantics (including scratch reuse).
-            let mut stats = WorkerStats::new();
-            stats.tasks = task_count as u64;
-            let mut scratch = init(0);
-            let results = tasks.into_iter().map(|task| task(&mut scratch)).collect();
-            stats.flush(0);
-            return results;
-        }
-
-        // One injector queue per worker, filled round-robin so the initial split is
-        // balanced without any coordination.
-        let workers = self.workers.min(task_count);
-        observe_run(workers);
-        let queues: Vec<Mutex<VecDeque<(usize, F)>>> =
-            (0..workers).map(|_| Mutex::new(VecDeque::new())).collect();
-        for (index, task) in tasks.into_iter().enumerate() {
-            queues[index % workers]
-                .lock()
-                .expect("queue lock poisoned during distribution")
-                .push_back((index, task));
-        }
-
-        let results: Mutex<Vec<(usize, T)>> = Mutex::new(Vec::with_capacity(task_count));
-        std::thread::scope(|scope| {
-            for worker in 0..workers {
-                let queues = &queues;
-                let results = &results;
-                let init = &init;
-                scope.spawn(move || {
-                    let mut scratch = init(worker);
-                    let mut stats = WorkerStats::new();
-                    // Completed (index, result) pairs stay worker-local until the worker
-                    // retires, so the shared results mutex is touched once per worker.
-                    let mut completed: Vec<(usize, T)> = Vec::new();
-                    while let Some((index, task)) = next_task(queues, worker, &mut stats) {
-                        completed.push((index, task(&mut scratch)));
-                    }
-                    stats.flush(worker);
-                    results
-                        .lock()
-                        .expect("result lock poisoned by a panicking worker")
-                        .extend(completed);
-                });
-            }
-            // `scope` joins every worker here and re-raises the first panic, if any.
-        });
-
-        let mut completed = results
-            .into_inner()
-            .expect("result lock poisoned by a panicking worker");
-        completed.sort_unstable_by_key(|&(index, _)| index);
-        debug_assert_eq!(completed.len(), task_count);
-        completed.into_iter().map(|(_, result)| result).collect()
+        let mut slots: Vec<Option<T>> = (0..tasks.len()).map(|_| None).collect();
+        self.run_with_consumer(init, tasks, |index, result| slots[index] = Some(result));
+        slots
+            .into_iter()
+            .map(|slot| slot.expect("the pool delivers every task's result"))
+            .collect()
     }
 
     /// Runs every task like [`ThreadPool::run_with`], but delivers each `(index, result)`

@@ -226,37 +226,6 @@ impl QTensor {
         Ok(())
     }
 
-    /// Appends the rows of `src` along the leading (batch) dimension, mirroring
-    /// [`Tensor::push_rows`]: within reserved capacity the append reuses the backing
-    /// allocation, so row groups assemble into a full-batch word tensor without
-    /// reallocating.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::ShapeMismatch`] if either tensor is rank 0 or the trailing
-    /// dimensions disagree; the tensor is left unchanged.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the operand formats differ.
-    pub fn push_rows(&mut self, src: &QTensor) -> Result<(), TensorError> {
-        assert_eq!(
-            self.spec, src.spec,
-            "push_rows operands must share a format"
-        );
-        let (d, s) = (self.dims(), src.dims());
-        if d.is_empty() || s.is_empty() || d[1..] != s[1..] {
-            return Err(TensorError::ShapeMismatch {
-                left: self.shape.clone(),
-                right: src.shape.clone(),
-            });
-        }
-        let lead = d[0] + s[0];
-        self.data.extend_from_slice(&src.data);
-        self.shape.set_lead(lead);
-        Ok(())
-    }
-
     // ---- Q-format kernels --------------------------------------------------------------
 
     /// Fixed-point matrix multiplication: `self (m, k) · other (k, n)`, accumulating each
@@ -946,25 +915,6 @@ mod tests {
             &[1, 3],
             "failed resets leave the tensor unchanged"
         );
-    }
-
-    #[test]
-    fn push_rows_appends_words_and_validates_trailing_dims() {
-        let spec = FixedSpec::q16();
-        let mut q = QTensor::with_capacity_for(spec, &[3, 2]);
-        q.reset_rows_from_words(spec, 1, &[2], &[1, 2]).unwrap();
-        let mut more = QTensor::new(spec);
-        more.reset_rows_from_words(spec, 2, &[2], &[3, 4, 5, 6])
-            .unwrap();
-        q.push_rows(&more).unwrap();
-        assert_eq!(q.dims(), &[3, 2]);
-        assert_eq!(q.words(), &[1, 2, 3, 4, 5, 6]);
-        // Mismatched trailing dims leave the tensor unchanged.
-        let mut wide = QTensor::new(spec);
-        wide.reset_rows_from_words(spec, 1, &[3], &[7, 8, 9])
-            .unwrap();
-        assert!(q.push_rows(&wide).is_err());
-        assert_eq!(q.words(), &[1, 2, 3, 4, 5, 6]);
     }
 
     #[test]

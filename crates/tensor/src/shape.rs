@@ -114,16 +114,6 @@ impl Shape {
         self.dims.push(lead);
         self.dims.extend_from_slice(rest);
     }
-
-    /// Replaces only the leading (batch) dimension, leaving the trailing extents
-    /// untouched. Used when rows are appended to an existing batch.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the shape is rank 0 (a scalar has no leading dimension).
-    pub fn set_lead(&mut self, lead: usize) {
-        self.dims[0] = lead;
-    }
 }
 
 impl From<Vec<usize>> for Shape {

@@ -372,159 +372,6 @@ impl Tensor {
 
     // ---- Batch stacking and slicing -----------------------------------------------
     //
-    // Tensors use the leading dimension as the batch dimension throughout the workspace.
-    // These helpers assemble `[N, ...]` batches from single-sample tensors and slice
-    // per-sample rows back out.
-
-    /// Concatenates tensors along the leading (batch) dimension: `k` tensors of shape
-    /// `[n_i, d...]` become one `[sum(n_i), d...]` tensor.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::ShapeMismatch`] if any two tensors disagree in a trailing
-    /// dimension or a tensor is rank 0.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `tensors` is empty.
-    pub fn stack_batch(tensors: &[Tensor]) -> Result<Tensor, TensorError> {
-        let first = tensors.first().expect("cannot stack an empty batch");
-        let trailing = &first.dims()[first.dims().len().min(1)..];
-        let mut rows = 0usize;
-        for t in tensors {
-            let d = t.dims();
-            if d.is_empty() || &d[1..] != trailing {
-                return Err(TensorError::ShapeMismatch {
-                    left: first.shape.clone(),
-                    right: t.shape.clone(),
-                });
-            }
-            rows += d[0];
-        }
-        let mut data = Vec::with_capacity(rows * trailing.iter().product::<usize>());
-        for t in tensors {
-            data.extend_from_slice(&t.data);
-        }
-        let mut dims = Vec::with_capacity(trailing.len() + 1);
-        dims.push(rows);
-        dims.extend_from_slice(trailing);
-        Tensor::from_vec(dims, data)
-    }
-
-    /// Tiles this tensor `n` times along the leading (batch) dimension: shape `[b, d...]`
-    /// becomes `[n * b, d...]` with the data repeated `n` times.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::ShapeDataMismatch`] if the tensor is rank 0.
-    pub fn repeat_batch(&self, n: usize) -> Result<Tensor, TensorError> {
-        let d = self.dims();
-        if d.is_empty() {
-            return Err(TensorError::ShapeDataMismatch {
-                expected: 1,
-                actual: 0,
-            });
-        }
-        let mut data = Vec::with_capacity(self.data.len() * n);
-        for _ in 0..n {
-            data.extend_from_slice(&self.data);
-        }
-        let mut dims = d.to_vec();
-        dims[0] *= n;
-        Tensor::from_vec(dims, data)
-    }
-
-    /// The extent of the leading (batch) dimension, or 1 for a rank-0 tensor.
-    pub fn batch_rows(&self) -> usize {
-        self.dims().first().copied().unwrap_or(1)
-    }
-
-    /// Extracts row `row` of the leading (batch) dimension as a `[1, d...]` tensor.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::IndexOutOfBounds`] if the tensor is rank 0 or `row` is out
-    /// of range.
-    pub fn batch_row(&self, row: usize) -> Result<Tensor, TensorError> {
-        let mut out = Tensor::empty();
-        self.batch_row_into(row, &mut out)?;
-        Ok(out)
-    }
-
-    /// [`Tensor::batch_row`], writing into a recycled output buffer.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::IndexOutOfBounds`] if the tensor is rank 0 or `row` is out
-    /// of range; `out` is left unchanged.
-    pub fn batch_row_into(&self, row: usize, out: &mut Tensor) -> Result<(), TensorError> {
-        self.slice_rows_into(row, 1, out)
-    }
-
-    /// Extracts rows `[start, start + rows)` of the leading (batch) dimension as a
-    /// `[rows, d...]` tensor — the value the same computation would have produced for
-    /// that row group alone, given row-independent operators.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::IndexOutOfBounds`] if the tensor is rank 0 or the range
-    /// exceeds the leading dimension.
-    pub fn slice_rows(&self, start: usize, rows: usize) -> Result<Tensor, TensorError> {
-        let mut out = Tensor::empty();
-        self.slice_rows_into(start, rows, &mut out)?;
-        Ok(out)
-    }
-
-    /// [`Tensor::slice_rows`], writing into a recycled output buffer.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::IndexOutOfBounds`] if the tensor is rank 0 or the range
-    /// exceeds the leading dimension; `out` is left unchanged.
-    pub fn slice_rows_into(
-        &self,
-        start: usize,
-        rows: usize,
-        out: &mut Tensor,
-    ) -> Result<(), TensorError> {
-        let d = self.dims();
-        if d.is_empty() || start + rows > d[0] {
-            return Err(TensorError::IndexOutOfBounds {
-                index: vec![start, start + rows],
-                shape: self.shape.clone(),
-            });
-        }
-        let per_row: usize = d[1..].iter().product();
-        out.data.clear();
-        out.data
-            .extend_from_slice(&self.data[start * per_row..(start + rows) * per_row]);
-        out.shape.set_dims_with_lead(rows, &d[1..]);
-        Ok(())
-    }
-
-    /// Appends the rows of `src` to this tensor along the leading (batch) dimension:
-    /// `[n, d...]` followed by `[m, d...]` becomes `[n + m, d...]`. Within reserved
-    /// capacity the append reuses the backing allocation, so row groups assemble into a
-    /// full-batch value without reallocating.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::ShapeMismatch`] if either tensor is rank 0 or the trailing
-    /// dimensions disagree; the tensor is left unchanged.
-    pub fn push_rows(&mut self, src: &Tensor) -> Result<(), TensorError> {
-        let (d, s) = (self.dims(), src.dims());
-        if d.is_empty() || s.is_empty() || d[1..] != s[1..] {
-            return Err(TensorError::ShapeMismatch {
-                left: self.shape.clone(),
-                right: src.shape.clone(),
-            });
-        }
-        let lead = d[0] + s[0];
-        self.data.extend_from_slice(&src.data);
-        self.shape.set_lead(lead);
-        Ok(())
-    }
-
     /// Applies `f` to every element in place.
     pub fn map_inplace(&mut self, f: impl Fn(f32) -> f32) {
         for v in &mut self.data {
@@ -866,55 +713,6 @@ mod tests {
         assert!(a.matmul_into(&c, &mut out).is_err());
         assert!(a.zip_map_into(&b, &mut out, |x, _| x).is_err());
         assert_eq!(out, keep);
-    }
-
-    #[test]
-    fn batch_stack_repeat_and_slice_round_trip() {
-        let a = Tensor::from_vec(vec![1, 3], vec![1.0, 2.0, 3.0]).unwrap();
-        let b = Tensor::from_vec(vec![1, 3], vec![4.0, 5.0, 6.0]).unwrap();
-        let stacked = Tensor::stack_batch(&[a.clone(), b.clone()]).unwrap();
-        assert_eq!(stacked.dims(), &[2, 3]);
-        assert_eq!(stacked.batch_rows(), 2);
-        assert_eq!(stacked.batch_row(0).unwrap(), a);
-        assert_eq!(stacked.batch_row(1).unwrap(), b);
-        assert!(stacked.batch_row(2).is_err());
-
-        let tiled = a.repeat_batch(3).unwrap();
-        assert_eq!(tiled.dims(), &[3, 3]);
-        for row in 0..3 {
-            assert_eq!(tiled.batch_row(row).unwrap(), a);
-        }
-        assert!(Tensor::scalar(1.0).repeat_batch(2).is_err());
-
-        let mismatched = Tensor::zeros(vec![1, 4]);
-        assert!(Tensor::stack_batch(&[a, mismatched]).is_err());
-    }
-
-    #[test]
-    fn batch_row_into_reuses_the_buffer() {
-        let stacked = Tensor::from_vec(vec![2, 2], vec![1.0, 2.0, 3.0, 4.0]).unwrap();
-        let mut row = Tensor::with_capacity(2);
-        let ptr = row.data().as_ptr();
-        stacked.batch_row_into(1, &mut row).unwrap();
-        assert_eq!(row.dims(), &[1, 2]);
-        assert_eq!(row.data(), &[3.0, 4.0]);
-        assert_eq!(row.data().as_ptr(), ptr);
-    }
-
-    #[test]
-    fn push_rows_appends_within_capacity_and_validates_trailing_dims() {
-        let full = Tensor::from_vec(vec![3, 2], vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]).unwrap();
-        let mut out = Tensor::with_capacity_for(&[3, 2]);
-        let ptr = out.data().as_ptr();
-        out.reset_from_slice(&[1, 2], &full.data()[..2]).unwrap();
-        out.push_rows(&full.slice_rows(1, 2).unwrap()).unwrap();
-        assert_eq!(out, full);
-        // The appends fit within the reserved capacity: the buffer never moved.
-        assert_eq!(out.data().as_ptr(), ptr);
-        // Mismatched trailing dims and rank-0 operands leave the tensor unchanged.
-        assert!(out.push_rows(&Tensor::zeros(vec![1, 3])).is_err());
-        assert!(out.push_rows(&Tensor::scalar(1.0)).is_err());
-        assert_eq!(out, full);
     }
 
     #[test]

@@ -268,8 +268,9 @@ fn full_pass_counts(
     let mut unactivated = 0u64;
     for (i, input) in inputs.iter().enumerate() {
         let feeds = [(target.input_name, input.clone())];
-        let golden = plan.run_simple(&feeds, target.output).unwrap();
-        let space = InjectionSpace::build_on(&plan, target, input).unwrap();
+        let golden_pass = plan.run(&feeds, &mut NoopInterceptor).unwrap();
+        let golden = golden_pass.get(target.output).unwrap().clone();
+        let space = InjectionSpace::from_pass(&plan, &golden_pass, target.excluded).unwrap();
         for t in 0..config.trials {
             let mut rng = trial_rng(config.seed, i, t);
             let mut injector = FaultInjector::plan_random(config.fault, &space, &mut rng);
