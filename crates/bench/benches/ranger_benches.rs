@@ -5,9 +5,9 @@
 //!   instrumentation time).
 //! * `inference/*` — forward-pass latency of the original vs. the protected model (the
 //!   wall-clock complement of Table IV's FLOPs overhead).
-//! * `exec_plan/*` — repeated forward passes through a fresh `Executor` per pass vs. a
-//!   compiled `ExecPlan` with reused buffers: the hot-path speedup the campaign runner
-//!   and `Pipeline` rely on.
+//! * `exec_plan/*` — repeated forward passes through one compiled `ExecPlan` with
+//!   reused buffers (LeNet and a deep narrow MLP), and the SIMD plan against the scalar
+//!   plan on the MLP.
 //! * `profiling/bounds` — cost of deriving restriction bounds from profiling samples.
 //! * `injection/trial` — throughput of a single fault-injection trial.
 //! * `campaign_simd/*` — the identical campaign on the scalar f32 reference vs. the
@@ -22,9 +22,8 @@
 //! document — the machine-readable record CI and regression dashboards consume.
 
 use ranger::bounds::{profile_bounds, ActivationBounds, BoundsConfig};
-use ranger::transform::{apply_ranger, RangerConfig};
+use ranger::protect::{Protector, RangerProtector};
 use ranger_graph::exec::NoopInterceptor;
-use ranger_graph::Executor;
 use ranger_inject::{BackendKind, CampaignConfig, ClassifierJudge, FaultModel, InjectionTarget};
 use ranger_models::archs;
 use ranger_models::{Model, ModelConfig, ModelKind};
@@ -163,8 +162,9 @@ fn bounds_for(model: &Model) -> ActivationBounds {
 
 fn protected(model: &Model) -> Model {
     let bounds = bounds_for(model);
-    let (graph, _) =
-        apply_ranger(&model.graph, &bounds, &RangerConfig::default()).expect("transform succeeds");
+    let (graph, _) = RangerProtector::default()
+        .protect(&model.graph, &bounds)
+        .expect("transform succeeds");
     let mut m = model.clone();
     m.graph = graph;
     m
@@ -180,7 +180,9 @@ fn bench_insertion() {
         let model = archs::build(&ModelConfig::new(kind), 0);
         let bounds = bounds_for(&model);
         bench(&format!("insertion/{}", kind.paper_name()), 2, 20, || {
-            apply_ranger(&model.graph, &bounds, &RangerConfig::default()).unwrap();
+            RangerProtector::default()
+                .protect(&model.graph, &bounds)
+                .unwrap();
         });
     }
 }
@@ -209,15 +211,12 @@ fn bench_inference() {
     }
 }
 
-/// The acceptance benchmark for the compiled execution plan: repeated forward passes of
-/// the same graph through (a) a fresh `Executor` per pass — re-deriving the topological
-/// order and re-allocating the value store every time — and (b) one compiled `ExecPlan`
-/// with reused buffers. (b) must be measurably faster.
+/// Repeated forward passes of the same graph through one compiled `ExecPlan` with reused
+/// buffers.
 ///
-/// Two graphs are measured. On LeNet the convolution arithmetic dominates, so the
-/// planning overhead is a small relative cost; on a deep narrow MLP (many cheap
-/// operators, the shape of a production model pipelined across shards) the per-pass
-/// planning work is a large fraction and the plan's advantage is unmistakable.
+/// Two graphs are measured. On LeNet the convolution arithmetic dominates; on a deep
+/// narrow MLP (many cheap operators, the shape of a production model pipelined across
+/// shards) per-operator dispatch is a large fraction of the pass.
 fn bench_exec_plan() {
     use rand::{rngs::StdRng, SeedableRng};
     use ranger_graph::GraphBuilder;
@@ -235,11 +234,6 @@ fn bench_exec_plan() {
     let deep_out = h;
     let deep_input = Tensor::ones(vec![1, 8]);
 
-    let executor_ns = bench("exec_plan/deep_mlp/executor_per_pass", 10, 500, || {
-        let exec = Executor::new(&deep);
-        exec.run_simple(&[("x", deep_input.clone())], deep_out)
-            .unwrap();
-    });
     let plan = deep.compile().unwrap();
     let mut values = plan.buffers();
     let plan_ns = bench("exec_plan/deep_mlp/compiled_plan", 10, 500, || {
@@ -251,10 +245,6 @@ fn bench_exec_plan() {
         .unwrap();
         values.get(deep_out).unwrap();
     });
-    println!(
-        "exec_plan/deep_mlp: compiled plan is {:.2}x the speed of per-pass planning",
-        executor_ns / plan_ns
-    );
 
     // The dispatch-tier-cache pin (PR 9): the SIMD backend on the deep narrow MLP is
     // the adversarial dispatch-bound shape — width-8 rows leave almost nothing to
@@ -284,14 +274,9 @@ fn bench_exec_plan() {
     let model = archs::build(&ModelConfig::lenet(), 0);
     let input = model_input(&model);
     let output = model.output;
-    let executor_ns = bench("exec_plan/lenet/executor_per_pass", 5, 200, || {
-        let exec = Executor::new(&model.graph);
-        exec.run_simple(&[(model.input_name.as_str(), input.clone())], output)
-            .unwrap();
-    });
     let plan = model.graph.compile().unwrap();
     let mut values = plan.buffers();
-    let plan_ns = bench("exec_plan/lenet/compiled_plan", 5, 200, || {
+    bench("exec_plan/lenet/compiled_plan", 5, 200, || {
         plan.run_into(
             &mut values,
             &[(model.input_name.as_str(), input.clone())],
@@ -300,10 +285,6 @@ fn bench_exec_plan() {
         .unwrap();
         values.get(output).unwrap();
     });
-    println!(
-        "exec_plan/lenet: compiled plan is {:.2}x the speed of per-pass planning",
-        executor_ns / plan_ns
-    );
 }
 
 fn bench_profiling() {

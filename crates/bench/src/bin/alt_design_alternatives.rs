@@ -2,8 +2,9 @@
 //! bound (Ranger), reset to zero (Reagen et al. style), or replace with a random in-range
 //! value — compared on fault-free accuracy and on SDC rate under injection.
 
-use ranger::alternatives::{all_policies, apply_design_alternative};
+use ranger::alternatives::all_policies;
 use ranger::bounds::{profile_bounds, BoundsConfig};
+use ranger::protect::{DesignAlternative, Protector};
 use ranger_bench::{
     correct_classifier_inputs, print_table, profiling_samples, run_model_campaign, write_json,
     ExpOptions,
@@ -53,7 +54,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     });
 
     for policy in all_policies() {
-        let (graph, _) = apply_design_alternative(&trained.model.graph, &bounds, policy)?;
+        let (graph, _) = DesignAlternative::new(policy).protect(&trained.model.graph, &bounds)?;
         let mut model = trained.model.clone();
         model.graph = graph;
         let (top1, _) = classification_accuracy(&model, &data, true)?;

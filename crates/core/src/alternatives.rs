@@ -6,30 +6,12 @@
 //! restriction range. Saturation preserves accuracy and is deterministic; zero-resetting
 //! degrades accuracy sharply because the value reduction is drastic and zeros propagate
 //! through subsequent multiplications.
+//!
+//! Each alternative is a [`DesignAlternative`](crate::protect::DesignAlternative)
+//! protector; `RestorePolicy::Saturate` inserts exactly what the default
+//! [`RangerProtector`](crate::protect::RangerProtector) does.
 
-use crate::bounds::ActivationBounds;
-use crate::protect::{DesignAlternative, Protector};
-use crate::transform::RangerStats;
 use ranger_graph::op::RestorePolicy;
-use ranger_graph::{Graph, GraphError};
-
-/// Applies the Ranger transformation with the given out-of-bounds policy.
-///
-/// `RestorePolicy::Saturate` is exactly [`apply_ranger`](crate::transform::apply_ranger)
-/// with the default configuration; `Zero` and `Random` are the Section VI-C design
-/// alternatives. This is a thin wrapper over the
-/// [`DesignAlternative`] protector.
-///
-/// # Errors
-///
-/// Returns a [`GraphError`] if the graph is malformed.
-pub fn apply_design_alternative(
-    graph: &Graph,
-    bounds: &ActivationBounds,
-    policy: RestorePolicy,
-) -> Result<(Graph, RangerStats), GraphError> {
-    DesignAlternative::new(policy).protect(graph, bounds)
-}
 
 /// The three restoration policies the paper discusses, in the order Section VI-C presents
 /// them.
@@ -44,9 +26,10 @@ pub fn all_policies() -> [RestorePolicy; 3] {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bounds::{profile_bounds, BoundsConfig};
+    use crate::bounds::{profile_bounds, ActivationBounds, BoundsConfig};
+    use crate::protect::{DesignAlternative, Protector, RangerProtector};
     use rand::{rngs::StdRng, SeedableRng};
-    use ranger_graph::{Executor, GraphBuilder, NodeId, Op};
+    use ranger_graph::{Graph, GraphBuilder, NodeId, Op};
     use ranger_tensor::Tensor;
 
     fn toy() -> (Graph, NodeId, NodeId) {
@@ -66,13 +49,10 @@ mod tests {
             .map(|i| Tensor::filled(vec![1, 3], i as f32 * 0.3))
             .collect();
         let bounds = profile_bounds(&graph, "x", &samples, &BoundsConfig::default()).unwrap();
-        let (a, _) = apply_design_alternative(&graph, &bounds, RestorePolicy::Saturate).unwrap();
-        let (b, _) = crate::transform::apply_ranger(
-            &graph,
-            &bounds,
-            &crate::transform::RangerConfig::default(),
-        )
-        .unwrap();
+        let (a, _) = DesignAlternative::new(RestorePolicy::Saturate)
+            .protect(&graph, &bounds)
+            .unwrap();
+        let (b, _) = RangerProtector::default().protect(&graph, &bounds).unwrap();
         assert_eq!(a, b);
     }
 
@@ -81,7 +61,9 @@ mod tests {
         let (graph, relu, y) = toy();
         let mut bounds = ActivationBounds::new();
         bounds.set(relu, 0.0, 1.0);
-        let (zeroed, _) = apply_design_alternative(&graph, &bounds, RestorePolicy::Zero).unwrap();
+        let (zeroed, _) = DesignAlternative::new(RestorePolicy::Zero)
+            .protect(&graph, &bounds)
+            .unwrap();
         assert!(zeroed.nodes().iter().any(|n| matches!(
             n.op,
             Op::RangeRestore {
@@ -93,14 +75,19 @@ mod tests {
         // Feed an input that drives the ReLU above the bound: the zero policy collapses
         // the downstream values harder than saturation does.
         let input = Tensor::filled(vec![1, 3], 100.0);
-        let exec = Executor::new(&graph);
-        let golden = exec.run_simple(&[("x", input.clone())], y).unwrap();
-        let (saturated, _) =
-            apply_design_alternative(&graph, &bounds, RestorePolicy::Saturate).unwrap();
-        let out_sat = Executor::new(&saturated)
+        let plan = graph.compile().unwrap();
+        let golden = plan.run_simple(&[("x", input.clone())], y).unwrap();
+        let (saturated, _) = DesignAlternative::new(RestorePolicy::Saturate)
+            .protect(&graph, &bounds)
+            .unwrap();
+        let out_sat = saturated
+            .compile()
+            .unwrap()
             .run_simple(&[("x", input.clone())], y)
             .unwrap();
-        let out_zero = Executor::new(&zeroed)
+        let out_zero = zeroed
+            .compile()
+            .unwrap()
             .run_simple(&[("x", input)], y)
             .unwrap();
         let dev_sat = golden.max_abs_diff(&out_sat).unwrap();
@@ -116,8 +103,9 @@ mod tests {
         let (graph, relu, _) = toy();
         let mut bounds = ActivationBounds::new();
         bounds.set(relu, 0.0, 1.0);
-        let (randomized, _) =
-            apply_design_alternative(&graph, &bounds, RestorePolicy::Random).unwrap();
+        let (randomized, _) = DesignAlternative::new(RestorePolicy::Random)
+            .protect(&graph, &bounds)
+            .unwrap();
         let clamp_node = randomized
             .nodes()
             .iter()
@@ -125,11 +113,11 @@ mod tests {
             .unwrap()
             .id;
         let input = Tensor::filled(vec![1, 3], 50.0);
-        let exec = Executor::new(&randomized);
-        let a = exec
+        let plan = randomized.compile().unwrap();
+        let a = plan
             .run_simple(&[("x", input.clone())], clamp_node)
             .unwrap();
-        let b = exec.run_simple(&[("x", input)], clamp_node).unwrap();
+        let b = plan.run_simple(&[("x", input)], clamp_node).unwrap();
         assert_eq!(a, b, "random replacement must be reproducible");
         assert!(a.max() <= 1.0 && a.min() >= 0.0);
     }

@@ -9,7 +9,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use ranger_graph::exec::{Executor, Interceptor};
+use ranger_graph::exec::Interceptor;
 use ranger_graph::{Graph, GraphError, Node, NodeId};
 use ranger_tensor::Tensor;
 use serde::{Deserialize, Serialize};
@@ -146,10 +146,11 @@ impl Interceptor for BoundProfiler {
 ///
 /// Activations with inherent bounds (Tanh, Sigmoid, Softmax) use those bounds directly;
 /// unbounded activations (ReLU, ELU) use the configured percentile of the observed values.
+/// The samples run in order through one compiled plan and one reused value store.
 ///
 /// # Errors
 ///
-/// Returns a [`GraphError`] if a profiling forward pass fails.
+/// Returns a [`GraphError`] if the graph is cyclic or a profiling forward pass fails.
 pub fn profile_bounds(
     graph: &Graph,
     input_name: &str,
@@ -161,9 +162,10 @@ pub fn profile_bounds(
         reservoir: config.reservoir.max(1),
         rng: StdRng::seed_from_u64(config.seed),
     };
-    let exec = Executor::new(graph);
+    let plan = graph.compile()?;
+    let mut values = plan.buffers();
     for sample in samples {
-        exec.run(&[(input_name, sample.clone())], &mut profiler)?;
+        plan.run_into(&mut values, &[(input_name, sample.clone())], &mut profiler)?;
     }
 
     let mut bounds = ActivationBounds::new();
@@ -209,18 +211,20 @@ pub struct ConvergencePoint {
 /// Reproduces the Fig. 4 study: how quickly the observed per-activation maxima converge to
 /// the global maxima as more profiling data is used.
 ///
-/// `checkpoints` lists the sample counts at which to record the normalised maxima.
+/// `checkpoints` lists the sample counts at which to record the normalised maxima. The
+/// samples run in order through one compiled plan and one reused value store.
 ///
 /// # Errors
 ///
-/// Returns a [`GraphError`] if a profiling forward pass fails.
+/// Returns a [`GraphError`] if the graph is cyclic or a profiling forward pass fails.
 pub fn profile_convergence(
     graph: &Graph,
     input_name: &str,
     samples: &[Tensor],
     checkpoints: &[usize],
 ) -> Result<Vec<ConvergencePoint>, GraphError> {
-    let exec = Executor::new(graph);
+    let plan = graph.compile()?;
+    let mut values = plan.buffers();
     // Running maxima per activation node, in graph order.
     let act_nodes: Vec<NodeId> = graph
         .nodes()
@@ -247,7 +251,7 @@ pub fn profile_convergence(
         let mut observer = MaxObserver {
             running: &mut running,
         };
-        exec.run(&[(input_name, sample.clone())], &mut observer)?;
+        plan.run_into(&mut values, &[(input_name, sample.clone())], &mut observer)?;
         if checkpoints.contains(&(i + 1)) {
             per_checkpoint.push((i + 1, running.clone()));
         }
@@ -312,9 +316,9 @@ mod tests {
         assert!(lo <= 0.0);
         assert!(hi > 0.0);
         // Re-running the same samples must never exceed the derived bound.
-        let exec = Executor::new(&graph);
+        let plan = graph.compile().unwrap();
         for s in &data {
-            let out = exec.run_simple(&[("x", s.clone())], relu).unwrap();
+            let out = plan.run_simple(&[("x", s.clone())], relu).unwrap();
             assert!(out.max() <= hi + 1e-6);
         }
     }

@@ -10,11 +10,13 @@
 //! 2. **Selectively inserting range-restriction operators** after the ACT operations and
 //!    the pooling/reshape/concatenation operations that follow them (Algorithm 1 of the
 //!    paper), so that the large value deviations caused by critical faults are dampened
-//!    into small ones the DNN's inherent resilience tolerates ([`transform`]).
+//!    into small ones the DNN's inherent resilience tolerates ([`RangerProtector`],
+//!    configured by [`RangerConfig`]).
 //!
 //! The crate also implements the paper's design alternatives (reset-to-zero and random
-//! replacement, Section VI-C) in [`alternatives`], the overhead accounting of Table III/IV
-//! in [`overhead`], and the technique-comparison entries of Table VI in [`baselines`].
+//! replacement, Section VI-C) as [`DesignAlternative`] protectors ([`alternatives`]), the
+//! overhead accounting of Table III/IV in [`overhead`], and the technique-comparison
+//! entries of Table VI in [`baselines`].
 //!
 //! # Example
 //!
@@ -39,7 +41,8 @@
 //! let bounds = profile_bounds(&graph, "x", &samples, &BoundsConfig::default())?;
 //!
 //! // Step 2: insert Ranger into the selected layers.
-//! let (protected, stats) = apply_ranger(&graph, &bounds, &RangerConfig::default())?;
+//! let ranger = RangerProtector::new(RangerConfig::default());
+//! let (protected, stats) = ranger.protect(&graph, &bounds)?;
 //! assert!(stats.clamps_inserted > 0);
 //! assert!(protected.clamp_count() > graph.clamp_count());
 //! # Ok::<(), ranger_graph::GraphError>(())
@@ -56,14 +59,13 @@ pub mod transform;
 
 pub use bounds::{profile_bounds, profile_convergence, ActivationBounds, BoundsConfig};
 pub use protect::{DesignAlternative, Protector, RangerProtector, Unprotected};
-pub use transform::{apply_ranger, RangerConfig, RangerStats};
+pub use transform::{RangerConfig, RangerStats};
 
 /// Convenience re-exports for experiment code.
 pub mod prelude {
-    pub use crate::alternatives::apply_design_alternative;
     pub use crate::bounds::{profile_bounds, profile_convergence, ActivationBounds, BoundsConfig};
     pub use crate::overhead::{flops_overhead, memory_overhead_bytes, OverheadReport};
     pub use crate::protect::{DesignAlternative, Protector, RangerProtector, Unprotected};
-    pub use crate::transform::{apply_ranger, RangerConfig, RangerStats};
+    pub use crate::transform::{RangerConfig, RangerStats};
     pub use ranger_graph::op::RestorePolicy;
 }

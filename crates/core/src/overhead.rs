@@ -66,7 +66,7 @@ pub fn memory_overhead_bytes(bounds: &ActivationBounds) -> usize {
 mod tests {
     use super::*;
     use crate::bounds::{profile_bounds, BoundsConfig};
-    use crate::transform::{apply_ranger, RangerConfig};
+    use crate::protect::{Protector, RangerProtector};
     use rand::{rngs::StdRng, SeedableRng};
     use ranger_graph::GraphBuilder;
 
@@ -84,7 +84,7 @@ mod tests {
 
         let samples = vec![Tensor::ones(vec![1, 3, 16, 16])];
         let bounds = profile_bounds(&graph, "x", &samples, &BoundsConfig::default()).unwrap();
-        let (protected, _) = apply_ranger(&graph, &bounds, &RangerConfig::default()).unwrap();
+        let (protected, _) = RangerProtector::default().protect(&graph, &bounds).unwrap();
 
         let report = flops_overhead(&graph, &protected, "x", &samples[0]).unwrap();
         assert!(report.protected_flops > report.baseline_flops);

@@ -8,9 +8,8 @@
 //! a campaign over `N` strategies is a loop over `N` protectors rather than `N` hand-wired
 //! special cases.
 //!
-//! The long-standing free functions ([`apply_ranger`](crate::transform::apply_ranger),
-//! [`apply_design_alternative`](crate::alternatives::apply_design_alternative)) remain as
-//! thin wrappers over the corresponding protectors.
+//! Protecting a graph always goes through a protector: Algorithm 1 is
+//! [`RangerProtector`], and the Section VI-C alternatives are [`DesignAlternative`].
 //!
 //! # Example
 //!
@@ -76,9 +75,8 @@ pub trait Protector {
 
 /// Ranger's selective range restriction (Algorithm 1 of the paper).
 ///
-/// This is the canonical implementation of the transformation; the
-/// [`apply_ranger`](crate::transform::apply_ranger) free function is a thin wrapper over
-/// it.
+/// This is the one implementation of the transformation. The input graph is not
+/// modified; the protected graph is a copy.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RangerProtector {
     /// The transformation configuration (follower protection, out-of-bounds policy).
@@ -277,7 +275,6 @@ impl Protector for Unprotected {
 mod tests {
     use super::*;
     use crate::bounds::{profile_bounds, BoundsConfig};
-    use crate::transform::apply_ranger;
     use rand::{rngs::StdRng, SeedableRng};
     use ranger_graph::GraphBuilder;
     use ranger_tensor::Tensor;
@@ -295,18 +292,6 @@ mod tests {
             .map(|i| Tensor::filled(vec![1, 1, 4, 4], 0.25 * (i + 1) as f32))
             .collect();
         (b.into_graph(), samples)
-    }
-
-    #[test]
-    fn ranger_protector_equals_free_function() {
-        let (graph, samples) = toy();
-        let bounds = profile_bounds(&graph, "x", &samples, &BoundsConfig::default()).unwrap();
-        let (via_trait, stats_t) = RangerProtector::default().protect(&graph, &bounds).unwrap();
-        let (via_free, stats_f) = apply_ranger(&graph, &bounds, &RangerConfig::default()).unwrap();
-        assert_eq!(via_trait, via_free);
-        assert_eq!(stats_t.clamps_inserted, stats_f.clamps_inserted);
-        assert_eq!(stats_t.activations_protected, stats_f.activations_protected);
-        assert_eq!(stats_t.followers_protected, stats_f.followers_protected);
     }
 
     #[test]

@@ -1,10 +1,12 @@
 //! Step 2 of Ranger: inserting range restriction into the selected DNN layers
 //! (Algorithm 1 of the paper).
+//!
+//! This module holds the transformation's configuration and statistics; the
+//! transformation itself is [`RangerProtector`](crate::protect::RangerProtector). The input
+//! graph is not modified — like the TensorFlow implementation, which duplicates the
+//! (append-only) graph and remaps operator inputs, the transformation works on a copy.
 
-use crate::bounds::ActivationBounds;
-use crate::protect::{Protector, RangerProtector};
 use ranger_graph::op::RestorePolicy;
-use ranger_graph::{Graph, GraphError};
 use serde::{Deserialize, Serialize};
 
 /// Configuration of the Ranger transformation.
@@ -62,33 +64,13 @@ pub struct RangerStats {
     pub insertion_seconds: f64,
 }
 
-/// Applies Ranger to a graph, returning the protected graph and transformation statistics.
-///
-/// This is Algorithm 1 of the paper; the canonical implementation lives in
-/// [`RangerProtector`] and this free function is a thin
-/// wrapper over it, kept for the many call sites (and readers of the paper) that want a
-/// direct function. The input graph is not modified — like the TensorFlow implementation,
-/// which duplicates the (append-only) graph and remaps operator inputs, the transformation
-/// works on a copy.
-///
-/// # Errors
-///
-/// Returns a [`GraphError`] if the graph is malformed (e.g. cyclic).
-pub fn apply_ranger(
-    graph: &Graph,
-    bounds: &ActivationBounds,
-    config: &RangerConfig,
-) -> Result<(Graph, RangerStats), GraphError> {
-    RangerProtector::new(*config).protect(graph, bounds)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bounds::{profile_bounds, BoundsConfig};
+    use crate::bounds::{profile_bounds, ActivationBounds, BoundsConfig};
+    use crate::protect::{Protector, RangerProtector};
     use rand::{rngs::StdRng, SeedableRng};
-    use ranger_graph::exec::{Executor, NoopInterceptor};
-    use ranger_graph::{GraphBuilder, NodeId, Op};
+    use ranger_graph::{Graph, GraphBuilder, NodeId, Op};
     use ranger_tensor::Tensor;
 
     /// Builds a small CNN-like graph with a ReLU feeding a max-pool (the Algorithm 1
@@ -116,7 +98,7 @@ mod tests {
         let (graph, relu, pool, _) = relu_pool_net();
         let bounds =
             profile_bounds(&graph, "x", &profiling_samples(), &BoundsConfig::default()).unwrap();
-        let (protected, stats) = apply_ranger(&graph, &bounds, &RangerConfig::default()).unwrap();
+        let (protected, stats) = RangerProtector::default().protect(&graph, &bounds).unwrap();
 
         assert_eq!(stats.activations_protected, 1);
         assert_eq!(stats.followers_protected, 1);
@@ -143,8 +125,9 @@ mod tests {
         let (graph, ..) = relu_pool_net();
         let bounds =
             profile_bounds(&graph, "x", &profiling_samples(), &BoundsConfig::default()).unwrap();
-        let (protected, stats) =
-            apply_ranger(&graph, &bounds, &RangerConfig::activations_only()).unwrap();
+        let (protected, stats) = RangerProtector::new(RangerConfig::activations_only())
+            .protect(&graph, &bounds)
+            .unwrap();
         assert_eq!(stats.followers_protected, 0);
         assert_eq!(protected.clamp_count(), 1);
     }
@@ -154,13 +137,13 @@ mod tests {
         let (graph, _, _, y) = relu_pool_net();
         let samples = profiling_samples();
         let bounds = profile_bounds(&graph, "x", &samples, &BoundsConfig::default()).unwrap();
-        let (protected, _) = apply_ranger(&graph, &bounds, &RangerConfig::default()).unwrap();
+        let (protected, _) = RangerProtector::default().protect(&graph, &bounds).unwrap();
 
-        let exec = Executor::new(&graph);
-        let exec_p = Executor::new(&protected);
+        let plan = graph.compile().unwrap();
+        let plan_p = protected.compile().unwrap();
         for s in &samples {
-            let a = exec.run_simple(&[("x", s.clone())], y).unwrap();
-            let b = exec_p.run_simple(&[("x", s.clone())], y).unwrap();
+            let a = plan.run_simple(&[("x", s.clone())], y).unwrap();
+            let b = plan_p.run_simple(&[("x", s.clone())], y).unwrap();
             assert!(
                 a.approx_eq(&b, 1e-6).unwrap(),
                 "range restriction must not change fault-free outputs"
@@ -185,7 +168,7 @@ mod tests {
         let mut bounds = ActivationBounds::new();
         bounds.set(r1, 0.0, 5.0);
         bounds.set(r2, -1.0, 10.0);
-        let (protected, stats) = apply_ranger(&graph, &bounds, &RangerConfig::default()).unwrap();
+        let (protected, stats) = RangerProtector::default().protect(&graph, &bounds).unwrap();
 
         // One clamp per ReLU plus exactly one for the concat.
         assert_eq!(stats.clamps_inserted, 3);
@@ -203,8 +186,9 @@ mod tests {
     #[test]
     fn unbounded_activations_without_profile_are_left_alone() {
         let (graph, ..) = relu_pool_net();
-        let (protected, stats) =
-            apply_ranger(&graph, &ActivationBounds::new(), &RangerConfig::default()).unwrap();
+        let (protected, stats) = RangerProtector::default()
+            .protect(&graph, &ActivationBounds::new())
+            .unwrap();
         assert_eq!(stats.clamps_inserted, 0);
         assert_eq!(protected.clamp_count(), 0);
     }
@@ -214,12 +198,9 @@ mod tests {
         let (graph, ..) = relu_pool_net();
         let bounds =
             profile_bounds(&graph, "x", &profiling_samples(), &BoundsConfig::default()).unwrap();
-        let (protected, _) = apply_ranger(
-            &graph,
-            &bounds,
-            &RangerConfig::with_policy(RestorePolicy::Zero),
-        )
-        .unwrap();
+        let (protected, _) = RangerProtector::new(RangerConfig::with_policy(RestorePolicy::Zero))
+            .protect(&graph, &bounds)
+            .unwrap();
         let restore_count = protected
             .nodes()
             .iter()
@@ -255,18 +236,25 @@ mod tests {
         let (graph, relu, _, y) = relu_pool_net();
         let samples = profiling_samples();
         let bounds = profile_bounds(&graph, "x", &samples, &BoundsConfig::default()).unwrap();
-        let (protected, _) = apply_ranger(&graph, &bounds, &RangerConfig::default()).unwrap();
+        let (protected, _) = RangerProtector::default().protect(&graph, &bounds).unwrap();
 
         let input = samples[2].clone();
-        let exec = Executor::new(&graph);
-        let golden = exec.run_simple(&[("x", input.clone())], y).unwrap();
-        let faulty_unprotected = exec
-            .run_with(&[("x", input.clone())], y, &mut CorruptRelu { node: relu })
-            .unwrap();
-        let exec_p = Executor::new(&protected);
-        let faulty_protected = exec_p
-            .run_with(&[("x", input)], y, &mut CorruptRelu { node: relu })
-            .unwrap();
+        let plan = graph.compile().unwrap();
+        let golden = plan.run_simple(&[("x", input.clone())], y).unwrap();
+        let faulty_unprotected = plan
+            .run(&[("x", input.clone())], &mut CorruptRelu { node: relu })
+            .unwrap()
+            .get(y)
+            .unwrap()
+            .clone();
+        let faulty_protected = protected
+            .compile()
+            .unwrap()
+            .run(&[("x", input)], &mut CorruptRelu { node: relu })
+            .unwrap()
+            .get(y)
+            .unwrap()
+            .clone();
 
         let unprotected_dev = golden.max_abs_diff(&faulty_unprotected).unwrap();
         let protected_dev = golden.max_abs_diff(&faulty_protected).unwrap();
@@ -277,10 +265,6 @@ mod tests {
         assert!(
             protected_dev < unprotected_dev / 1.0e3,
             "Ranger must dampen the deviation ({unprotected_dev} -> {protected_dev})"
-        );
-        let _ = exec.run(
-            &[("x", Tensor::zeros(vec![1, 1, 4, 4]))],
-            &mut NoopInterceptor,
         );
     }
 }

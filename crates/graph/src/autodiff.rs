@@ -429,7 +429,7 @@ impl AdamOptimizer {
 mod tests {
     use super::*;
     use crate::builder::GraphBuilder;
-    use crate::exec::{Executor, NoopInterceptor};
+    use crate::exec::NoopInterceptor;
     use rand::{rngs::StdRng, SeedableRng};
 
     #[test]
@@ -443,9 +443,9 @@ mod tests {
             true,
         );
         let y = g.add_node("y", Op::MatMul, vec![x, w]);
-        let exec = Executor::new(&g);
+        let plan = g.compile().unwrap();
         let xin = Tensor::from_vec(vec![1, 2], vec![5.0, 7.0]).unwrap();
-        let values = exec.run(&[("x", xin)], &mut NoopInterceptor).unwrap();
+        let values = plan.run(&[("x", xin)], &mut NoopInterceptor).unwrap();
         let seed = Tensor::ones(vec![1, 2]);
         let grads = backward(&g, &values, y, &seed).unwrap();
         assert_eq!(grads.get(w).unwrap().data(), &[5.0, 5.0, 7.0, 7.0]);
@@ -460,8 +460,8 @@ mod tests {
         let id1 = g.add_node("a", Op::Identity, vec![x]);
         let id2 = g.add_node("b", Op::Identity, vec![x]);
         let sum = g.add_node("sum", Op::Add, vec![id1, id2]);
-        let exec = Executor::new(&g);
-        let values = exec
+        let plan = g.compile().unwrap();
+        let values = plan
             .run(&[("x", Tensor::ones(vec![1, 3]))], &mut NoopInterceptor)
             .unwrap();
         let grads = backward(&g, &values, sum, &Tensor::ones(vec![1, 3])).unwrap();
@@ -509,8 +509,9 @@ mod tests {
         let mut first_loss = None;
         let mut last_loss = 0.0;
         for _ in 0..200 {
-            let exec = Executor::new(&graph);
-            let values = exec
+            let values = graph
+                .compile()
+                .unwrap()
                 .run(&[("x", inputs.clone())], &mut NoopInterceptor)
                 .unwrap();
             let pred = values.get(y).unwrap();
@@ -544,8 +545,9 @@ mod tests {
         let mut first = None;
         let mut last = 0.0;
         for _ in 0..150 {
-            let exec = Executor::new(&graph);
-            let values = exec
+            let values = graph
+                .compile()
+                .unwrap()
                 .run(&[("x", inputs.clone())], &mut NoopInterceptor)
                 .unwrap();
             let (loss, grad) = mse_loss(values.get(y).unwrap(), &targets).unwrap();
@@ -581,8 +583,8 @@ mod tests {
         let x = g.add_input("x");
         let w = g.add_const("w", Tensor::from_vec(vec![1, 1], vec![1.0]).unwrap(), true);
         let y = g.add_node("y", Op::MatMul, vec![x, w]);
-        let exec = Executor::new(&g);
-        let values = exec
+        let plan = g.compile().unwrap();
+        let values = plan
             .run(
                 &[("x", Tensor::from_vec(vec![1, 1], vec![1000.0]).unwrap())],
                 &mut NoopInterceptor,
@@ -630,8 +632,8 @@ mod tests {
         let mut g = Graph::new();
         let x = g.add_input("x");
         let c = g.add_node("clamp", Op::Clamp { lo: 0.0, hi: 1.0 }, vec![x]);
-        let exec = Executor::new(&g);
-        let values = exec
+        let plan = g.compile().unwrap();
+        let values = plan
             .run(
                 &[(
                     "x",

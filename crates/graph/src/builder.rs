@@ -217,7 +217,6 @@ impl GraphBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::Executor;
     use rand::{rngs::StdRng, SeedableRng};
     use ranger_tensor::Tensor;
 
@@ -232,8 +231,8 @@ mod tests {
         let probs = b.softmax(logits);
         let g = b.into_graph();
 
-        let exec = Executor::new(&g);
-        let out = exec
+        let plan = g.compile().unwrap();
+        let out = plan
             .run_simple(&[("x", Tensor::ones(vec![2, 4]))], probs)
             .unwrap();
         assert_eq!(out.dims(), &[2, 3]);
@@ -255,8 +254,8 @@ mod tests {
         let logits = b.dense(f, 4 * 4 * 4, 10, &mut rng);
         let g = b.into_graph();
 
-        let exec = Executor::new(&g);
-        let out = exec
+        let plan = g.compile().unwrap();
+        let out = plan
             .run_simple(&[("image", Tensor::ones(vec![1, 1, 8, 8]))], logits)
             .unwrap();
         assert_eq!(out.dims(), &[1, 10]);
@@ -297,8 +296,8 @@ mod tests {
         let res = b.add(c1, x);
         let cat = b.concat(vec![res, x]);
         let g = b.into_graph();
-        let exec = Executor::new(&g);
-        let out = exec
+        let plan = g.compile().unwrap();
+        let out = plan
             .run_simple(&[("x", Tensor::ones(vec![1, 2, 4, 4]))], cat)
             .unwrap();
         assert_eq!(out.dims(), &[1, 4, 4, 4]);

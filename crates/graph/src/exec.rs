@@ -1,18 +1,15 @@
 //! Graph execution with per-operator interception hooks.
 //!
-//! The executor evaluates the graph in topological order. After computing each operator's
-//! output it hands the node and a mutable reference to the output tensor to the registered
-//! [`Interceptor`], which is how the fault injector corrupts a single operator output
-//! mid-inference (the TensorFI model) and how the bound profiler observes activation
-//! ranges without modifying the graph.
-//!
-//! [`Executor`] plans every forward pass from scratch; hot paths that execute the same
-//! graph repeatedly (fault-injection campaigns, batched profiling) should call
-//! [`Graph::compile`] once and reuse the returned [`ExecPlan`](crate::plan::ExecPlan),
-//! which `Executor` itself is a thin per-run wrapper over.
+//! A compiled [`ExecPlan`](crate::plan::ExecPlan) evaluates the graph in topological
+//! order. After computing each operator's output it hands the node and a mutable
+//! reference to the output tensor to the registered [`Interceptor`], which is how the
+//! fault injector corrupts a single operator output mid-inference (the TensorFI model)
+//! and how the bound profiler observes activation ranges without modifying the graph.
+//! This module holds the pieces every pass shares: the hook, the [`Values`] store and
+//! the per-node semantic reference [`eval_node_into`].
 
 use crate::error::GraphError;
-use crate::graph::{Graph, Node, NodeId};
+use crate::graph::{Node, NodeId};
 use crate::op::Op;
 use crate::ops;
 use ranger_tensor::{QTensor, Tensor};
@@ -64,20 +61,6 @@ impl Interceptor for NoopInterceptor {
     fn after_op(&mut self, _node: &Node, _output: &mut Tensor) {}
 
     fn after_op_words(&mut self, _node: &Node, _output: &mut QTensor) {}
-}
-
-/// An interceptor that records every operator output, used for activation-range profiling
-/// and for debugging fault propagation.
-#[derive(Debug, Default)]
-pub struct RecordingInterceptor {
-    /// Operator outputs keyed by node id, in execution order.
-    pub outputs: Vec<(NodeId, Tensor)>,
-}
-
-impl Interceptor for RecordingInterceptor {
-    fn after_op(&mut self, node: &Node, output: &mut Tensor) {
-        self.outputs.push((node.id, output.clone()));
-    }
 }
 
 /// One node's **lazily decoded** f32 mirror of the words a fixed-point backend stored.
@@ -545,8 +528,8 @@ pub(crate) fn input<'v>(
 /// result into the recycled buffer `out`.
 ///
 /// This is the workspace's **single semantic reference**: the f32
-/// [`ReferenceBackend`](crate::backend::ReferenceBackend) (and through it `Executor` and
-/// every `ExecPlan`) dispatches here, and every alternative backend is pinned against it
+/// [`ReferenceBackend`](crate::backend::ReferenceBackend) (and through it every
+/// `ExecPlan`) dispatches here, and every alternative backend is pinned against it
 /// by parity tests, so execution paths cannot diverge semantically. `out` is an output
 /// buffer whose allocation is reused (see [`Values::take_recycled`]); on error its
 /// contents are unspecified but no value is stored for the node.
@@ -700,72 +683,10 @@ pub fn eval_node_into(
     }
 }
 
-/// Executes a [`Graph`] on fed inputs, planning each run from scratch.
-///
-/// This is the convenience single-shot API; it compiles a fresh
-/// [`ExecPlan`](crate::plan::ExecPlan) per call. Code that runs the same graph many times
-/// should compile the plan once instead.
-#[derive(Debug, Clone, Copy)]
-pub struct Executor<'g> {
-    graph: &'g Graph,
-}
-
-impl<'g> Executor<'g> {
-    /// Creates an executor over `graph`.
-    pub fn new(graph: &'g Graph) -> Self {
-        Executor { graph }
-    }
-
-    /// Runs a forward pass and returns the values of every node.
-    ///
-    /// `feeds` maps input-node names to tensors. The `interceptor` is called after every
-    /// operator (not for inputs or constants).
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`GraphError`] if a feed is missing, the graph is cyclic, or any operator
-    /// receives invalid operands.
-    pub fn run(
-        &self,
-        feeds: &[(&str, Tensor)],
-        interceptor: &mut dyn Interceptor,
-    ) -> Result<Values, GraphError> {
-        self.graph.compile()?.run(feeds, interceptor)
-    }
-
-    /// Runs a forward pass and returns only the value of `fetch`, using no interceptor.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`GraphError`] under the same conditions as [`Executor::run`].
-    pub fn run_simple(
-        &self,
-        feeds: &[(&str, Tensor)],
-        fetch: NodeId,
-    ) -> Result<Tensor, GraphError> {
-        let values = self.run(feeds, &mut NoopInterceptor)?;
-        values.get(fetch).cloned()
-    }
-
-    /// Runs a forward pass with an interceptor and returns only the value of `fetch`.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`GraphError`] under the same conditions as [`Executor::run`].
-    pub fn run_with(
-        &self,
-        feeds: &[(&str, Tensor)],
-        fetch: NodeId,
-        interceptor: &mut dyn Interceptor,
-    ) -> Result<Tensor, GraphError> {
-        let values = self.run(feeds, interceptor)?;
-        values.get(fetch).cloned()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::graph::Graph;
     use crate::op::Padding;
 
     fn relu_net() -> (Graph, NodeId, NodeId) {
@@ -784,31 +705,35 @@ mod tests {
     #[test]
     fn forward_pass_computes_expected_values() {
         let (g, _, relu) = relu_net();
-        let exec = Executor::new(&g);
+        let plan = g.compile().unwrap();
         let x = Tensor::from_vec(vec![1, 2], vec![-1.0, 2.0]).unwrap();
-        let out = exec.run_simple(&[("x", x)], relu).unwrap();
+        let out = plan.run_simple(&[("x", x)], relu).unwrap();
         assert_eq!(out.data(), &[0.0, 2.0]);
     }
 
     #[test]
     fn missing_feed_is_an_error() {
         let (g, _, relu) = relu_net();
-        let exec = Executor::new(&g);
+        let plan = g.compile().unwrap();
         assert!(matches!(
-            exec.run_simple(&[], relu),
+            plan.run_simple(&[], relu),
             Err(GraphError::MissingFeed(_))
         ));
     }
 
     #[test]
     fn interceptor_sees_each_operator_once_in_order() {
+        struct RecordIds(Vec<NodeId>);
+        impl Interceptor for RecordIds {
+            fn after_op(&mut self, node: &Node, _output: &mut Tensor) {
+                self.0.push(node.id);
+            }
+        }
         let (g, mm, relu) = relu_net();
-        let exec = Executor::new(&g);
-        let mut rec = RecordingInterceptor::default();
+        let mut rec = RecordIds(Vec::new());
         let x = Tensor::from_vec(vec![1, 2], vec![1.0, 1.0]).unwrap();
-        exec.run_with(&[("x", x)], relu, &mut rec).unwrap();
-        let ids: Vec<NodeId> = rec.outputs.iter().map(|(id, _)| *id).collect();
-        assert_eq!(ids, vec![mm, relu]);
+        g.compile().unwrap().run(&[("x", x)], &mut rec).unwrap();
+        assert_eq!(rec.0, vec![mm, relu]);
     }
 
     #[test]
@@ -822,12 +747,10 @@ mod tests {
             }
         }
         let (g, _, relu) = relu_net();
-        let exec = Executor::new(&g);
+        let plan = g.compile().unwrap();
         let x = Tensor::from_vec(vec![1, 2], vec![1.0, 1.0]).unwrap();
-        let out = exec
-            .run_with(&[("x", x)], relu, &mut CorruptMatmul)
-            .unwrap();
-        assert_eq!(out.data()[0], 1.0e6);
+        let values = plan.run(&[("x", x)], &mut CorruptMatmul).unwrap();
+        assert_eq!(values.get(relu).unwrap().data()[0], 1.0e6);
     }
 
     #[test]
@@ -843,12 +766,10 @@ mod tests {
         let (mut g, mm, relu) = relu_net();
         g.insert_after(mm, "ranger", Op::Clamp { lo: 0.0, hi: 10.0 })
             .unwrap();
-        let exec = Executor::new(&g);
+        let plan = g.compile().unwrap();
         let x = Tensor::from_vec(vec![1, 2], vec![1.0, 1.0]).unwrap();
-        let out = exec
-            .run_with(&[("x", x)], relu, &mut CorruptMatmul)
-            .unwrap();
-        assert_eq!(out.data()[0], 10.0);
+        let values = plan.run(&[("x", x)], &mut CorruptMatmul).unwrap();
+        assert_eq!(values.get(relu).unwrap().data()[0], 10.0);
     }
 
     #[test]
@@ -877,9 +798,9 @@ mod tests {
         );
         let flat = g.add_node("flatten", Op::Flatten, vec![pool]);
 
-        let exec = Executor::new(&g);
+        let plan = g.compile().unwrap();
         let img = Tensor::ones(vec![1, 1, 4, 4]);
-        let out = exec.run_simple(&[("image", img)], flat).unwrap();
+        let out = plan.run_simple(&[("image", img)], flat).unwrap();
         assert_eq!(out.dims(), &[1, 8]);
         assert!(out.data().iter().all(|&v| v > 0.0));
     }
@@ -890,8 +811,8 @@ mod tests {
         let x = g.add_input("x");
         g.add_node("bad", Op::MatMul, vec![x]);
         let bad = g.by_name("bad").unwrap();
-        let exec = Executor::new(&g);
-        let err = exec
+        let plan = g.compile().unwrap();
+        let err = plan
             .run_simple(&[("x", Tensor::ones(vec![1, 1]))], bad)
             .unwrap_err();
         assert!(matches!(err, GraphError::ArityMismatch { .. }));
@@ -900,9 +821,9 @@ mod tests {
     #[test]
     fn values_iterate_in_id_order() {
         let (g, mm, relu) = relu_net();
-        let exec = Executor::new(&g);
+        let plan = g.compile().unwrap();
         let x = Tensor::from_vec(vec![1, 2], vec![1.0, 1.0]).unwrap();
-        let values = exec.run(&[("x", x)], &mut NoopInterceptor).unwrap();
+        let values = plan.run(&[("x", x)], &mut NoopInterceptor).unwrap();
         let ids: Vec<NodeId> = values.iter().map(|(id, _)| id).collect();
         assert!(ids.contains(&mm) && ids.contains(&relu));
         assert!(values.get(relu).is_ok());

@@ -8,8 +8,8 @@
 //! its `min` and `max`).
 
 use crate::error::GraphError;
-use crate::exec::{Executor, Interceptor};
-use crate::graph::{Graph, Node, NodeId};
+use crate::exec::NoopInterceptor;
+use crate::graph::{Graph, Node};
 use crate::op::Op;
 use ranger_tensor::Tensor;
 use serde::{Deserialize, Serialize};
@@ -41,19 +41,14 @@ impl FlopsReport {
     }
 }
 
-struct ShapeRecorder {
-    input_shapes: HashMap<NodeId, Vec<Vec<usize>>>,
-    output_shapes: HashMap<NodeId, Vec<usize>>,
-}
-
 /// Charges FLOPs to a node given the shapes of its inputs and output.
-fn flops_for(node: &Node, input_shapes: &[Vec<usize>], output_shape: &[usize]) -> u64 {
+fn flops_for(node: &Node, input_shapes: &[&[usize]], output_shape: &[usize]) -> u64 {
     let out_elems: u64 = output_shape.iter().product::<usize>() as u64;
     match &node.op {
         Op::Input | Op::Const | Op::Identity | Op::Flatten | Op::Reshape { .. } | Op::Concat => 0,
         Op::Conv2d { .. } => {
             // 2 * Kh * Kw * Cin FLOPs per output element (multiply + add).
-            let w = input_shapes.get(1).cloned().unwrap_or_default();
+            let w = input_shapes.get(1).copied().unwrap_or_default();
             if w.len() == 4 {
                 2 * (w[1] * w[2] * w[3]) as u64 * out_elems
             } else {
@@ -61,7 +56,7 @@ fn flops_for(node: &Node, input_shapes: &[Vec<usize>], output_shape: &[usize]) -
             }
         }
         Op::MatMul => {
-            let x = input_shapes.first().cloned().unwrap_or_default();
+            let x = input_shapes.first().copied().unwrap_or_default();
             let k = x.get(1).copied().unwrap_or(0) as u64;
             2 * k * out_elems
         }
@@ -73,17 +68,11 @@ fn flops_for(node: &Node, input_shapes: &[Vec<usize>], output_shape: &[usize]) -
             (kernel * kernel) as u64 * out_elems
         }
         Op::GlobalAvgPool => {
-            let x = input_shapes.first().cloned().unwrap_or_default();
+            let x = input_shapes.first().copied().unwrap_or_default();
             x.iter().product::<usize>() as u64
         }
         // Range restriction: one comparison for the lower bound and one for the upper.
         Op::Clamp { .. } | Op::RangeRestore { .. } => 2 * out_elems,
-    }
-}
-
-impl Interceptor for ShapeRecorder {
-    fn after_op(&mut self, node: &Node, output: &mut Tensor) {
-        self.output_shapes.insert(node.id, output.dims().to_vec());
     }
 }
 
@@ -93,37 +82,13 @@ impl Interceptor for ShapeRecorder {
 ///
 /// Returns a [`GraphError`] if the forward pass fails.
 pub fn profile(graph: &Graph, feeds: &[(&str, Tensor)]) -> Result<FlopsReport, GraphError> {
-    let exec = Executor::new(graph);
-    let mut recorder = ShapeRecorder {
-        input_shapes: HashMap::new(),
-        output_shapes: HashMap::new(),
-    };
-    let values = exec.run(feeds, &mut recorder)?;
-    // Collect every node's output shape (including constants and inputs, which the
-    // interceptor does not see) so operator input shapes can be resolved.
-    let mut all_shapes: HashMap<NodeId, Vec<usize>> = HashMap::new();
-    for (id, tensor) in values.iter() {
-        all_shapes.insert(id, tensor.dims().to_vec());
-    }
-    for node in graph.nodes() {
-        let shapes: Vec<Vec<usize>> = node
-            .inputs
-            .iter()
-            .map(|i| all_shapes.get(i).cloned().unwrap_or_default())
-            .collect();
-        recorder.input_shapes.insert(node.id, shapes);
-    }
-
+    let values = graph.compile()?.run(feeds, &mut NoopInterceptor)?;
+    let dims = |id| values.dims_of(id).unwrap_or_default();
     let mut per_node = Vec::with_capacity(graph.len());
     let mut total = 0u64;
     for node in graph.nodes() {
-        let inputs = recorder
-            .input_shapes
-            .get(&node.id)
-            .cloned()
-            .unwrap_or_default();
-        let output = all_shapes.get(&node.id).cloned().unwrap_or_default();
-        let flops = flops_for(node, &inputs, &output);
+        let inputs: Vec<&[usize]> = node.inputs.iter().map(|&i| dims(i)).collect();
+        let flops = flops_for(node, &inputs, dims(node.id));
         total += flops;
         per_node.push((node.name.clone(), flops));
     }

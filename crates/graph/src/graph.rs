@@ -167,15 +167,6 @@ impl Graph {
             .sum()
     }
 
-    /// Returns the ids of all graph input placeholders.
-    pub fn input_nodes(&self) -> Vec<NodeId> {
-        self.nodes
-            .iter()
-            .filter(|n| matches!(n.op, Op::Input))
-            .map(|n| n.id)
-            .collect()
-    }
-
     /// Returns the ids of the nodes that consume `id`'s output.
     pub fn consumers(&self, id: NodeId) -> Vec<NodeId> {
         self.nodes
@@ -354,7 +345,6 @@ mod tests {
         let (g, ..) = tiny_graph();
         assert_eq!(g.trainable_nodes().len(), 1);
         assert_eq!(g.parameter_count(), 4);
-        assert_eq!(g.input_nodes().len(), 1);
     }
 
     #[test]

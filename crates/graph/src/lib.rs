@@ -1,4 +1,4 @@
-//! Static dataflow graph, operators, executor and autodiff.
+//! Static dataflow graph, operators, compiled execution plans and autodiff.
 //!
 //! This crate is the reproduction's stand-in for the TensorFlow runtime the paper builds
 //! on. It provides the two interfaces Ranger and the fault injector need:
@@ -7,9 +7,12 @@
 //!    Algorithm 1 walks the operator list and inserts range-restriction ([`Op::Clamp`])
 //!    operators after selected operations, exactly as the paper's TensorFlow implementation
 //!    duplicates the graph and remaps operator inputs.
-//! 2. **An executor with per-operator interception hooks** ([`exec::Executor`],
+//! 2. **Compiled execution plans with per-operator interception hooks** ([`ExecPlan`],
 //!    [`exec::Interceptor`]) — the TensorFI-style fault injector corrupts the output of a
-//!    randomly chosen operator during a forward pass.
+//!    randomly chosen operator during a forward pass. A graph runs through
+//!    [`Graph::compile`] (or [`Graph::compile_with`] for another backend) and then
+//!    [`ExecPlan::run_into`] on a reused store, or [`ExecPlan::run`] /
+//!    [`ExecPlan::run_simple`] for a one-shot pass.
 //!
 //! On top of those the crate provides reverse-mode automatic differentiation
 //! ([`autodiff`]) so the benchmark models can be trained from scratch, and a FLOPs
@@ -19,7 +22,6 @@
 //!
 //! ```
 //! use ranger_graph::builder::GraphBuilder;
-//! use ranger_graph::exec::Executor;
 //! use ranger_tensor::Tensor;
 //! use rand::{rngs::StdRng, SeedableRng};
 //!
@@ -31,8 +33,7 @@
 //! let y = b.dense(h, 8, 3, &mut rng);
 //! let graph = b.into_graph();
 //!
-//! let exec = Executor::new(&graph);
-//! let out = exec.run_simple(&[("x", Tensor::zeros(vec![1, 4]))], y)?;
+//! let out = graph.compile()?.run_simple(&[("x", Tensor::zeros(vec![1, 4]))], y)?;
 //! assert_eq!(out.dims(), &[1, 3]);
 //! # Ok::<(), ranger_graph::GraphError>(())
 //! ```
@@ -56,7 +57,7 @@ pub use backend::{
 };
 pub use builder::GraphBuilder;
 pub use error::GraphError;
-pub use exec::{Executor, GoldenSnapshot, Interceptor};
+pub use exec::{GoldenSnapshot, Interceptor};
 pub use graph::{Graph, Node, NodeId};
 pub use op::Op;
 pub use plan::ExecPlan;

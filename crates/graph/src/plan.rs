@@ -1,10 +1,9 @@
 //! Compiled execution plans: plan a graph once, run it many times.
 //!
-//! [`Executor`](crate::exec::Executor) re-derives the topological order and re-allocates
-//! its value store on every forward pass. That is fine for one-shot evaluation but wasteful
-//! on the reproduction's hot path — a fault-injection campaign runs the *same* graph
-//! thousands of times, and a bound-profiling pass runs it once per profiling sample. An
-//! [`ExecPlan`] front-loads the per-run planning work:
+//! An [`ExecPlan`] is the one way to run a graph. The reproduction's hot paths run the
+//! *same* graph many times — a fault-injection campaign thousands of times, bound
+//! profiling once per profiling sample — so the plan front-loads the per-run planning
+//! work:
 //!
 //! * the topological order is computed once at [`Graph::compile`] time instead of being
 //!   re-derived (with its O(nodes) bookkeeping allocations) on every pass,
@@ -16,10 +15,10 @@
 //!   `run_into` loop performs zero output-tensor allocations after warm-up (verified by
 //!   the `alloc_free_plan` integration test with a counting global allocator).
 //!
-//! The [`Interceptor`] hook behaves exactly as it does under `Executor` — the fault
-//! injector and the bound profiler observe the same nodes in the same order — and the
-//! computed values are bit-for-bit identical (`Executor` is itself implemented as
-//! "compile, then run once").
+//! The [`Interceptor`] hook sees every operator node once per pass, in plan order — the
+//! fault injector and the bound profiler observe the same nodes in the same order on
+//! every pass, whether the store is fresh or reused. For a one-shot pass,
+//! [`ExecPlan::run`] returns a fresh store and [`ExecPlan::run_simple`] a single output.
 //!
 //! # Example
 //!
@@ -78,8 +77,7 @@ impl Graph {
     ///
     /// # Errors
     ///
-    /// Returns [`GraphError::CyclicGraph`] if the graph contains a cycle (the same check
-    /// every `Executor` run would perform).
+    /// Returns [`GraphError::CyclicGraph`] if the graph contains a cycle.
     pub fn compile(&self) -> Result<ExecPlan<'_>, GraphError> {
         self.compile_with(&REFERENCE)
     }
@@ -227,8 +225,8 @@ impl<'g> ExecPlan<'g> {
     /// This is the hot-path entry point: the previous pass's tensors become the output
     /// buffers of the current pass (see [`Values`]), so after the first pass a `run_into`
     /// loop performs **zero output-tensor allocations** — each operator writes into its
-    /// node's recycled buffer. The `interceptor` is called after every operator, as under
-    /// [`Executor`](crate::exec::Executor).
+    /// node's recycled buffer. The `interceptor` is called after every operator (not for
+    /// inputs or constants), in plan order.
     ///
     /// If the plan was [warmed](ExecPlan::warm) while metrics were enabled
     /// (`ranger_obs`), each node's wall time is accumulated into a pre-sized atomic
@@ -436,8 +434,7 @@ impl<'g> ExecPlan<'g> {
     ///
     /// Campaigns warm with their first input's golden pass, so warming costs no pass of
     /// its own. Recording is explicit (not part of [`ExecPlan::run_into`]) so
-    /// single-shot executions — including every [`Executor`](crate::exec::Executor)
-    /// call, which compiles a throwaway plan — never pay for shape bookkeeping they
+    /// single-shot executions on a throwaway plan never pay for shape bookkeeping they
     /// cannot use. With metrics enabled, warming creates the plan's timing slots first,
     /// so its own pass is timed too.
     ///
@@ -580,7 +577,6 @@ impl<'g> ExecPlan<'g> {
 mod tests {
     use super::*;
     use crate::builder::GraphBuilder;
-    use crate::exec::{Executor, RecordingInterceptor};
     use crate::graph::Node;
     use crate::op::Op;
     use rand::rngs::StdRng;
@@ -597,19 +593,6 @@ mod tests {
     }
 
     #[test]
-    fn plan_matches_executor_bit_for_bit() {
-        let (graph, y) = toy();
-        let plan = graph.compile().unwrap();
-        let exec = Executor::new(&graph);
-        for i in 0..5 {
-            let input = Tensor::filled(vec![1, 4], 0.3 * i as f32);
-            let a = exec.run_simple(&[("x", input.clone())], y).unwrap();
-            let b = plan.run_simple(&[("x", input)], y).unwrap();
-            assert_eq!(a, b, "plan output must equal executor output exactly");
-        }
-    }
-
-    #[test]
     fn run_into_reuses_the_store_across_passes() {
         let (graph, y) = toy();
         let plan = graph.compile().unwrap();
@@ -623,26 +606,12 @@ mod tests {
         }
         // Stale values from earlier passes must not leak into later ones.
         assert_ne!(outputs[0], outputs[1]);
-        let exec = Executor::new(&graph);
-        let fresh = exec
+        let fresh = graph
+            .compile()
+            .unwrap()
             .run_simple(&[("x", Tensor::filled(vec![1, 4], 2.0))], y)
             .unwrap();
         assert_eq!(outputs[2], fresh);
-    }
-
-    #[test]
-    fn interceptor_order_matches_executor() {
-        let (graph, y) = toy();
-        let plan = graph.compile().unwrap();
-        let exec = Executor::new(&graph);
-        let input = Tensor::ones(vec![1, 4]);
-        let mut rec_plan = RecordingInterceptor::default();
-        let mut rec_exec = RecordingInterceptor::default();
-        plan.run(&[("x", input.clone())], &mut rec_plan).unwrap();
-        exec.run_with(&[("x", input)], y, &mut rec_exec).unwrap();
-        let ids =
-            |r: &RecordingInterceptor| r.outputs.iter().map(|(id, _)| *id).collect::<Vec<_>>();
-        assert_eq!(ids(&rec_plan), ids(&rec_exec));
     }
 
     #[test]

@@ -5,7 +5,7 @@ use proptest::prelude::*;
 use rand::{rngs::StdRng, SeedableRng};
 use ranger_graph::autodiff::{backward, mse_loss};
 use ranger_graph::exec::NoopInterceptor;
-use ranger_graph::{Executor, Graph, GraphBuilder, NodeId, Op};
+use ranger_graph::{Graph, GraphBuilder, NodeId, Op};
 use ranger_tensor::Tensor;
 
 /// Builds a small two-layer MLP with the given hidden width, returning the graph, the
@@ -22,8 +22,8 @@ fn small_mlp(hidden: usize, seed: u64) -> (Graph, NodeId, usize) {
 
 /// Evaluates the scalar loss `mean((f(x) - target)^2)` for the current parameters.
 fn loss_of(graph: &Graph, output: NodeId, input: &Tensor, target: &Tensor) -> f32 {
-    let exec = Executor::new(graph);
-    let values = exec
+    let plan = graph.compile().unwrap();
+    let values = plan
         .run(&[("x", input.clone())], &mut NoopInterceptor)
         .unwrap();
     mse_loss(values.get(output).unwrap(), target).unwrap().0
@@ -46,8 +46,8 @@ proptest! {
         let input = Tensor::from_vec(vec![1, 3], vec![x0, x1, x2]).unwrap();
         let target = Tensor::from_vec(vec![1, 2], vec![0.3, -0.7]).unwrap();
 
-        let exec = Executor::new(&graph);
-        let values = exec.run(&[("x", input.clone())], &mut NoopInterceptor).unwrap();
+        let plan = graph.compile().unwrap();
+        let values = plan.run(&[("x", input.clone())], &mut NoopInterceptor).unwrap();
         let (_, grad_seed) = mse_loss(values.get(y).unwrap(), &target).unwrap();
         let grads = backward(&graph, &values, y, &grad_seed).unwrap();
 
@@ -80,16 +80,16 @@ proptest! {
     fn identity_insertion_preserves_semantics(hidden in 2usize..6, seed in 0u64..40) {
         let (graph, y, width) = small_mlp(hidden, seed);
         let input = Tensor::filled(vec![1, width], 0.5);
-        let exec = Executor::new(&graph);
-        let before = exec.run_simple(&[("x", input.clone())], y).unwrap();
+        let plan = graph.compile().unwrap();
+        let before = plan.run_simple(&[("x", input.clone())], y).unwrap();
 
         let mut rewritten = graph.clone();
         // Insert an identity after every operator node of the original graph.
         for id in graph.operator_nodes().unwrap() {
             rewritten.insert_after(id, "noop", Op::Identity).unwrap();
         }
-        let exec2 = Executor::new(&rewritten);
-        let after = exec2.run_simple(&[("x", input)], y).unwrap();
+        let plan2 = rewritten.compile().unwrap();
+        let after = plan2.run_simple(&[("x", input)], y).unwrap();
         prop_assert!(before.approx_eq(&after, 1e-6).unwrap());
     }
 
@@ -99,9 +99,9 @@ proptest! {
     fn execution_is_deterministic(hidden in 2usize..8, seed in 0u64..40, v in -2.0f32..2.0) {
         let (graph, y, width) = small_mlp(hidden, seed);
         let input = Tensor::filled(vec![1, width], v);
-        let exec = Executor::new(&graph);
-        let a = exec.run_simple(&[("x", input.clone())], y).unwrap();
-        let b = exec.run_simple(&[("x", input)], y).unwrap();
+        let plan = graph.compile().unwrap();
+        let a = plan.run_simple(&[("x", input.clone())], y).unwrap();
+        let b = plan.run_simple(&[("x", input)], y).unwrap();
         prop_assert_eq!(a, b);
     }
 

@@ -23,8 +23,8 @@
 //! execution order — the serial path and the parallel path draw identical plans, and the
 //! SDC/benign counts are **bit-for-bit identical for any worker count and any chunk
 //! length** (pinned by unit tests here and proptests in
-//! `tests/pipeline_parity.rs`). Per-trial outputs also match running each pass through a
-//! fresh [`Executor`](ranger_graph::Executor).
+//! `tests/pipeline_parity.rs`). Per-trial outputs also match running each trial as a
+//! full pass ([`ExecPlan::run`]) on a fresh store.
 
 use crate::fault::FaultModel;
 use crate::injector::FaultInjector;
@@ -870,7 +870,7 @@ mod tests {
     use super::*;
     use crate::judge::ClassifierJudge;
     use rand::{rngs::StdRng, SeedableRng};
-    use ranger_graph::{Executor, GraphBuilder, Op};
+    use ranger_graph::{GraphBuilder, Op};
 
     fn toy_classifier() -> (ranger_graph::Graph, ranger_graph::NodeId) {
         let mut rng = StdRng::seed_from_u64(2);
@@ -885,8 +885,8 @@ mod tests {
         (b.into_graph(), probs)
     }
 
-    /// The per-category SDC counts of a hand-rolled campaign: one fresh f32 `Executor`
-    /// full pass per trial, plans drawn from the canonical per-(input, trial) streams.
+    /// The per-category SDC counts of a hand-rolled campaign: one f32 full pass on a
+    /// fresh store per trial, plans drawn from the canonical per-(input, trial) streams.
     /// The reference every cone campaign must reproduce.
     fn full_pass_counts(
         target: &InjectionTarget<'_>,
@@ -895,16 +895,17 @@ mod tests {
         config: &CampaignConfig,
     ) -> Vec<u64> {
         let mut counts = vec![0u64; judge.categories().len()];
-        let exec = Executor::new(target.graph);
+        let plan = target.graph.compile().unwrap();
         for (i, input) in inputs.iter().enumerate() {
             let feeds = [(target.input_name, input.clone())];
-            let golden = exec.run_simple(&feeds, target.output).unwrap();
+            let golden = plan.run_simple(&feeds, target.output).unwrap();
             let space = InjectionSpace::build(target, input).unwrap();
             for t in 0..config.trials {
                 let mut rng = trial_rng(config.seed, i, t);
                 let mut injector = FaultInjector::plan_random(config.fault, &space, &mut rng);
-                let faulty = exec.run_with(&feeds, target.output, &mut injector).unwrap();
-                for (count, sdc) in counts.iter_mut().zip(judge.judge(&golden, &faulty)) {
+                let values = plan.run(&feeds, &mut injector).unwrap();
+                let faulty = values.get(target.output).unwrap();
+                for (count, sdc) in counts.iter_mut().zip(judge.judge(&golden, faulty)) {
                     *count += u64::from(sdc);
                 }
             }
@@ -936,7 +937,7 @@ mod tests {
         assert_eq!(a.trials, 50);
     }
 
-    /// The ExecPlan-backed campaign must match a hand-rolled Executor-per-pass campaign
+    /// The cone-backed campaign must match a hand-rolled full-pass-per-trial campaign
     /// trial-for-trial: same per-(input, trial) RNG streams, same interception points,
     /// same SDC counts.
     #[test]
@@ -949,7 +950,7 @@ mod tests {
             excluded: &[],
         };
         let inputs = vec![Tensor::ones(vec![1, 6]), Tensor::filled(vec![1, 6], 0.3)];
-        // The reference is a hand-rolled f32 Executor loop, so the backend is pinned.
+        // The reference is a hand-rolled f32 full-pass loop, so the backend is pinned.
         let config = CampaignConfig {
             trials: 40,
             batch: 1,

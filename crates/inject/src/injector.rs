@@ -3,7 +3,7 @@
 use crate::fault::FaultModel;
 use crate::space::{InjectionSite, InjectionSpace};
 use rand::Rng;
-use ranger_graph::{Interceptor, Node, NodeId};
+use ranger_graph::{Interceptor, Node};
 use ranger_tensor::{DataType, QTensor, Tensor};
 
 /// One planned corruption: a site plus the bit to flip there.
@@ -68,11 +68,6 @@ impl FaultInjector {
     pub fn fully_injected(&self) -> bool {
         self.injected.len() == self.plan.len()
     }
-
-    /// Nodes targeted by this plan.
-    pub fn targeted_nodes(&self) -> Vec<NodeId> {
-        self.plan.iter().map(|f| f.site.node).collect()
-    }
 }
 
 impl Interceptor for FaultInjector {
@@ -114,9 +109,9 @@ mod tests {
     use super::*;
     use crate::InjectionTarget;
     use rand::{rngs::StdRng, SeedableRng};
-    use ranger_graph::{Executor, GraphBuilder};
+    use ranger_graph::GraphBuilder;
 
-    fn toy() -> (ranger_graph::Graph, NodeId) {
+    fn toy() -> (ranger_graph::Graph, ranger_graph::NodeId) {
         let mut rng = StdRng::seed_from_u64(0);
         let mut b = GraphBuilder::new();
         let x = b.input("x");
@@ -136,8 +131,8 @@ mod tests {
             excluded: &[],
         };
         let input = Tensor::ones(vec![1, 3]);
-        let exec = Executor::new(&graph);
-        let golden = exec.run_simple(&[("x", input.clone())], y).unwrap();
+        let plan = graph.compile().unwrap();
+        let golden = plan.run_simple(&[("x", input.clone())], y).unwrap();
 
         let space = InjectionSpace::build(&target, &input).unwrap();
         assert!(space.total_values() > 0);
@@ -149,7 +144,12 @@ mod tests {
             element: 0,
         };
         let mut injector = FaultInjector::with_plan(fault, vec![PlannedFlip { site, bit: 29 }]);
-        let faulty = exec.run_with(&[("x", input)], y, &mut injector).unwrap();
+        let faulty = plan
+            .run(&[("x", input)], &mut injector)
+            .unwrap()
+            .get(y)
+            .unwrap()
+            .clone();
         assert!(injector.fully_injected());
         assert_eq!(injector.injected().len(), 1);
         let deviation = golden.max_abs_diff(&faulty).unwrap();
@@ -180,7 +180,6 @@ mod tests {
         for flip in injector.plan() {
             assert!(flip.bit < 16);
         }
-        assert_eq!(injector.targeted_nodes().len(), 3);
     }
 
     /// On a fixed-point backend the injector flips stored words; the lazily decoded f32
@@ -246,9 +245,14 @@ mod tests {
                 bit: 1,
             }],
         );
-        let exec = Executor::new(&graph);
+        let plan = graph.compile().unwrap();
         let input = Tensor::ones(vec![1, 3]);
-        let out = exec.run_with(&[("x", input)], y, &mut injector).unwrap();
+        let out = plan
+            .run(&[("x", input)], &mut injector)
+            .unwrap()
+            .get(y)
+            .unwrap()
+            .clone();
         assert!(!injector.fully_injected());
         assert!(!out.has_non_finite());
     }

@@ -128,7 +128,7 @@ mod tests {
     use super::*;
     use crate::judge::ClassifierJudge;
     use crate::space::InjectionSpace;
-    use ranger_graph::{Executor, GraphBuilder};
+    use ranger_graph::GraphBuilder;
 
     fn toy_classifier() -> (ranger_graph::Graph, ranger_graph::NodeId) {
         let mut rng = StdRng::seed_from_u64(8);
@@ -158,7 +158,7 @@ mod tests {
         protected
     }
 
-    /// The per-bit table computed the long way: one fresh `Executor` full pass per
+    /// The per-bit table computed the long way: one full pass on a fresh store per
     /// trial, sites drawn bit-major from one `seed`-keyed generator over the reference
     /// space.
     fn full_pass_sensitivity(
@@ -169,22 +169,23 @@ mod tests {
         trials_per_bit: usize,
         seed: u64,
     ) -> Vec<Proportion> {
-        let exec = Executor::new(target.graph);
+        let plan = target.graph.compile().unwrap();
         let feeds = [(target.input_name, input.clone())];
-        let golden = exec.run_simple(&feeds, target.output).unwrap();
+        let golden = plan.run_simple(&feeds, target.output).unwrap();
         let space = InjectionSpace::build(target, input).unwrap();
         let mut rng = StdRng::seed_from_u64(seed);
         (0..fault.datatype.bit_width())
             .map(|bit| {
                 let mut sdcs = 0u64;
                 for _ in 0..trials_per_bit {
-                    let plan = vec![PlannedFlip {
+                    let flips = vec![PlannedFlip {
                         site: space.sample(&mut rng),
                         bit,
                     }];
-                    let mut injector = FaultInjector::with_plan(fault, plan);
-                    let faulty = exec.run_with(&feeds, target.output, &mut injector).unwrap();
-                    sdcs += u64::from(judge.judge(&golden, &faulty)[0]);
+                    let mut injector = FaultInjector::with_plan(fault, flips);
+                    let values = plan.run(&feeds, &mut injector).unwrap();
+                    let faulty = values.get(target.output).unwrap();
+                    sdcs += u64::from(judge.judge(&golden, faulty)[0]);
                 }
                 Proportion::new(sdcs, trials_per_bit as u64)
             })

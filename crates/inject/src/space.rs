@@ -234,7 +234,7 @@ mod tests {
     /// record the word layout faults will strike.
     #[test]
     fn plan_built_space_matches_reference_and_records_layout() {
-        use ranger_graph::{BackendKind, Executor};
+        use ranger_graph::BackendKind;
         let (graph, y, relu) = toy_target();
         let excluded = vec![relu];
         let target = InjectionTarget {
@@ -248,7 +248,7 @@ mod tests {
             excluded: &excluded,
             sites: Vec::new(),
         };
-        Executor::new(&graph).run(&feeds, &mut recorder).unwrap();
+        graph.compile().unwrap().run(&feeds, &mut recorder).unwrap();
         assert_eq!(recorder.sites.len(), 4, "the ReLU is excluded");
         let reference = InjectionSpace::build(&target, &feeds[0].1).unwrap();
         assert_eq!(reference.sites, recorder.sites);

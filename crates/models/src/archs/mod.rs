@@ -76,7 +76,6 @@ mod tests {
     use super::*;
     use crate::model::Task;
     use ranger_datasets::driving::AngleUnit;
-    use ranger_graph::Executor;
     use ranger_tensor::Tensor;
 
     /// Every architecture must build, run a forward pass of the right shape, and expose a
@@ -216,12 +215,12 @@ mod tests {
         let b = build(&ModelConfig::lenet(), 11);
         let (c, h, w) = ModelKind::LeNet.image_domain().unwrap().image_shape();
         let x = Tensor::ones(vec![1, c, h, w]);
-        let exec_a = Executor::new(&a.graph);
-        let exec_b = Executor::new(&b.graph);
-        let out_a = exec_a
+        let plan_a = a.graph.compile().unwrap();
+        let plan_b = b.graph.compile().unwrap();
+        let out_a = plan_a
             .run_simple(&[("image", x.clone())], a.output)
             .unwrap();
-        let out_b = exec_b.run_simple(&[("image", x)], b.output).unwrap();
+        let out_b = plan_b.run_simple(&[("image", x)], b.output).unwrap();
         assert_eq!(out_a, out_b);
     }
 }

@@ -2,7 +2,7 @@
 
 use ranger_datasets::classification::ImageDomain;
 use ranger_datasets::driving::AngleUnit;
-use ranger_graph::{Executor, Graph, GraphError, NodeId};
+use ranger_graph::{Graph, GraphError, NodeId};
 use ranger_tensor::Tensor;
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -243,8 +243,9 @@ impl Model {
     ///
     /// Returns a [`GraphError`] if execution fails.
     pub fn forward(&self, batch: &Tensor) -> Result<Tensor, GraphError> {
-        let exec = Executor::new(&self.graph);
-        exec.run_simple(&[(self.input_name.as_str(), batch.clone())], self.output)
+        self.graph
+            .compile()?
+            .run_simple(&[(self.input_name.as_str(), batch.clone())], self.output)
     }
 
     /// Returns the predicted class index for every row of `batch` (classifiers only).

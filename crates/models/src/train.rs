@@ -8,7 +8,7 @@ use ranger_datasets::classification::ClassificationDataset;
 use ranger_datasets::driving::{AngleUnit, DrivingDataset};
 use ranger_graph::autodiff::{backward, mse_loss, softmax_cross_entropy, SgdOptimizer};
 use ranger_graph::exec::NoopInterceptor;
-use ranger_graph::{Executor, GraphError};
+use ranger_graph::GraphError;
 use serde::{Deserialize, Serialize};
 
 /// Hyper-parameters of a training run.
@@ -142,8 +142,11 @@ pub fn train_classifier(
         opt.set_learning_rate(cfg.learning_rate * 0.8f32.powi(epoch as i32 / 3));
         for chunk in indices.chunks(cfg.batch_size) {
             let (batch, labels) = data.train_batch(chunk);
-            let exec = Executor::new(&model.graph);
-            let values = exec.run(&[(model.input_name.as_str(), batch)], &mut NoopInterceptor)?;
+            // A fresh plan per step: `opt.step` below mutates the graph a plan borrows.
+            let values = model
+                .graph
+                .compile()?
+                .run(&[(model.input_name.as_str(), batch)], &mut NoopInterceptor)?;
             let logits = values.get(model.logits)?;
             let (loss, grad) = softmax_cross_entropy(logits, &labels)?;
             let grads = backward(&model.graph, &values, model.logits, &grad)?;
@@ -201,8 +204,10 @@ pub fn train_regressor(
         for chunk in indices.chunks(cfg.batch_size) {
             let (batch, targets) = data.train_batch(chunk, target_unit);
             let targets = targets.scale(target_scale);
-            let exec = Executor::new(&model.graph);
-            let values = exec.run(&[(model.input_name.as_str(), batch)], &mut NoopInterceptor)?;
+            let values = model
+                .graph
+                .compile()?
+                .run(&[(model.input_name.as_str(), batch)], &mut NoopInterceptor)?;
             let output = values.get(fit_node)?;
             let (loss, grad) = mse_loss(output, &targets)?;
             let grads = backward(&model.graph, &values, fit_node, &grad)?;

@@ -223,11 +223,6 @@ impl LeaseTable {
         self.leases.len()
     }
 
-    /// Whether every chunk is durably completed.
-    pub fn is_complete(&self) -> bool {
-        self.completed.len() == self.total
-    }
-
     /// Reaps every lease whose deadline has passed, returning how many expired. Expired
     /// tokens are remembered so late messages from their holders are answered with
     /// [`LeaseError::Expired`] (or accepted as [`TouchOutcome::LateUnclaimed`] pushes)

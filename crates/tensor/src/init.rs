@@ -47,18 +47,6 @@ pub fn he_normal<R: Rng + ?Sized>(dims: impl Into<Shape>, fan_in: usize, rng: &m
     normal(dims, 0.0, std, rng)
 }
 
-/// Xavier (Glorot) uniform initialization for layers followed by saturating activations
-/// such as Tanh.
-pub fn xavier_uniform<R: Rng + ?Sized>(
-    dims: impl Into<Shape>,
-    fan_in: usize,
-    fan_out: usize,
-    rng: &mut R,
-) -> Tensor {
-    let limit = (6.0 / (fan_in + fan_out).max(1) as f32).sqrt();
-    uniform(dims, -limit, limit, rng)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -104,13 +92,5 @@ mod tests {
         let a = he_normal(vec![64], 32, &mut StdRng::seed_from_u64(5));
         let b = he_normal(vec![64], 32, &mut StdRng::seed_from_u64(5));
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn xavier_uniform_respects_limit() {
-        let mut rng = StdRng::seed_from_u64(1);
-        let t = xavier_uniform(vec![1000], 100, 100, &mut rng);
-        let limit = (6.0f32 / 200.0).sqrt();
-        assert!(t.max() <= limit && t.min() >= -limit);
     }
 }

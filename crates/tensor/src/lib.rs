@@ -10,7 +10,7 @@
 //! * [`qtensor`] — integer word tensors plus saturating Q-format kernels: the storage and
 //!   arithmetic of the genuine fixed-point execution backend.
 //! * [`bits`] — datatype-aware single/multi bit-flip primitives used by the fault injector.
-//! * [`init`] — deterministic weight initializers (He / Xavier / uniform).
+//! * [`init`] — deterministic weight initializers (He / uniform).
 //! * [`stats`] — small statistics helpers (mean, standard error, confidence intervals,
 //!   percentiles) used when reporting SDC rates the way the paper does.
 //!

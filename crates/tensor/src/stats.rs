@@ -24,15 +24,6 @@ pub fn std_dev(values: &[f64]) -> f64 {
     var.sqrt()
 }
 
-/// Standard error of the mean.
-pub fn std_error(values: &[f64]) -> f64 {
-    if values.is_empty() {
-        0.0
-    } else {
-        std_dev(values) / (values.len() as f64).sqrt()
-    }
-}
-
 /// The `p`-th percentile (0–100) of a sample using linear interpolation between order
 /// statistics, matching NumPy's default behaviour.
 ///

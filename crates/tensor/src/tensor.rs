@@ -168,11 +168,6 @@ impl Tensor {
         &mut self.data
     }
 
-    /// Consumes the tensor and returns its backing data.
-    pub fn into_data(self) -> Vec<f32> {
-        self.data
-    }
-
     /// Returns the element at a multi-dimensional index.
     ///
     /// # Panics
@@ -368,15 +363,6 @@ impl Tensor {
             .extend(self.data.iter().zip(&other.data).map(|(&a, &b)| f(a, b)));
         out.shape.set_dims(self.dims());
         Ok(())
-    }
-
-    // ---- Batch stacking and slicing -----------------------------------------------
-    //
-    /// Applies `f` to every element in place.
-    pub fn map_inplace(&mut self, f: impl Fn(f32) -> f32) {
-        for v in &mut self.data {
-            *v = f(*v);
-        }
     }
 
     /// Combines two tensors element-wise with `f`.

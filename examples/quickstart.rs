@@ -13,7 +13,6 @@
 use ranger::bounds::{profile_bounds, BoundsConfig};
 use ranger::protect::{Protector, RangerProtector};
 use ranger_datasets::classification::{ClassificationDataset, ImageDomain};
-use ranger_graph::Executor;
 use ranger_inject::{FaultInjector, FaultModel, InjectionSpace, InjectionTarget};
 use ranger_models::train::{classification_accuracy, train_classifier};
 use ranger_models::{archs, ModelConfig, TrainConfig};
@@ -86,8 +85,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // corrupts the unprotected model's prediction. Most random sites are benign — that is
     // the inherent resilience the paper builds on — so a few attempts may be needed.
     let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(1);
-    let exec = Executor::new(&model.graph);
-    let exec_p = Executor::new(&protected.graph);
+    let plan = model.graph.compile()?;
+    let plan_p = protected.graph.compile()?;
     let mut found: Option<(usize, usize)> = None;
     for _ in 0..500 {
         let candidate = vec![ranger_inject::injector::PlannedFlip {
@@ -95,22 +94,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             bit: 29,
         }];
         let mut injector = FaultInjector::with_plan(fault, candidate.clone());
-        let faulty = exec.run_with(
-            &[(model.input_name.as_str(), image.clone())],
-            model.output,
-            &mut injector,
-        )?;
-        let faulty_pred = faulty.argmax().unwrap_or(0);
+        let values = plan.run(&[(model.input_name.as_str(), image.clone())], &mut injector)?;
+        let faulty_pred = values.get(model.output)?.argmax().unwrap_or(0);
         if faulty_pred == golden_pred {
             continue; // benign fault: tolerated even without Ranger
         }
         let mut injector_p = FaultInjector::with_plan(fault, candidate);
-        let corrected = exec_p.run_with(
+        let values = plan_p.run(
             &[(protected.input_name.as_str(), image.clone())],
-            protected.output,
             &mut injector_p,
         )?;
-        let corrected_pred = corrected.argmax().unwrap_or(0);
+        let corrected_pred = values.get(protected.output)?.argmax().unwrap_or(0);
         found = Some((faulty_pred, corrected_pred));
         if corrected_pred == golden_pred {
             break; // a critical fault that Ranger corrects: the Fig. 1 scenario

@@ -12,9 +12,8 @@
 //! 156.58° → −46.47° → 156.91° example.
 
 use ranger::bounds::{profile_bounds, BoundsConfig};
-use ranger::transform::{apply_ranger, RangerConfig};
+use ranger::protect::{Protector, RangerProtector};
 use ranger_datasets::driving::{AngleUnit, DrivingDataset};
-use ranger_graph::Executor;
 use ranger_inject::injector::PlannedFlip;
 use ranger_inject::{FaultInjector, FaultModel, InjectionSpace, InjectionTarget};
 use ranger_models::train::{regression_metrics, train_regressor};
@@ -49,7 +48,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         &samples,
         &BoundsConfig::default(),
     )?;
-    let (protected_graph, stats) = apply_ranger(&model.graph, &bounds, &RangerConfig::default())?;
+    let (protected_graph, stats) = RangerProtector::default().protect(&model.graph, &bounds)?;
     let mut protected = model.clone();
     protected.graph = protected_graph;
     println!(
@@ -75,42 +74,34 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Try a few random sites with a high-order flip and report the one with the largest
     // unprotected deviation — the "critical fault" the paper's Fig. 1 illustrates.
     let mut worst: Option<(f32, f32, PlannedFlip)> = None;
+    let plan = model.graph.compile()?;
     for _ in 0..20 {
-        let plan = PlannedFlip {
+        let flip = PlannedFlip {
             site: space.sample(&mut rng),
             bit: 29,
         };
-        let exec = Executor::new(&model.graph);
-        let mut injector = FaultInjector::with_plan(fault, vec![plan]);
-        let faulty = exec.run_with(
-            &[(model.input_name.as_str(), frame.clone())],
-            model.output,
-            &mut injector,
-        )?;
-        let angle = faulty.data()[0];
+        let mut injector = FaultInjector::with_plan(fault, vec![flip]);
+        let values = plan.run(&[(model.input_name.as_str(), frame.clone())], &mut injector)?;
+        let angle = values.get(model.output)?.data()[0];
         let dev = (angle - golden).abs();
         if worst.as_ref().map(|(d, ..)| dev > *d).unwrap_or(true) {
-            worst = Some((dev, angle, plan));
+            worst = Some((dev, angle, flip));
         }
     }
-    let (_, faulty_angle, plan) = worst.expect("at least one trial ran");
+    let (_, faulty_angle, flip) = worst.expect("at least one trial ran");
     println!("prediction (with fault):    {faulty_angle:.2}°   <- unprotected model");
 
-    let exec_p = Executor::new(&protected.graph);
-    let mut injector = FaultInjector::with_plan(fault, vec![plan]);
-    let corrected = exec_p.run_with(
-        &[(protected.input_name.as_str(), frame)],
-        protected.output,
-        &mut injector,
-    )?;
-    println!(
-        "prediction (with fault):    {:.2}°   <- model protected with Ranger",
-        corrected.data()[0]
-    );
+    let mut injector = FaultInjector::with_plan(fault, vec![flip]);
+    let values = protected
+        .graph
+        .compile()?
+        .run(&[(protected.input_name.as_str(), frame)], &mut injector)?;
+    let corrected = values.get(protected.output)?.data()[0];
+    println!("prediction (with fault):    {corrected:.2}°   <- model protected with Ranger");
     println!(
         "\nRanger reduced the steering deviation from {:.2}° to {:.2}°.",
         (faulty_angle - golden).abs(),
-        (corrected.data()[0] - golden).abs()
+        (corrected - golden).abs()
     );
     Ok(())
 }

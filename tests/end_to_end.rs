@@ -5,7 +5,7 @@
 
 use ranger::bounds::{profile_bounds, BoundsConfig};
 use ranger::protect::{Protector, RangerProtector};
-use ranger::transform::{apply_ranger, RangerConfig};
+use ranger::transform::RangerConfig;
 use ranger_datasets::classification::{ClassificationDataset, ImageDomain};
 use ranger_datasets::driving::{AngleUnit, DrivingDataset};
 use ranger_engine::Pipeline;
@@ -151,7 +151,9 @@ fn ranger_protects_the_steering_model_and_preserves_regression_accuracy() {
         &BoundsConfig::default(),
     )
     .unwrap();
-    let (graph, _) = apply_ranger(&model.graph, &bounds, &RangerConfig::default()).unwrap();
+    let (graph, _) = RangerProtector::default()
+        .protect(&model.graph, &bounds)
+        .unwrap();
     let mut protected = model.clone();
     protected.graph = graph;
 
@@ -302,7 +304,9 @@ fn protected_graph_has_low_flops_overhead_on_every_architecture() {
             &BoundsConfig::default(),
         )
         .unwrap();
-        let (graph, stats) = apply_ranger(&model.graph, &bounds, &RangerConfig::default()).unwrap();
+        let (graph, stats) = RangerProtector::default()
+            .protect(&model.graph, &bounds)
+            .unwrap();
         assert!(stats.clamps_inserted > 0, "{kind} must receive clamps");
         let report =
             ranger::overhead::flops_overhead(&model.graph, &graph, &model.input_name, &input)

@@ -3,9 +3,12 @@
 use proptest::prelude::*;
 use rand::{rngs::StdRng, SeedableRng};
 use ranger::bounds::{profile_bounds, ActivationBounds, BoundsConfig};
-use ranger::transform::{apply_ranger, RangerConfig};
+use ranger::protect::{Protector, RangerProtector};
+use ranger_engine::canonical_input;
 use ranger_graph::exec::NoopInterceptor;
-use ranger_graph::{Executor, GraphBuilder, Op};
+use ranger_graph::{GraphBuilder, Op};
+use ranger_models::{archs, ModelConfig, ModelKind};
+use ranger_tensor::init::uniform;
 use ranger_tensor::{DataType, Tensor};
 
 /// Builds a small random MLP with the given hidden width and returns (graph, output node).
@@ -38,12 +41,12 @@ proptest! {
             .map(|i| Tensor::filled(vec![1, 4], scale * (i as f32 + 1.0) / 6.0))
             .collect();
         let bounds = profile_bounds(&graph, "x", &samples, &BoundsConfig::default()).unwrap();
-        let (protected, _) = apply_ranger(&graph, &bounds, &RangerConfig::default()).unwrap();
-        let exec = Executor::new(&graph);
-        let exec_p = Executor::new(&protected);
+        let (protected, _) = RangerProtector::default().protect(&graph, &bounds).unwrap();
+        let plan = graph.compile().unwrap();
+        let plan_p = protected.compile().unwrap();
         for s in &samples {
-            let a = exec.run_simple(&[("x", s.clone())], y).unwrap();
-            let b = exec_p.run_simple(&[("x", s.clone())], y).unwrap();
+            let a = plan.run_simple(&[("x", s.clone())], y).unwrap();
+            let b = plan_p.run_simple(&[("x", s.clone())], y).unwrap();
             prop_assert!(a.approx_eq(&b, 1e-5).unwrap());
         }
     }
@@ -57,9 +60,9 @@ proptest! {
             .map(|i| Tensor::filled(vec![1, 4], 0.3 * i as f32))
             .collect();
         let bounds = profile_bounds(&graph, "x", &samples, &BoundsConfig::default()).unwrap();
-        let exec = Executor::new(&graph);
+        let plan = graph.compile().unwrap();
         for s in &samples {
-            let values = exec.run(&[("x", s.clone())], &mut NoopInterceptor).unwrap();
+            let values = plan.run(&[("x", s.clone())], &mut NoopInterceptor).unwrap();
             for (node, (lo, hi)) in bounds.iter() {
                 let v = values.get(node).unwrap();
                 prop_assert!(v.max() <= hi + 1e-6);
@@ -82,7 +85,7 @@ proptest! {
             .map(|i| Tensor::filled(vec![1, 4], 0.5 * (i as f32 + 1.0)))
             .collect();
         let bounds = profile_bounds(&graph, "x", &samples, &BoundsConfig::default()).unwrap();
-        let (protected, _) = apply_ranger(&graph, &bounds, &RangerConfig::default()).unwrap();
+        let (protected, _) = RangerProtector::default().protect(&graph, &bounds).unwrap();
 
         // Pick the first protected ReLU and its clamp in the protected graph.
         let relu = protected
@@ -116,11 +119,13 @@ proptest! {
                 }
             }
         }
-        let exec = Executor::new(&protected);
         let mut interceptor = Corrupt { node: relu, element, bit };
-        let clamp_out = exec
-            .run_with(&[("x", samples[1].clone())], clamp, &mut interceptor)
+        let values = protected
+            .compile()
+            .unwrap()
+            .run(&[("x", samples[1].clone())], &mut interceptor)
             .unwrap();
+        let clamp_out = values.get(clamp).unwrap();
         prop_assert!(clamp_out.max() <= hi + 1e-6);
         prop_assert!(clamp_out.min() >= lo - 1e-6);
     }
@@ -155,10 +160,56 @@ fn partial_bounds_protect_only_known_activations() {
     assert_eq!(relus.len(), 2);
     let mut bounds = ActivationBounds::new();
     bounds.set(relus[0], 0.0, 1.0);
-    let (protected, stats) = apply_ranger(&graph, &bounds, &RangerConfig::default()).unwrap();
+    let (protected, stats) = RangerProtector::default().protect(&graph, &bounds).unwrap();
     assert_eq!(stats.activations_protected, 1);
     assert!(protected
         .consumers(relus[1])
         .iter()
         .all(|&c| !matches!(protected.node(c).unwrap().op, Op::Clamp { .. })));
+}
+
+/// Profiling several samples (through one plan and one reused store) yields exactly the
+/// per-node combination of profiling each sample alone: the lower bound is the minimum
+/// of the single-sample lower bounds and the upper bound the maximum of their upper
+/// bounds, bit for bit. A value left over from an earlier sample's pass would break the
+/// equality; concat (SqueezeNet) and residual adds (ResNet-18) are covered.
+#[test]
+fn profiled_bounds_combine_the_single_sample_bounds_exactly() {
+    for kind in [ModelKind::LeNet, ModelKind::SqueezeNet, ModelKind::ResNet18] {
+        let model = archs::build(&ModelConfig::new(kind), 0);
+        let dims = canonical_input(&model).dims().to_vec();
+        let mut rng = StdRng::seed_from_u64(11);
+        let samples: Vec<Tensor> = (0..4)
+            .map(|_| uniform(dims.clone(), -1.0, 1.0, &mut rng))
+            .collect();
+        let profile = |samples: &[Tensor]| {
+            profile_bounds(
+                &model.graph,
+                &model.input_name,
+                samples,
+                &BoundsConfig::default(),
+            )
+            .unwrap()
+        };
+        let all = profile(&samples);
+        let singles: Vec<ActivationBounds> = samples
+            .iter()
+            .map(|s| profile(std::slice::from_ref(s)))
+            .collect();
+        assert!(!all.is_empty(), "{kind}");
+        for node in model.graph.nodes() {
+            let combined = singles
+                .iter()
+                .filter_map(|b| b.get(node.id))
+                .reduce(|(lo_a, hi_a), (lo_b, hi_b)| (lo_a.min(lo_b), hi_a.max(hi_b)));
+            let bits = |b: Option<(f32, f32)>| b.map(|(lo, hi)| (lo.to_bits(), hi.to_bits()));
+            assert_eq!(
+                bits(all.get(node.id)),
+                bits(combined),
+                "{kind}: node {} ({})",
+                node.id,
+                node.name
+            );
+        }
+    }
 }
