@@ -8,6 +8,8 @@
 
 use ranger_datasets::classification::ClassificationDataset;
 use ranger_datasets::driving::{AngleUnit, DrivingDataset};
+use ranger_graph::exec::{NoopInterceptor, Values};
+use ranger_graph::{ExecPlan, GraphError};
 use ranger_inject::{ClassifierJudge, SdcJudge, SteeringJudge};
 use ranger_models::{Model, ModelKind, Task, TrainConfig};
 use ranger_tensor::Tensor;
@@ -95,13 +97,14 @@ pub fn correct_classifier_inputs_for(
     let data = classification_data_for(model.config.kind, recipe, seed);
     let mut chosen = Vec::new();
     let mut fallback = Vec::new();
+    let mut scan = Scan::new(model)?;
     for i in 0..data.validation.len() {
         if chosen.len() >= n {
             break;
         }
         let (batch, labels) = data.validation_batch(&[i]);
-        let pred = model.predict_classes(&batch)?;
-        if pred[0] == labels[0] {
+        let (batch, out) = scan.run(batch)?;
+        if model.classes_of(out)[0] == labels[0] {
             chosen.push(batch);
         } else if fallback.len() < n {
             fallback.push(batch);
@@ -111,6 +114,36 @@ pub fn correct_classifier_inputs_for(
         chosen.push(fallback.remove(0));
     }
     Ok(chosen)
+}
+
+/// The forward passes of one input-selection scan: one compiled plan on the reference
+/// backend and one reused store, so every sample's prediction is bit for bit the
+/// model's `predict_*` while no pass compiles or allocates a store of its own.
+struct Scan<'m> {
+    model: &'m Model,
+    plan: ExecPlan<'m>,
+    values: Values,
+}
+
+impl<'m> Scan<'m> {
+    fn new(model: &'m Model) -> Result<Self, GraphError> {
+        let plan = model.graph.compile()?;
+        let values = plan.buffers();
+        Ok(Scan {
+            model,
+            plan,
+            values,
+        })
+    }
+
+    /// Runs `batch` and returns it with the model's output.
+    fn run(&mut self, batch: Tensor) -> Result<(Tensor, &Tensor), GraphError> {
+        let feeds = [(self.model.input_name.as_str(), batch)];
+        self.plan
+            .run_into(&mut self.values, &feeds, &mut NoopInterceptor)?;
+        let [(_, batch)] = feeds;
+        Ok((batch, self.values.get(self.model.output)?))
+    }
 }
 
 /// Selects up to `n` validation frames the steering model predicts within
@@ -150,12 +183,14 @@ pub fn correct_steering_inputs_for(
     let data = driving_data_for(recipe, seed);
     let mut chosen = Vec::new();
     let mut fallback = Vec::new();
+    let mut scan = Scan::new(model)?;
     for i in 0..data.validation.len() {
         if chosen.len() >= n {
             break;
         }
         let (batch, target) = data.validation_batch(&[i], AngleUnit::Degrees);
-        let pred = model.predict_angles_degrees(&batch)?;
+        let (batch, out) = scan.run(batch)?;
+        let pred = model.angles_degrees_of(out);
         if (pred[0] - target.data()[0]).abs() <= tolerance_degrees {
             chosen.push(batch);
         } else if fallback.len() < n {
@@ -279,6 +314,71 @@ mod tests {
         let comma = archs::build(&ModelConfig::new(ModelKind::Comma), 0);
         let judge = JudgeSpec::SteeringDegrees(vec![10.0]).build(&comma);
         assert_eq!(judge.categories(), vec!["threshold-10"]);
+    }
+
+    /// The selection of one plan and one store is the selection of the per-sample
+    /// `predict_*` loop, input for input and bit for bit.
+    #[test]
+    fn input_selection_matches_the_per_sample_predict_loop() {
+        fn per_sample<P: Fn(&Tensor, usize) -> bool>(
+            samples: usize,
+            n: usize,
+            sample: impl Fn(usize) -> Tensor,
+            correct: P,
+        ) -> Vec<Tensor> {
+            let (mut chosen, mut fallback) = (Vec::new(), Vec::new());
+            for i in 0..samples {
+                if chosen.len() >= n {
+                    break;
+                }
+                let batch = sample(i);
+                if correct(&batch, i) {
+                    chosen.push(batch);
+                } else if fallback.len() < n {
+                    fallback.push(batch);
+                }
+            }
+            while chosen.len() < n && !fallback.is_empty() {
+                chosen.push(fallback.remove(0));
+            }
+            chosen
+        }
+        let bits = |inputs: &[Tensor]| -> Vec<Vec<u32>> {
+            inputs
+                .iter()
+                .map(|t| t.data().iter().map(|v| v.to_bits()).collect())
+                .collect()
+        };
+        for seed in [3u64, 8] {
+            let lenet = archs::build(&ModelConfig::lenet(), seed);
+            let recipe = TrainConfig::for_kind(ModelKind::LeNet);
+            let data = classification_data_for(ModelKind::LeNet, &recipe, seed);
+            let expected = per_sample(
+                data.validation.len(),
+                6,
+                |i| data.validation_batch(&[i]).0,
+                |batch, i| {
+                    lenet.predict_classes(batch).unwrap()[0] == data.validation_batch(&[i]).1[0]
+                },
+            );
+            let chosen = correct_classifier_inputs_for(&lenet, seed, 6, &recipe).unwrap();
+            assert_eq!(bits(&chosen), bits(&expected), "LeNet, seed {seed}");
+
+            let comma = archs::build(&ModelConfig::new(ModelKind::Comma), seed);
+            let recipe = TrainConfig::for_kind(ModelKind::Comma);
+            let data = driving_data_for(&recipe, seed);
+            let target = |i: usize| data.validation_batch(&[i], AngleUnit::Degrees).1.data()[0];
+            let expected = per_sample(
+                data.validation.len(),
+                6,
+                |i| data.validation_batch(&[i], AngleUnit::Degrees).0,
+                |batch, i| {
+                    (comma.predict_angles_degrees(batch).unwrap()[0] - target(i)).abs() <= 4.0
+                },
+            );
+            let chosen = correct_steering_inputs_for(&comma, seed, 6, 4.0, &recipe).unwrap();
+            assert_eq!(bits(&chosen), bits(&expected), "Comma, seed {seed}");
+        }
     }
 
     #[test]

@@ -29,18 +29,20 @@
 //! path.
 
 use crate::error::GraphError;
-use crate::exec::{arity_err, eval_node_into, input, Interceptor, Values};
+use crate::exec::{arity_err, eval_node_into, eval_window_into, input, Interceptor, Values};
 use crate::graph::{Node, NodeId};
 use crate::op::{Op, RestorePolicy};
-use crate::ops::activation::softmax_layout;
-use crate::ops::conv::conv2d_geometry;
+use crate::ops::activation::{elu, sigmoid, softmax_layout};
+use crate::ops::conv::{conv2d_geometry, Conv2dGeometry};
 use crate::ops::linear::bias_layout;
-use crate::ops::pool::{global_pool_layout, pool_layout};
-use crate::ops::shape_ops::concat_layout;
-use ranger_tensor::qtensor::{q_conv2d_into, ConvGeometry};
-use ranger_tensor::{FixedSpec, QTensor, Tensor};
+use crate::ops::pool::{global_pool_layout, pool_layout, PoolLayout};
+use crate::ops::shape_ops::{concat_layout, concat_run};
+use crate::region::{View, Window};
+use ranger_tensor::qtensor::{q_conv2d_into, q_conv2d_window_into, ConvGeometry};
+use ranger_tensor::{FixedSpec, QTensor, Shape, Tensor, TensorError};
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::ops::Range;
 
 /// How a compiled plan evaluates one node.
 ///
@@ -70,6 +72,44 @@ pub trait ExecBackend: fmt::Debug + Send + Sync {
         feeds: &[(&str, Tensor)],
         interceptor: &mut dyn Interceptor,
     ) -> Result<(), GraphError>;
+
+    /// Evaluates `node` over `window` of its output (a box in the output's
+    /// [`View`]) **in place**: the node's slot holds a value of the output's shape, and
+    /// every element outside the window is left as it is. Then calls `interceptor` on
+    /// the whole output if the node is injectable. This is the fault cone's windowed
+    /// pass; each operator runs the kernel of its full pass, so every computed element
+    /// is bit for bit the full pass's. A node whose slot holds no value is evaluated
+    /// whole.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`GraphError`] if the node's operands are invalid.
+    fn eval_window(
+        &self,
+        node: &Node,
+        values: &mut Values,
+        window: &Window,
+        interceptor: &mut dyn Interceptor,
+    ) -> Result<(), GraphError>;
+}
+
+/// [`ExecBackend::eval_window`] for an f32 backend whose windowed kernels are `eval`.
+fn eval_window_f32(
+    backend: &dyn ExecBackend,
+    node: &Node,
+    values: &mut Values,
+    interceptor: &mut dyn Interceptor,
+    eval: impl FnOnce(&Values, &mut Tensor) -> Result<(), GraphError>,
+) -> Result<(), GraphError> {
+    let Some(mut output) = values.take_value(node.id) else {
+        return backend.eval_node(node, values, &[], interceptor);
+    };
+    let result = eval(values, &mut output);
+    if result.is_ok() && node.op.is_injectable() {
+        interceptor.after_op(node, &mut output);
+    }
+    values.set(node.id, output);
+    result
 }
 
 /// The `f32` reference backend: kernel dispatch through
@@ -97,6 +137,36 @@ impl ExecBackend for ReferenceBackend {
         }
         values.set(node.id, output);
         Ok(())
+    }
+
+    fn eval_window(
+        &self,
+        node: &Node,
+        values: &mut Values,
+        window: &Window,
+        interceptor: &mut dyn Interceptor,
+    ) -> Result<(), GraphError> {
+        eval_window_f32(self, node, values, interceptor, |values, out| {
+            eval_window_into(node, values, window, out)
+        })
+    }
+}
+
+/// The SIMD kernels' conv shape of the validated geometry `g`.
+fn simd_conv_shape(g: &Conv2dGeometry, stride: usize) -> ranger_simd::Conv2dShape {
+    ranger_simd::Conv2dShape {
+        batch: g.batch,
+        cin: g.cin,
+        height: g.height,
+        width: g.width,
+        cout: g.cout,
+        kh: g.kh,
+        kw: g.kw,
+        stride,
+        pad_h: g.pad_h,
+        pad_w: g.pad_w,
+        out_h: g.out_h,
+        out_w: g.out_w,
     }
 }
 
@@ -140,20 +210,7 @@ impl SimdBackend {
                 // The shared validator guarantees this backend accepts exactly the
                 // graphs (and reports exactly the errors) the f32 kernel does.
                 let g = conv2d_geometry(node.id, x.dims(), w.dims(), *stride, *padding)?;
-                let shape = ranger_simd::Conv2dShape {
-                    batch: g.batch,
-                    cin: g.cin,
-                    height: g.height,
-                    width: g.width,
-                    cout: g.cout,
-                    kh: g.kh,
-                    kw: g.kw,
-                    stride: *stride,
-                    pad_h: g.pad_h,
-                    pad_w: g.pad_w,
-                    out_h: g.out_h,
-                    out_w: g.out_w,
-                };
+                let shape = simd_conv_shape(&g, *stride);
                 out.reset_fill(&[g.batch, g.cout, g.out_h, g.out_w], 0.0);
                 if ranger_simd::conv2d(x.data(), w.data(), &shape, out.data_mut()) {
                     Ok(())
@@ -189,6 +246,33 @@ impl SimdBackend {
             _ => eval_node_into(node, values, feeds, out),
         }
     }
+
+    /// Computes `window` of `node`'s output into `out`: the SIMD conv over the window,
+    /// and the reference's windowed kernels for everything else.
+    fn eval_window_into(
+        &self,
+        node: &Node,
+        values: &Values,
+        window: &Window,
+        out: &mut Tensor,
+    ) -> Result<(), GraphError> {
+        if let (Op::Conv2d { stride, padding }, [x, w]) = (&node.op, node.inputs.as_slice()) {
+            let (x, w) = (values.get(*x)?, values.get(*w)?);
+            let g = conv2d_geometry(node.id, x.dims(), w.dims(), *stride, *padding)?;
+            let ranges = window.ranges();
+            let fits = out.dims() == [g.batch, g.cout, g.out_h, g.out_w]
+                && ranges[0].end <= g.cout
+                && ranges[1].end <= g.out_h
+                && ranges[2].end <= g.out_w;
+            if fits {
+                let shape = simd_conv_shape(&g, *stride);
+                if ranger_simd::conv2d_window(x.data(), w.data(), &shape, &ranges, out.data_mut()) {
+                    return Ok(());
+                }
+            }
+        }
+        eval_window_into(node, values, window, out)
+    }
 }
 
 impl ExecBackend for SimdBackend {
@@ -210,6 +294,18 @@ impl ExecBackend for SimdBackend {
         }
         values.set(node.id, output);
         Ok(())
+    }
+
+    fn eval_window(
+        &self,
+        node: &Node,
+        values: &mut Values,
+        window: &Window,
+        interceptor: &mut dyn Interceptor,
+    ) -> Result<(), GraphError> {
+        eval_window_f32(self, node, values, interceptor, |values, out| {
+            self.eval_window_into(node, values, window, out)
+        })
     }
 }
 
@@ -283,21 +379,8 @@ impl FixedBackend {
                 // The shared validator guarantees this backend accepts exactly the
                 // graphs (and reports exactly the errors) the f32 kernel does.
                 let g = conv2d_geometry(node.id, x.dims(), w.dims(), *stride, *padding)?;
-                let geometry = ConvGeometry {
-                    batch: g.batch,
-                    cin: g.cin,
-                    height: g.height,
-                    width: g.width,
-                    cout: g.cout,
-                    kh: g.kh,
-                    kw: g.kw,
-                    stride: *stride,
-                    pad_h: g.pad_h,
-                    pad_w: g.pad_w,
-                    out_h: g.out_h,
-                    out_w: g.out_w,
-                };
-                q_conv2d_into(x, w, &geometry, qout).map_err(|e| shape_err(node.id, e.to_string()))
+                q_conv2d_into(x, w, &q_conv_geometry(&g, *stride), qout)
+                    .map_err(|e| shape_err(node.id, e.to_string()))
             }
             Op::MatMul => {
                 if node.inputs.len() != 2 {
@@ -307,51 +390,24 @@ impl FixedBackend {
                     .matmul_into(qinput(node, values, 1)?, qout)
                     .map_err(|e| shape_err(node.id, e.to_string()))
             }
-            Op::BiasAdd => {
-                if node.inputs.len() != 2 {
-                    return Err(arity_err(node, 2));
-                }
+            Op::BiasAdd
+            | Op::Relu
+            | Op::Tanh
+            | Op::Sigmoid
+            | Op::Atan
+            | Op::Elu
+            | Op::ScalarMul { .. }
+            | Op::Identity
+            | Op::Clamp { .. }
+            | Op::RangeRestore { .. }
+            | Op::Add
+            | Op::Mul => {
+                // Elementwise: shaped like the first operand, then the windowed kernel
+                // over the whole value, so full and windowed passes share each kernel.
                 let x = qinput(node, values, 0)?;
-                let bias = qinput(node, values, 1)?;
-                let b = bias.words();
-                let broadcast = bias_layout(node.id, x.dims(), b.len())?;
-                qout.reset_from_words(spec, x.dims(), x.words())
-                    .map_err(|e| shape_err(node.id, e.to_string()))?;
-                let odat = qout.words_mut();
-                if broadcast > 0 {
-                    for (chunk, &bias_word) in odat.chunks_mut(broadcast).zip(b.iter().cycle()) {
-                        for word in chunk {
-                            *word = spec.saturate_raw(*word as i128 + bias_word as i128);
-                        }
-                    }
-                }
-                Ok(())
-            }
-            Op::Relu => {
-                qinput(node, values, 0)?.relu_into(qout);
-                Ok(())
-            }
-            Op::Tanh => {
-                qinput(node, values, 0)?.map_f32_into(qout, f32::tanh);
-                Ok(())
-            }
-            Op::Sigmoid => {
-                qinput(node, values, 0)?.map_f32_into(qout, |v| 1.0 / (1.0 + (-v).exp()));
-                Ok(())
-            }
-            Op::Atan => {
-                qinput(node, values, 0)?.map_f32_into(qout, f32::atan);
-                Ok(())
-            }
-            Op::Elu => {
-                qinput(node, values, 0)?.map_f32_into(qout, |v| {
-                    if v > 0.0 {
-                        v
-                    } else {
-                        v.exp() - 1.0
-                    }
-                });
-                Ok(())
+                qout.reset_fill(spec, x.dims(), 0);
+                let whole = Window::whole(View::of(x.dims()));
+                self.eval_q_window(node, values, &whole, qout)
             }
             Op::Softmax => {
                 let x = qinput(node, values, 0)?;
@@ -377,9 +433,22 @@ impl FixedBackend {
                 }
                 Ok(())
             }
-            Op::MaxPool { kernel, stride } => self.pool(node, values, *kernel, *stride, true, qout),
-            Op::AvgPool { kernel, stride } => {
-                self.pool(node, values, *kernel, *stride, false, qout)
+            Op::MaxPool { kernel, stride } | Op::AvgPool { kernel, stride } => {
+                let x = qinput(node, values, 0)?;
+                let layout = pool_layout(node.id, x.dims(), *kernel, *stride)?;
+                let (c, ho, wo) = (layout.channels, layout.out_h, layout.out_w);
+                qout.reset_fill(spec, &[layout.batch, c, ho, wo], 0);
+                let is_max = matches!(node.op, Op::MaxPool { .. });
+                self.pool(
+                    &layout,
+                    x,
+                    *kernel,
+                    *stride,
+                    is_max,
+                    &[0..c, 0..ho, 0..wo],
+                    qout,
+                );
+                Ok(())
             }
             Op::GlobalAvgPool => {
                 let x = qinput(node, values, 0)?;
@@ -448,87 +517,31 @@ impl FixedBackend {
                 }
                 Ok(())
             }
-            Op::Add => {
-                if node.inputs.len() != 2 {
-                    return Err(arity_err(node, 2));
-                }
-                qinput(node, values, 0)?
-                    .saturating_add_into(qinput(node, values, 1)?, qout)
-                    .map_err(|e| shape_err(node.id, e.to_string()))
-            }
-            Op::Mul => {
-                if node.inputs.len() != 2 {
-                    return Err(arity_err(node, 2));
-                }
-                qinput(node, values, 0)?
-                    .saturating_mul_into(qinput(node, values, 1)?, qout)
-                    .map_err(|e| shape_err(node.id, e.to_string()))
-            }
-            Op::ScalarMul { factor } => {
-                qinput(node, values, 0)?.scalar_mul_into(*factor, qout);
-                Ok(())
-            }
-            Op::Identity => {
-                let x = qinput(node, values, 0)?;
-                qout.reset_from_words(spec, x.dims(), x.words())
-                    .expect("shape and words of an existing tensor agree");
-                Ok(())
-            }
-            Op::Clamp { lo, hi } => {
-                qinput(node, values, 0)?.clamp_into(*lo, *hi, qout);
-                Ok(())
-            }
-            Op::RangeRestore { lo, hi, policy } => {
-                let x = qinput(node, values, 0)?;
-                let (lo, hi) = (*lo, *hi);
-                let lo_raw = spec.raw_encode(lo);
-                let hi_raw = spec.raw_encode(hi);
-                qout.reset_from_words(spec, x.dims(), x.words())
-                    .expect("shape and words of an existing tensor agree");
-                for word in qout.words_mut() {
-                    if *word >= lo_raw && *word <= hi_raw {
-                        continue;
-                    }
-                    *word = match policy {
-                        RestorePolicy::Saturate => (*word).clamp(lo_raw, hi_raw),
-                        RestorePolicy::Zero => 0,
-                        RestorePolicy::Random => {
-                            // The same deterministic hash the f32 kernel applies, taken
-                            // over the dequantized value's bit pattern.
-                            let v = spec.raw_decode(*word);
-                            let h = v.to_bits().wrapping_mul(0x9E37_79B9) >> 8;
-                            let unit = (h & 0xFFFF) as f32 / 65535.0;
-                            spec.raw_encode(lo + unit * (hi - lo))
-                        }
-                    };
-                }
-                Ok(())
-            }
         }
     }
 
-    /// Shared max/average pooling on words.
+    /// Max/average pooling on words over output `window` of every batch row of `qout`
+    /// (already shaped for `layout`).
+    #[allow(clippy::too_many_arguments)]
     fn pool(
         &self,
-        node: &Node,
-        values: &Values,
+        layout: &PoolLayout,
+        x: &QTensor,
         kernel: usize,
         stride: usize,
         is_max: bool,
+        window: &[Range<usize>; 3],
         qout: &mut QTensor,
-    ) -> Result<(), GraphError> {
+    ) {
         let spec = self.spec;
-        let x = qinput(node, values, 0)?;
-        let layout = pool_layout(node.id, x.dims(), kernel, stride)?;
         let (n, c, h, w) = (layout.batch, layout.channels, layout.height, layout.width);
         let (ho, wo) = (layout.out_h, layout.out_w);
         let xdat = x.words();
-        qout.reset_fill(spec, &[n, c, ho, wo], 0);
         let odat = qout.words_mut();
         for b in 0..n {
-            for ch in 0..c {
-                for oy in 0..ho {
-                    for ox in 0..wo {
+            for ch in window[0].clone() {
+                for oy in window[1].clone() {
+                    for ox in window[2].clone() {
                         let mut max = i64::MIN;
                         let mut sum = 0i128;
                         for ky in 0..kernel {
@@ -551,8 +564,214 @@ impl FixedBackend {
                 }
             }
         }
-        Ok(())
     }
+
+    /// Computes `window` of `node`'s output words into `qout`, which already holds words
+    /// of the output's shape; every word outside the window is left as it is. The
+    /// elementwise kernels here are also the full pass's ([`FixedBackend::eval_q`]); an
+    /// operator without a windowed kernel is computed whole.
+    fn eval_q_window(
+        &self,
+        node: &Node,
+        values: &Values,
+        window: &Window,
+        qout: &mut QTensor,
+    ) -> Result<(), GraphError> {
+        let spec = self.spec;
+        let view = View::of(qout.dims());
+        let decoded = |f: fn(f32) -> f32| move |a: i64| spec.raw_encode(f(spec.raw_decode(a)));
+        match &node.op {
+            Op::Conv2d { stride, padding } if node.inputs.len() == 2 => {
+                let (x, w) = (qinput(node, values, 0)?, qinput(node, values, 1)?);
+                let g = conv2d_geometry(node.id, x.dims(), w.dims(), *stride, *padding)?;
+                let geometry = q_conv_geometry(&g, *stride);
+                q_conv2d_window_into(x, w, &geometry, &window.ranges(), qout)
+                    .map_err(|e| shape_err(node.id, e.to_string()))
+            }
+            Op::MaxPool { kernel, stride } | Op::AvgPool { kernel, stride } => {
+                let x = qinput(node, values, 0)?;
+                let layout = pool_layout(node.id, x.dims(), *kernel, *stride)?;
+                let ranges = window.ranges();
+                let dims = [layout.batch, layout.channels, layout.out_h, layout.out_w];
+                if qout.dims() != dims
+                    || ranges[0].end > dims[1]
+                    || ranges[1].end > dims[2]
+                    || ranges[2].end > dims[3]
+                {
+                    return Err(shape_err(
+                        node.id,
+                        format!("pooling window {ranges:?} does not fit an output of {dims:?}"),
+                    ));
+                }
+                let is_max = matches!(node.op, Op::MaxPool { .. });
+                self.pool(&layout, x, *kernel, *stride, is_max, &ranges, qout);
+                Ok(())
+            }
+            Op::Relu => map_words(node, values, window, view, qout, |a| a.max(0)),
+            Op::Tanh => map_words(node, values, window, view, qout, decoded(f32::tanh)),
+            Op::Sigmoid => map_words(node, values, window, view, qout, decoded(sigmoid)),
+            Op::Atan => map_words(node, values, window, view, qout, decoded(f32::atan)),
+            Op::Elu => map_words(node, values, window, view, qout, decoded(elu)),
+            Op::ScalarMul { factor } => {
+                let raw_factor = spec.raw_encode(*factor) as i128;
+                map_words(node, values, window, view, qout, |a| {
+                    spec.rescale(a as i128 * raw_factor)
+                })
+            }
+            Op::Identity => map_words(node, values, window, view, qout, |a| a),
+            Op::Clamp { lo, hi } => {
+                let (lo, hi) = (spec.raw_encode(*lo), spec.raw_encode(*hi));
+                map_words(node, values, window, view, qout, |a| a.clamp(lo, hi))
+            }
+            Op::RangeRestore { lo, hi, policy } => {
+                let (lo, hi, policy) = (*lo, *hi, *policy);
+                let (lo_raw, hi_raw) = (spec.raw_encode(lo), spec.raw_encode(hi));
+                map_words(node, values, window, view, qout, |word| {
+                    if word >= lo_raw && word <= hi_raw {
+                        return word;
+                    }
+                    match policy {
+                        RestorePolicy::Saturate => word.clamp(lo_raw, hi_raw),
+                        RestorePolicy::Zero => 0,
+                        RestorePolicy::Random => {
+                            // The same deterministic hash the f32 kernel applies, taken
+                            // over the dequantized value's bit pattern.
+                            let v = spec.raw_decode(word);
+                            let h = v.to_bits().wrapping_mul(0x9E37_79B9) >> 8;
+                            let unit = (h & 0xFFFF) as f32 / 65535.0;
+                            spec.raw_encode(lo + unit * (hi - lo))
+                        }
+                    }
+                })
+            }
+            Op::BiasAdd => {
+                if node.inputs.len() != 2 {
+                    return Err(arity_err(node, 2));
+                }
+                let (x, bias) = (qinput(node, values, 0)?, qinput(node, values, 1)?);
+                let broadcast = bias_layout(node.id, x.dims(), bias.len())?;
+                if x.dims() != qout.dims() {
+                    return Err(shape_err(node.id, "bias_add output shape mismatch"));
+                }
+                if broadcast == 0 {
+                    return Ok(());
+                }
+                let (x, b, o) = (x.words(), bias.words(), qout.words_mut());
+                window.for_each_run(view, |run| {
+                    let (mut i, mut chunk) = (run.start, run.start / broadcast);
+                    let mut k = chunk % b.len();
+                    while i < run.end {
+                        let end = ((chunk + 1) * broadcast).min(run.end);
+                        let bias_word = b[k] as i128;
+                        for (o, &v) in o[i..end].iter_mut().zip(&x[i..end]) {
+                            *o = spec.saturate_raw(v as i128 + bias_word);
+                        }
+                        (i, chunk, k) = (end, chunk + 1, if k + 1 == b.len() { 0 } else { k + 1 });
+                    }
+                });
+                Ok(())
+            }
+            Op::Add => zip_words(node, values, window, view, qout, |a, b| {
+                spec.saturate_raw(a as i128 + b as i128)
+            }),
+            Op::Mul => zip_words(node, values, window, view, qout, |a, b| {
+                spec.rescale(a as i128 * b as i128)
+            }),
+            Op::Concat if view.batch1 => {
+                let mut total = 0;
+                for i in 0..node.inputs.len() {
+                    total += qinput(node, values, i)?.len();
+                }
+                if total != qout.len() {
+                    return self.eval_q(node, values, &[], qout);
+                }
+                let o = qout.words_mut();
+                let inputs = || {
+                    node.inputs
+                        .iter()
+                        .filter_map(|&id| values.get_q(id).ok())
+                        .map(QTensor::words)
+                };
+                window.for_each_run(view, |r| concat_run(inputs(), r, o));
+                Ok(())
+            }
+            _ => self.eval_q(node, values, &[], qout),
+        }
+    }
+}
+
+/// The fixed-point kernels' conv geometry of the validated geometry `g`.
+fn q_conv_geometry(g: &Conv2dGeometry, stride: usize) -> ConvGeometry {
+    ConvGeometry {
+        batch: g.batch,
+        cin: g.cin,
+        height: g.height,
+        width: g.width,
+        cout: g.cout,
+        kh: g.kh,
+        kw: g.kw,
+        stride,
+        pad_h: g.pad_h,
+        pad_w: g.pad_w,
+        out_h: g.out_h,
+        out_w: g.out_w,
+    }
+}
+
+/// `qout = f(x)` over `window` for the unary `node`.
+fn map_words(
+    node: &Node,
+    values: &Values,
+    window: &Window,
+    view: View,
+    qout: &mut QTensor,
+    f: impl Fn(i64) -> i64,
+) -> Result<(), GraphError> {
+    let x = qinput(node, values, 0)?;
+    if x.dims() != qout.dims() {
+        return Err(shape_err(node.id, "elementwise output shape mismatch"));
+    }
+    let (x, o) = (x.words(), qout.words_mut());
+    window.for_each_run(view, |r| {
+        for (o, &a) in o[r.clone()].iter_mut().zip(&x[r]) {
+            *o = f(a);
+        }
+    });
+    Ok(())
+}
+
+/// `qout = f(a, b)` over `window` for the binary `node`; operands of different shapes
+/// are the same error the f32 kernels report.
+fn zip_words(
+    node: &Node,
+    values: &Values,
+    window: &Window,
+    view: View,
+    qout: &mut QTensor,
+    f: impl Fn(i64, i64) -> i64,
+) -> Result<(), GraphError> {
+    if node.inputs.len() != 2 {
+        return Err(arity_err(node, 2));
+    }
+    let (a, b) = (qinput(node, values, 0)?, qinput(node, values, 1)?);
+    assert_eq!(a.spec(), b.spec(), "operands must share a format");
+    if a.dims() != b.dims() {
+        let e = TensorError::ShapeMismatch {
+            left: Shape::new(a.dims().to_vec()),
+            right: Shape::new(b.dims().to_vec()),
+        };
+        return Err(shape_err(node.id, e.to_string()));
+    }
+    if a.dims() != qout.dims() {
+        return Err(shape_err(node.id, "elementwise output shape mismatch"));
+    }
+    let (a, b, o) = (a.words(), b.words(), qout.words_mut());
+    window.for_each_run(view, |r| {
+        for ((o, &p), &q) in o[r.clone()].iter_mut().zip(&a[r.clone()]).zip(&b[r]) {
+            *o = f(p, q);
+        }
+    });
+    Ok(())
 }
 
 impl ExecBackend for FixedBackend {
@@ -606,6 +825,24 @@ impl ExecBackend for FixedBackend {
         // visible to the next read.
         values.set_q(node.id, qout);
         Ok(())
+    }
+
+    fn eval_window(
+        &self,
+        node: &Node,
+        values: &mut Values,
+        window: &Window,
+        interceptor: &mut dyn Interceptor,
+    ) -> Result<(), GraphError> {
+        let Some(mut qout) = values.take_words(node.id) else {
+            return self.eval_node(node, values, &[], interceptor);
+        };
+        let result = self.eval_q_window(node, values, window, &mut qout);
+        if result.is_ok() && node.op.is_injectable() {
+            interceptor.after_op_words(node, &mut qout);
+        }
+        values.put_words(node.id, qout);
+        result
     }
 }
 

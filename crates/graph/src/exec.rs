@@ -12,6 +12,11 @@ use crate::error::GraphError;
 use crate::graph::{Node, NodeId};
 use crate::op::Op;
 use crate::ops;
+use crate::ops::activation::{clamp, elu, range_restore, relu, sigmoid};
+use crate::ops::linear::{bias_add_run, bias_layout};
+use crate::ops::pool::PoolKind;
+use crate::ops::shape_ops::concat_run;
+use crate::region::{View, Window};
 use ranger_tensor::{QTensor, Tensor};
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -120,21 +125,22 @@ pub(crate) struct ConeSlots {
     /// The id of the [`GoldenSnapshot`] the store was primed from; `None` until primed,
     /// and cleared by every [`Values::reset`] (a full pass overwrites the slots).
     pub(crate) primed: Option<u64>,
-    /// Per node: whether the slot may hold something other than the golden value. A
-    /// cone pass restores a dirty slot before anything reads it.
-    pub(crate) dirty: Vec<bool>,
-    /// Per node: whether the slot deviates from golden in the current cone pass. Only
-    /// nodes the pass has already visited are meaningful; later ones are stale.
-    pub(crate) deviating: Vec<bool>,
+    /// Per node: the box outside which the slot holds the golden value (empty when the
+    /// whole slot is golden). A cone pass restores it before anything reads the slot.
+    pub(crate) dirty: Vec<Window>,
+    /// Per node: the box of the slot's deviation from golden in the current cone pass
+    /// (empty when it does not deviate). Only nodes the pass has already visited are
+    /// meaningful; later ones are stale.
+    pub(crate) deviating: Vec<Window>,
 }
 
 impl ConeSlots {
     /// Marks a store of `len` slots, all just set to `golden`'s values, as primed.
     pub(crate) fn primed_from(&mut self, golden: &GoldenSnapshot, len: usize) {
         self.dirty.clear();
-        self.dirty.resize(len, false);
+        self.dirty.resize(len, Window::EMPTY);
         self.deviating.clear();
-        self.deviating.resize(len, false);
+        self.deviating.resize(len, Window::EMPTY);
         self.primed = Some(golden.id);
     }
 }
@@ -424,31 +430,92 @@ impl Values {
         Ok(())
     }
 
-    /// Whether `id`'s slot equals `golden`'s value **bit for bit**: `to_bits` on f32 (so
-    /// `-0.0` differs from `+0.0` and a NaN equals itself), word equality on fixed-point.
-    pub(crate) fn matches_golden(&self, id: NodeId, golden: &GoldenSnapshot) -> bool {
+    /// Copies `golden`'s value of `id` into the slot inside `window` only (a box in the
+    /// value's view); the rest of the slot must already be golden. A slot that holds no
+    /// value, or one of another shape, is restored whole.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`GraphError::UnknownNode`] if the snapshot holds no value for `id`.
+    pub(crate) fn restore_window(
+        &mut self,
+        id: NodeId,
+        golden: &GoldenSnapshot,
+        window: &Window,
+    ) -> Result<(), GraphError> {
         let i = id.index();
-        match (&self.values[i], &self.qvalues[i]) {
-            (Some(v), _) => golden
-                .values
-                .get(i)
-                .and_then(Option::as_ref)
-                .is_some_and(|g| {
-                    v.dims() == g.dims()
-                        && v.data()
-                            .iter()
-                            .zip(g.data())
-                            .all(|(a, b)| a.to_bits() == b.to_bits())
-                }),
-            (None, Some(q)) => golden
-                .qvalues
-                .get(i)
-                .and_then(Option::as_ref)
-                .is_some_and(|g| {
-                    q.spec() == g.spec() && q.dims() == g.dims() && q.words() == g.words()
-                }),
-            (None, None) => false,
+        let view = golden.view(id);
+        if let (Some(slot), Some(g)) = (&mut self.values[i], golden.value(id)) {
+            if slot.dims() == g.dims() {
+                let (dst, src) = (slot.data_mut(), g.data());
+                window.for_each_run(view, |r| dst[r.clone()].copy_from_slice(&src[r]));
+                return Ok(());
+            }
+        } else if let (Some(slot), Some(g)) = (&mut self.qvalues[i], golden.words(id)) {
+            if slot.spec() == g.spec() && slot.dims() == g.dims() {
+                let (dst, src) = (slot.words_mut(), g.words());
+                window.for_each_run(view, |r| dst[r.clone()].copy_from_slice(&src[r]));
+                self.rearm_mirror(i);
+                return Ok(());
+            }
         }
+        self.restore_golden(id, golden)
+    }
+
+    /// The bounding box of the elements inside `window` where `id`'s slot differs from
+    /// `golden`'s value **bit for bit**: `to_bits` on f32 (so `-0.0` differs from `+0.0`
+    /// and a NaN equals itself), word equality on fixed-point. Empty when they agree
+    /// everywhere in the box; the whole value when the shapes or formats differ.
+    pub(crate) fn deviation(&self, id: NodeId, golden: &GoldenSnapshot, window: &Window) -> Window {
+        let i = id.index();
+        let view = golden.view(id);
+        match (&self.values[i], &self.qvalues[i]) {
+            (Some(v), _) => match golden.value(id) {
+                Some(g) if v.dims() == g.dims() => {
+                    window.deviation(view, v.data(), g.data(), |a, b| a.to_bits() == b.to_bits())
+                }
+                _ => Window::whole(view),
+            },
+            (None, Some(q)) => match golden.words(id) {
+                Some(g) if q.spec() == g.spec() && q.dims() == g.dims() => {
+                    window.deviation(view, q.words(), g.words(), |a, b| a == b)
+                }
+                _ => Window::whole(view),
+            },
+            (None, None) => Window::whole(view),
+        }
+    }
+
+    /// Hands `node`'s stored output to `interceptor` in place — `after_op` on an f32
+    /// slot, `after_op_words` on a word slot (re-arming its lazy mirror afterwards, as
+    /// [`Values::set_q`] does).
+    pub(crate) fn intercept(&mut self, node: &Node, interceptor: &mut dyn Interceptor) {
+        let i = node.id.index();
+        if let Some(value) = &mut self.values[i] {
+            interceptor.after_op(node, value);
+        } else if let Some(words) = &mut self.qvalues[i] {
+            interceptor.after_op_words(node, words);
+            self.rearm_mirror(i);
+        }
+    }
+
+    /// Takes `id`'s stored f32 value out of its slot, to be computed over a window and
+    /// stored back with [`Values::set`].
+    pub(crate) fn take_value(&mut self, id: NodeId) -> Option<Tensor> {
+        self.values[id.index()].take()
+    }
+
+    /// Takes `id`'s stored words out of their slot, to be computed over a window and
+    /// stored back with [`Values::put_words`].
+    pub(crate) fn take_words(&mut self, id: NodeId) -> Option<QTensor> {
+        self.qvalues[id.index()].take()
+    }
+
+    /// Stores words taken with [`Values::take_words`] back after an in-place change,
+    /// re-arming the lazy mirror as [`Values::set_q`] does.
+    pub(crate) fn put_words(&mut self, id: NodeId, words: QTensor) {
+        self.qvalues[id.index()] = Some(words);
+        self.rearm_mirror(id.index());
     }
 }
 
@@ -472,6 +539,9 @@ pub struct GoldenSnapshot {
     pub(crate) id: u64,
     values: Vec<Option<Tensor>>,
     qvalues: Vec<Option<QTensor>>,
+    /// Each captured value's (channel, row, column) view, the coordinates of the fault
+    /// cone's boxes.
+    views: Vec<View>,
 }
 
 impl GoldenSnapshot {
@@ -481,7 +551,28 @@ impl GoldenSnapshot {
             id: NEXT_SNAPSHOT_ID.fetch_add(1, Ordering::Relaxed),
             values: vec![None; len],
             qvalues: vec![None; len],
+            views: vec![View::default(); len],
         }
+    }
+
+    /// The captured f32 value of `id`, if the backend stored one.
+    fn value(&self, id: NodeId) -> Option<&Tensor> {
+        self.values.get(id.index()).and_then(Option::as_ref)
+    }
+
+    /// The captured words of `id`, if the backend stored words.
+    fn words(&self, id: NodeId) -> Option<&QTensor> {
+        self.qvalues.get(id.index()).and_then(Option::as_ref)
+    }
+
+    /// The view of `id`'s captured value.
+    pub(crate) fn view(&self, id: NodeId) -> View {
+        self.views[id.index()]
+    }
+
+    /// Records the view of `id`'s value without capturing it (a constant's).
+    pub(crate) fn set_view(&mut self, id: NodeId, view: View) {
+        self.views[id.index()] = view;
     }
 
     /// Copies `id`'s value out of `values` (f32 tensor or words, whichever the backend
@@ -493,9 +584,12 @@ impl GoldenSnapshot {
     pub(crate) fn capture(&mut self, values: &Values, id: NodeId) -> Result<(), GraphError> {
         let i = id.index();
         if let Some(v) = values.values.get(i).and_then(Option::as_ref) {
+            self.views[i] = View::of(v.dims());
             self.values[i] = Some(v.clone());
         } else {
-            self.qvalues[i] = Some(values.get_q(id)?.clone());
+            let words = values.get_q(id)?;
+            self.views[i] = View::of(words.dims());
+            self.qvalues[i] = Some(words.clone());
         }
         Ok(())
     }
@@ -681,6 +775,138 @@ pub fn eval_node_into(
             Ok(())
         }
     }
+}
+
+/// Evaluates `node` over `window` of its output (a box in the output's view) into
+/// `out`, which already holds a value of the output's shape; every element outside the
+/// window is left as it is. This is the f32 fault cone's windowed twin of
+/// [`eval_node_into`]: each operator runs the same per-element kernel, so every
+/// computed element is bit for bit the full pass's. An operator without a windowed
+/// kernel (or operands it cannot window) is computed whole.
+///
+/// # Errors
+///
+/// Returns a [`GraphError`] if an operator receives invalid operands.
+pub(crate) fn eval_window_into(
+    node: &Node,
+    values: &Values,
+    window: &Window,
+    out: &mut Tensor,
+) -> Result<(), GraphError> {
+    let view = View::of(out.dims());
+    match &node.op {
+        Op::Conv2d { stride, padding } if node.inputs.len() == 2 => ops::conv2d_window_into(
+            node.id,
+            input(node, values, 0)?,
+            input(node, values, 1)?,
+            *stride,
+            *padding,
+            &window.ranges(),
+            out,
+        ),
+        Op::MaxPool { kernel, stride } | Op::AvgPool { kernel, stride } => {
+            let kind = if matches!(node.op, Op::MaxPool { .. }) {
+                PoolKind::Max
+            } else {
+                PoolKind::Avg
+            };
+            let x = input(node, values, 0)?;
+            ops::pool_window_into(node.id, x, *kernel, *stride, kind, &window.ranges(), out)
+        }
+        Op::Relu => map_window(node, values, window, out, relu),
+        Op::Tanh => map_window(node, values, window, out, f32::tanh),
+        Op::Sigmoid => map_window(node, values, window, out, sigmoid),
+        Op::Atan => map_window(node, values, window, out, f32::atan),
+        Op::Elu => map_window(node, values, window, out, elu),
+        Op::ScalarMul { factor } => {
+            let factor = *factor;
+            map_window(node, values, window, out, move |v| v * factor)
+        }
+        Op::Identity => map_window(node, values, window, out, |v| v),
+        Op::Clamp { lo, hi } => map_window(node, values, window, out, clamp(*lo, *hi)),
+        Op::RangeRestore { lo, hi, policy } => {
+            map_window(node, values, window, out, range_restore(*lo, *hi, *policy))
+        }
+        Op::BiasAdd if node.inputs.len() == 2 => {
+            let (x, bias) = (input(node, values, 0)?, input(node, values, 1)?);
+            let broadcast = bias_layout(node.id, x.dims(), bias.len())?;
+            if x.dims() != out.dims() || broadcast == 0 {
+                return eval_node_into(node, values, &[], out);
+            }
+            let (x, bias, o) = (x.data(), bias.data(), out.data_mut());
+            window.for_each_run(view, |r| bias_add_run(x, bias, broadcast, r, o));
+            Ok(())
+        }
+        Op::Add => zip_window(node, values, window, out, |a, b| a + b),
+        Op::Mul => zip_window(node, values, window, out, |a, b| a * b),
+        Op::Concat if view.batch1 => {
+            let mut total = 0;
+            for &id in &node.inputs {
+                total += values.get(id)?.len();
+            }
+            if total != out.len() {
+                return eval_node_into(node, values, &[], out);
+            }
+            let o = out.data_mut();
+            let inputs = || {
+                node.inputs
+                    .iter()
+                    .filter_map(|&id| values.get(id).ok())
+                    .map(Tensor::data)
+            };
+            window.for_each_run(view, |r| concat_run(inputs(), r, o));
+            Ok(())
+        }
+        _ => eval_node_into(node, values, &[], out),
+    }
+}
+
+/// `out = f(x)` over `window` for the unary `node`; computed whole if the shapes differ.
+fn map_window(
+    node: &Node,
+    values: &Values,
+    window: &Window,
+    out: &mut Tensor,
+    f: impl Fn(f32) -> f32,
+) -> Result<(), GraphError> {
+    let x = input(node, values, 0)?;
+    if x.dims() != out.dims() {
+        return eval_node_into(node, values, &[], out);
+    }
+    let view = View::of(x.dims());
+    let (x, o) = (x.data(), out.data_mut());
+    window.for_each_run(view, |r| {
+        for (o, &v) in o[r.clone()].iter_mut().zip(&x[r]) {
+            *o = f(v);
+        }
+    });
+    Ok(())
+}
+
+/// `out = f(a, b)` over `window` for the binary `node`; computed whole if the shapes
+/// differ.
+fn zip_window(
+    node: &Node,
+    values: &Values,
+    window: &Window,
+    out: &mut Tensor,
+    f: impl Fn(f32, f32) -> f32,
+) -> Result<(), GraphError> {
+    if node.inputs.len() != 2 {
+        return Err(arity_err(node, 2));
+    }
+    let (a, b) = (input(node, values, 0)?, input(node, values, 1)?);
+    if a.dims() != out.dims() || b.dims() != out.dims() {
+        return eval_node_into(node, values, &[], out);
+    }
+    let view = View::of(a.dims());
+    let (a, b, o) = (a.data(), b.data(), out.data_mut());
+    window.for_each_run(view, |r| {
+        for ((o, &p), &q) in o[r.clone()].iter_mut().zip(&a[r.clone()]).zip(&b[r]) {
+            *o = f(p, q);
+        }
+    });
+    Ok(())
 }
 
 #[cfg(test)]

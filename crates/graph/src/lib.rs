@@ -50,6 +50,7 @@ pub mod graph;
 pub mod op;
 pub mod ops;
 pub mod plan;
+pub mod region;
 
 pub use backend::{
     default_backend, try_default_backend, BackendKind, ExecBackend, FixedBackend, ReferenceBackend,

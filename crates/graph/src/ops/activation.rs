@@ -44,7 +44,12 @@ pub fn relu_forward(x: &Tensor) -> Tensor {
 
 /// [`relu_forward`], writing into a recycled output buffer.
 pub fn relu_forward_into(x: &Tensor, out: &mut Tensor) {
-    x.map_into(out, |v| v.max(0.0));
+    x.map_into(out, relu);
+}
+
+/// ReLU on one element — the kernel of [`relu_forward_into`] and of windowed passes.
+pub(crate) fn relu(v: f32) -> f32 {
+    v.max(0.0)
 }
 
 /// ReLU backward: the gradient flows only where the input was positive.
@@ -77,7 +82,12 @@ pub fn sigmoid_forward(x: &Tensor) -> Tensor {
 
 /// [`sigmoid_forward`], writing into a recycled output buffer.
 pub fn sigmoid_forward_into(x: &Tensor, out: &mut Tensor) {
-    x.map_into(out, |v| 1.0 / (1.0 + (-v).exp()));
+    x.map_into(out, sigmoid);
+}
+
+/// The logistic sigmoid of one element.
+pub(crate) fn sigmoid(v: f32) -> f32 {
+    1.0 / (1.0 + (-v).exp())
 }
 
 /// Sigmoid backward: `dy/dx = s(x) (1 - s(x))`.
@@ -111,7 +121,16 @@ pub fn elu_forward(x: &Tensor) -> Tensor {
 
 /// [`elu_forward`], writing into a recycled output buffer.
 pub fn elu_forward_into(x: &Tensor, out: &mut Tensor) {
-    x.map_into(out, |v| if v > 0.0 { v } else { v.exp() - 1.0 });
+    x.map_into(out, elu);
+}
+
+/// ELU (`alpha = 1`) of one element.
+pub(crate) fn elu(v: f32) -> f32 {
+    if v > 0.0 {
+        v
+    } else {
+        v.exp() - 1.0
+    }
 }
 
 /// ELU backward: `dy/dx = 1` for positive inputs, `exp(x)` otherwise.
@@ -193,7 +212,12 @@ pub fn clamp_forward(x: &Tensor, lo: f32, hi: f32) -> Tensor {
 
 /// [`clamp_forward`], writing into a recycled output buffer.
 pub fn clamp_forward_into(x: &Tensor, lo: f32, hi: f32, out: &mut Tensor) {
-    x.map_into(out, |v| v.clamp(lo, hi));
+    x.map_into(out, clamp(lo, hi));
+}
+
+/// The range restriction `[lo, hi]` on one element.
+pub(crate) fn clamp(lo: f32, hi: f32) -> impl Fn(f32) -> f32 + Copy {
+    move |v| v.clamp(lo, hi)
 }
 
 /// Range restriction with an explicit out-of-bounds policy (the Section VI-C design
@@ -216,8 +240,17 @@ pub fn range_restore_forward_into(
     policy: crate::op::RestorePolicy,
     out: &mut Tensor,
 ) {
+    x.map_into(out, range_restore(lo, hi, policy));
+}
+
+/// The range restoration of one element under `policy`.
+pub(crate) fn range_restore(
+    lo: f32,
+    hi: f32,
+    policy: crate::op::RestorePolicy,
+) -> impl Fn(f32) -> f32 + Copy {
     use crate::op::RestorePolicy;
-    x.map_into(out, |v| {
+    move |v| {
         if v >= lo && v <= hi {
             v
         } else {
@@ -233,7 +266,7 @@ pub fn range_restore_forward_into(
                 }
             }
         }
-    })
+    }
 }
 
 /// Clamp backward: the gradient flows only where the input was strictly inside the bounds.

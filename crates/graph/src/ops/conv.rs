@@ -146,14 +146,70 @@ pub fn conv2d_forward_into(
 ) -> Result<(), GraphError> {
     let g = conv2d_geometry(node, x.dims(), w.dims(), stride, padding)?;
     out.reset_fill(&[g.batch, g.cout, g.out_h, g.out_w], 0.0);
-    // Two copies of the nest: with the unit stride (every LeNet conv, most ResNet ones)
-    // a constant, a tile loads its columns as one contiguous run per tap.
-    if stride == 1 {
-        ConvNest::new(g, 1, x.data(), w.data()).run(out.data_mut());
-    } else {
-        ConvNest::new(g, stride, x.data(), w.data()).run(out.data_mut());
-    }
+    conv_nest(
+        g,
+        stride,
+        x.data(),
+        w.data(),
+        &[0..g.cout, 0..g.out_h, 0..g.out_w],
+        out,
+    );
     Ok(())
+}
+
+/// [`conv2d_forward_into`] over an output window only: output channels, rows and
+/// columns `window` of every batch row are computed into `out`, which must already hold
+/// a value of the output's shape; every other element of `out` is left as it is.
+///
+/// Each computed element is bit for bit the full kernel's: the nest is the same, only
+/// its output ranges shrink.
+///
+/// # Errors
+///
+/// Returns a [`GraphError::ShapeError`] if the operands are invalid (as for
+/// [`conv2d_forward_into`]), or if `out` does not have the output's shape or the window
+/// exceeds it; `out` is then left unchanged.
+pub fn conv2d_window_into(
+    node: NodeId,
+    x: &Tensor,
+    w: &Tensor,
+    stride: usize,
+    padding: Padding,
+    window: &[Range<usize>; 3],
+    out: &mut Tensor,
+) -> Result<(), GraphError> {
+    let g = conv2d_geometry(node, x.dims(), w.dims(), stride, padding)?;
+    let dims = [g.batch, g.cout, g.out_h, g.out_w];
+    if out.dims() != dims
+        || window[0].end > g.cout
+        || window[1].end > g.out_h
+        || window[2].end > g.out_w
+    {
+        return Err(shape_err(
+            node,
+            format!("conv2d window {window:?} does not fit an output of shape {dims:?}"),
+        ));
+    }
+    conv_nest(g, stride, x.data(), w.data(), window, out);
+    Ok(())
+}
+
+/// Runs [`ConvNest`] over `window` of `out` (already shaped for `g`). Two copies of the
+/// nest: with the unit stride (every LeNet conv, most ResNet ones) a constant, a tile
+/// loads its columns as one contiguous run per tap.
+fn conv_nest(
+    g: Conv2dGeometry,
+    stride: usize,
+    x: &[f32],
+    w: &[f32],
+    window: &[Range<usize>; 3],
+    out: &mut Tensor,
+) {
+    if stride == 1 {
+        ConvNest::new(g, 1, x, w).run(out.data_mut(), window);
+    } else {
+        ConvNest::new(g, stride, x, w).run(out.data_mut(), window);
+    }
 }
 
 /// The register-tiled loop nest of [`conv2d_forward_into`].
@@ -163,7 +219,8 @@ pub fn conv2d_forward_into(
 /// output element once. Kernel rows in the padding are skipped through a `ky` range
 /// clamped per output row. Interior columns, where every `kx` tap is in bounds, run in
 /// tiles of up to [`TILE_OX`] over all taps; the border columns run one at a time over
-/// their clamped `kx` range.
+/// their clamped `kx` range. A window restricts the output channels, rows and columns
+/// the nest visits; the interior split is intersected with it.
 ///
 /// Bit for bit the per-element nest (asserted against it in the tests below): each
 /// output element starts at `+0.0` and adds its in-bounds products `x · w` in
@@ -215,34 +272,44 @@ impl<'a> ConvNest<'a> {
     }
 
     #[inline(always)]
-    fn run(&self, out: &mut [f32]) {
+    fn run(&self, out: &mut [f32], window: &[Range<usize>; 3]) {
         let g = &self.g;
         let plane = g.out_h * g.out_w;
         let filter = g.cin * g.kh * g.kw;
+        let [channels, rows, cols] = window;
         for b in 0..g.batch {
-            let mut oc = 0;
-            while oc < g.cout {
+            let mut oc = channels.start;
+            while oc < channels.end {
                 let w = &self.w[oc * filter..];
                 let block = &mut out[(b * g.cout + oc) * plane..];
-                let rest = g.cout - oc;
+                let rest = channels.end - oc;
                 oc += if rest >= TILE_OC {
-                    self.block::<TILE_OC>(b, w, block)
+                    self.block::<TILE_OC>(b, w, block, rows, cols)
                 } else if rest >= TILE_OC / 2 {
-                    self.block::<{ TILE_OC / 2 }>(b, w, block)
+                    self.block::<{ TILE_OC / 2 }>(b, w, block, rows, cols)
                 } else {
-                    self.block::<1>(b, w, block)
+                    self.block::<1>(b, w, block, rows, cols)
                 };
             }
         }
     }
 
-    /// Output planes `oc..oc + B` of batch row `b`, where `w` starts at filter `oc` and
-    /// `out` at output plane `oc`; returns `B`.
+    /// Output planes `oc..oc + B` of batch row `b` over output rows `rows` and columns
+    /// `cols`, where `w` starts at filter `oc` and `out` at output plane `oc`; returns
+    /// `B`.
     #[inline(always)]
-    fn block<const B: usize>(&self, b: usize, w: &[f32], out: &mut [f32]) -> usize {
-        let (lo, hi) = (self.interior.start, self.interior.end);
-        for oy in 0..self.g.out_h {
-            for ox in (0..lo).chain(hi..self.g.out_w) {
+    fn block<const B: usize>(
+        &self,
+        b: usize,
+        w: &[f32],
+        out: &mut [f32],
+        rows: &Range<usize>,
+        cols: &Range<usize>,
+    ) -> usize {
+        let lo = self.interior.start.clamp(cols.start, cols.end);
+        let hi = self.interior.end.clamp(lo, cols.end);
+        for oy in rows.clone() {
+            for ox in (cols.start..lo).chain(hi..cols.end) {
                 self.tile::<B, 1>(b, w, out, oy, ox, self.kernel_cols(ox));
             }
             let mut ox = lo;

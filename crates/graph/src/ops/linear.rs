@@ -3,6 +3,7 @@
 use crate::error::GraphError;
 use crate::graph::NodeId;
 use ranger_tensor::Tensor;
+use std::ops::Range;
 
 fn shape_err(node: NodeId, message: impl Into<String>) -> GraphError {
     GraphError::ShapeError {
@@ -142,20 +143,34 @@ pub fn bias_add_forward_into(
     let xd = x.dims();
     let b = bias.data();
     let broadcast = bias_layout(node, xd, b.len())?;
-    out.reset_from_slice(xd, x.data())
-        .map_err(|e| shape_err(node, e.to_string()))?;
-    // The bias cycles over contiguous `broadcast`-sized chunks of the row-major data:
-    // per channel plane (rank 4) or per feature (rank 2). One add per element, so this
-    // formulation is bit-for-bit the nested-loop one it replaced.
+    out.reset_fill(xd, 0.0);
     if broadcast > 0 {
-        let odat = out.data_mut();
-        for (chunk, &bias_v) in odat.chunks_mut(broadcast).zip(b.iter().cycle()) {
-            for v in chunk {
-                *v += bias_v;
-            }
-        }
+        bias_add_run(x.data(), b, broadcast, 0..x.len(), out.data_mut());
     }
     Ok(())
+}
+
+/// Adds the bias to elements `run` of `x`, writing them into `out`: the bias cycles over
+/// contiguous `broadcast`-sized chunks of the row-major data, per channel plane (rank 4)
+/// or per feature (rank 2). One add per element, so a run of any extent computes its
+/// elements bit for bit as the whole tensor's pass does.
+pub(crate) fn bias_add_run(
+    x: &[f32],
+    bias: &[f32],
+    broadcast: usize,
+    run: Range<usize>,
+    out: &mut [f32],
+) {
+    let (mut i, mut chunk) = (run.start, run.start / broadcast);
+    let mut b = chunk % bias.len();
+    while i < run.end {
+        let end = ((chunk + 1) * broadcast).min(run.end);
+        let bias_v = bias[b];
+        for (o, &v) in out[i..end].iter_mut().zip(&x[i..end]) {
+            *o = v + bias_v;
+        }
+        (i, chunk, b) = (end, chunk + 1, if b + 1 == bias.len() { 0 } else { b + 1 });
+    }
 }
 
 /// Bias addition backward pass: returns `(grad_x, grad_bias)`.

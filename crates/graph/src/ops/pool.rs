@@ -3,6 +3,7 @@
 use crate::error::GraphError;
 use crate::graph::NodeId;
 use ranger_tensor::Tensor;
+use std::ops::Range;
 
 fn shape_err(node: NodeId, message: impl Into<String>) -> GraphError {
     GraphError::ShapeError {
@@ -152,9 +153,12 @@ pub fn avg_pool_forward_into(
     pool_forward_into(node, x, kernel, stride, PoolKind::Avg, out)
 }
 
-#[derive(Clone, Copy, PartialEq)]
-enum PoolKind {
+/// Which reduction a pooling window applies.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PoolKind {
+    /// The window's maximum.
     Max,
+    /// The window's mean.
     Avg,
 }
 
@@ -167,15 +171,71 @@ fn pool_forward_into(
     out: &mut Tensor,
 ) -> Result<(), GraphError> {
     let layout = pool_layout(node, x.dims(), kernel, stride)?;
+    let (n, c, ho, wo) = (layout.batch, layout.channels, layout.out_h, layout.out_w);
+    out.reset_fill(&[n, c, ho, wo], 0.0);
+    pool_nest(
+        &layout,
+        x.data(),
+        kernel,
+        stride,
+        kind,
+        &[0..c, 0..ho, 0..wo],
+        out,
+    );
+    Ok(())
+}
+
+/// Max or average pooling over an output window only: channels, rows and columns
+/// `window` of every batch row are computed into `out`, which must already hold a value
+/// of the output's shape; every other element is left as it is. Each computed element
+/// is bit for bit the full kernel's.
+///
+/// # Errors
+///
+/// Returns a [`GraphError::ShapeError`] if `x` is not rank 4, the window parameters are
+/// degenerate, or `out` does not have the output's shape or the window exceeds it.
+pub fn pool_window_into(
+    node: NodeId,
+    x: &Tensor,
+    kernel: usize,
+    stride: usize,
+    kind: PoolKind,
+    window: &[Range<usize>; 3],
+    out: &mut Tensor,
+) -> Result<(), GraphError> {
+    let layout = pool_layout(node, x.dims(), kernel, stride)?;
+    let dims = [layout.batch, layout.channels, layout.out_h, layout.out_w];
+    if out.dims() != dims
+        || window[0].end > dims[1]
+        || window[1].end > dims[2]
+        || window[2].end > dims[3]
+    {
+        return Err(shape_err(
+            node,
+            format!("pooling window {window:?} does not fit an output of shape {dims:?}"),
+        ));
+    }
+    pool_nest(&layout, x.data(), kernel, stride, kind, window, out);
+    Ok(())
+}
+
+/// The pooling loop nest over output `window` of every batch row.
+fn pool_nest(
+    layout: &PoolLayout,
+    xdat: &[f32],
+    kernel: usize,
+    stride: usize,
+    kind: PoolKind,
+    window: &[Range<usize>; 3],
+    out: &mut Tensor,
+) {
     let (n, c, h, w) = (layout.batch, layout.channels, layout.height, layout.width);
     let (ho, wo) = (layout.out_h, layout.out_w);
-    let xdat = x.data();
-    out.reset_fill(&[n, c, ho, wo], 0.0);
     let odat = out.data_mut();
     for b in 0..n {
-        for ch in 0..c {
-            for oy in 0..ho {
-                for ox in 0..wo {
+        for ch in window[0].clone() {
+            for oy in window[1].clone() {
+                for ox in window[2].clone() {
                     let mut acc = if kind == PoolKind::Max {
                         f32::NEG_INFINITY
                     } else {
@@ -199,7 +259,6 @@ fn pool_forward_into(
             }
         }
     }
-    Ok(())
 }
 
 /// Max-pooling backward pass: routes each output gradient to the input position that

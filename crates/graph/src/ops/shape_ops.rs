@@ -3,6 +3,7 @@
 use crate::error::GraphError;
 use crate::graph::NodeId;
 use ranger_tensor::Tensor;
+use std::ops::Range;
 
 fn shape_err(node: NodeId, message: impl Into<String>) -> GraphError {
     GraphError::ShapeError {
@@ -187,6 +188,23 @@ pub fn concat_forward_into(
         }
     }
     Ok(())
+}
+
+/// Copies elements `run` of a batch-1 channel concatenation into `out`: the output is
+/// the inputs' elements back to back, so each input fills the part of `run` it covers.
+pub(crate) fn concat_run<'a, T: Copy + 'a>(
+    inputs: impl IntoIterator<Item = &'a [T]>,
+    run: Range<usize>,
+    out: &mut [T],
+) {
+    let mut offset = 0;
+    for src in inputs {
+        let (lo, hi) = (run.start.max(offset), run.end.min(offset + src.len()));
+        if lo < hi {
+            out[lo..hi].copy_from_slice(&src[lo - offset..hi - offset]);
+        }
+        offset += src.len();
+    }
 }
 
 /// Backward for concat: splits the output gradient back into per-input gradients.

@@ -49,6 +49,7 @@ use crate::error::GraphError;
 use crate::exec::{GoldenSnapshot, Interceptor, NoopInterceptor, Values};
 use crate::graph::{Graph, NodeId};
 use crate::op::Op;
+use crate::region::{BoxMap, View, Window};
 use ranger_tensor::Tensor;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
@@ -136,11 +137,14 @@ impl Graph {
 struct PlanTimings {
     /// Accumulated wall nanoseconds per node, indexed by `NodeId::index()`.
     node_nanos: Vec<AtomicU64>,
-    /// Evaluations per node: one per full pass, and one per cone pass that actually
-    /// evaluated the node ([`ExecPlan::run_cone`]).
+    /// Evaluations per node: one per full pass, and one per cone pass that evaluated
+    /// the node or, for a site on golden inputs, applied its flips
+    /// ([`ExecPlan::run_cone`]).
     node_calls: Vec<AtomicU64>,
     /// Number of completed timed passes.
     passes: AtomicU64,
+    /// Output elements the cone passes evaluated ([`ExecPlan::run_cone`]).
+    cone_elements: AtomicU64,
 }
 
 impl PlanTimings {
@@ -161,6 +165,8 @@ struct ConeIndex {
     /// The position of each node's last consumer — or its own position when nothing
     /// reads it. A deviating value stays live until the pass has passed this point.
     last_use: Vec<usize>,
+    /// How each node carries its inputs' deviating boxes to its output.
+    maps: Vec<BoxMap>,
 }
 
 /// A compiled execution plan over a borrowed [`Graph`].
@@ -276,6 +282,10 @@ impl<'g> ExecPlan<'g> {
         for node in self.graph.nodes() {
             if !matches!(node.op, Op::Const) {
                 golden.capture(values, node.id)?;
+            } else if let Some(value) = &node.value {
+                // Constants are not captured, but a concatenation's box offsets count
+                // their channels too.
+                golden.set_view(node.id, View::of(value.dims()));
             }
         }
         Ok(golden)
@@ -295,35 +305,55 @@ impl<'g> ExecPlan<'g> {
                     last_use[input.index()] = last_use[input.index()].max(p);
                 }
             }
-            ConeIndex { position, last_use }
+            let maps = self
+                .graph
+                .nodes()
+                .iter()
+                .map(|node| BoxMap::of(self.graph, node))
+                .collect();
+            ConeIndex {
+                position,
+                last_use,
+                maps,
+            }
         })
     }
 
     /// Runs one faulty pass as a **fault cone**: it starts from `golden` (the snapshot of
     /// the same feeds' fault-free pass) and evaluates only the nodes whose value can
-    /// differ from it. Returns whether `keep`'s value deviates from golden; when it
-    /// does, `values.get(keep)` is the faulty value, and when it does not, the value is
-    /// golden's bit for bit (the store's slot may then be stale — read golden's copy).
+    /// differ from it, each only over the box its deviation can occupy. Returns whether
+    /// `keep`'s value deviates from golden; when it does, `values.get(keep)` is the
+    /// faulty value, and when it does not, the value is golden's bit for bit (the store's
+    /// slot may then be stale — read golden's copy).
     ///
-    /// The walk visits the order from the start. A node is evaluated iff it is
-    /// injectable and either one of `sites` or a reader of a deviating value; its
-    /// output is then compared with golden bit for bit. Every other node keeps its
-    /// golden value (restored by copy if an earlier pass through this store left it
-    /// dirty). The walk stops once every site has run and no unvisited node reads a
-    /// deviating value — a fault masked early costs only the nodes up to where it died.
+    /// The walk visits the order from the start and tracks per node a **dirty box**: a
+    /// (channel, row, column) range of the value's [`View`] outside
+    /// which it is golden. An injectable node that reads a deviating value is evaluated
+    /// over the union of its inputs' boxes carried through its
+    /// [`BoxMap`] (a `k × k` conv grows a box by `k − 1`; dense layers, softmax, global
+    /// pooling and reshapes widen it to the whole value), compared with golden inside
+    /// that window, and its box shrinks to the bounding box of the elements that really
+    /// deviate — where ReLU masking and range restriction show. A site whose inputs are
+    /// all golden is not evaluated: its slot is restored to golden, handed to the
+    /// interceptor, and compared whole (the interceptor may touch any element). Every
+    /// other node keeps its golden value; only a slot's previous dirty box is restored.
+    /// The walk stops once every site has run and no unvisited node reads a deviating
+    /// value — a fault masked early costs only the nodes up to where it died.
     ///
-    /// Exactness: kernels are deterministic within a process, so a node evaluated on
-    /// golden inputs reproduces its golden output, and a skipped node's output is
-    /// exactly what a full pass would compute. The result therefore equals a full
+    /// Exactness: kernels are deterministic within a process and every windowed kernel
+    /// computes each element exactly as its full pass does, so a node evaluated on
+    /// golden inputs reproduces its golden output, and an element outside the box its
+    /// map gives reads only golden inputs. The result therefore equals a full
     /// [`ExecPlan::run_into`] under the same `interceptor`, provided the interceptor
     /// mutates only the outputs of `sites` (it sees only the nodes the cone
     /// evaluates). Any trial order through one store is exact: the store is primed
     /// from `golden` on first use (re-primed when the snapshot changes, or after any
-    /// full pass), and tracks per slot whether it still holds golden.
+    /// full pass), and tracks per slot the box where it may differ from golden.
     ///
     /// Warmed cone passes allocate nothing: each evaluated node writes into its own
-    /// previous buffer. With metrics on, each evaluated node's time and call are
-    /// recorded in the plan's timing slots, and the pass counts as one pass.
+    /// buffer. With metrics on, each evaluated node's time and call are recorded in the
+    /// plan's timing slots, the pass counts as one pass, and the elements evaluated are
+    /// added to the `plan.cone.elements` counter.
     ///
     /// # Errors
     ///
@@ -372,39 +402,80 @@ impl<'g> ExecPlan<'g> {
         let timings = self.timings.get();
         let mut live_until = 0usize;
         let mut keep_deviates = false;
+        let mut elements = 0usize;
         for (pos, &id) in self.order.iter().enumerate() {
             if pos > last_site && live_until < pos {
                 break;
             }
             let node = self.graph.node(id)?;
             let i = id.index();
-            let evaluate = node.op.is_injectable()
-                && (sites.contains(&id)
-                    || node.inputs.iter().any(|x| values.cone.deviating[x.index()]));
-            if !evaluate {
-                if values.cone.dirty[i] {
-                    values.restore_golden(id, golden)?;
+            let site = sites.contains(&id);
+            // The output box the inputs' deviations can reach.
+            let mut window = Window::EMPTY;
+            if node.op.is_injectable() {
+                let (map, out) = (index.maps[i], golden.view(id));
+                let mut offset = 0;
+                for (k, input) in node.inputs.iter().enumerate() {
+                    let input_view = golden.view(*input);
+                    let deviating = &values.cone.deviating[input.index()];
+                    if !deviating.is_empty() {
+                        window = window.union(&map.apply(k, deviating, input_view, out, offset));
+                    }
+                    offset += input_view.c;
                 }
-                values.cone.dirty[i] = false;
-                values.cone.deviating[i] = false;
+            }
+            let dirty = values.cone.dirty[i];
+            if !node.op.is_injectable() || (window.is_empty() && !site) {
+                if !dirty.is_empty() {
+                    values.restore_window(id, golden, &dirty)?;
+                }
+                values.cone.dirty[i] = Window::EMPTY;
+                values.cone.deviating[i] = Window::EMPTY;
                 continue;
             }
-            values.recycle_slot(i);
+            let whole = Window::whole(golden.view(id));
             let start = timings.map(|_| Instant::now());
-            self.backend.eval_node(node, values, &[], interceptor)?;
+            let compare = if window.is_empty() {
+                // A site on golden inputs: its value is golden plus the planned flips.
+                if !dirty.is_empty() {
+                    values.restore_window(id, golden, &dirty)?;
+                }
+                values.intercept(node, interceptor);
+                whole
+            } else if window == whole {
+                values.recycle_slot(i);
+                self.backend.eval_node(node, values, &[], interceptor)?;
+                elements += whole.elements();
+                whole
+            } else {
+                if !dirty.is_empty() {
+                    values.restore_window(id, golden, &dirty)?;
+                }
+                self.backend
+                    .eval_window(node, values, &window, interceptor)?;
+                elements += window.elements();
+                // The interceptor may have touched a site anywhere.
+                if site {
+                    whole
+                } else {
+                    window
+                }
+            };
             if let (Some(t), Some(start)) = (timings, start) {
                 t.record(id, start);
             }
-            let deviates = !values.matches_golden(id, golden);
-            values.cone.dirty[i] = deviates;
-            values.cone.deviating[i] = deviates;
-            if deviates {
+            let deviation = values.deviation(id, golden, &compare);
+            values.cone.dirty[i] = deviation;
+            values.cone.deviating[i] = deviation;
+            if !deviation.is_empty() {
                 live_until = live_until.max(index.last_use[i]);
                 keep_deviates |= id == keep;
             }
         }
         if let Some(t) = timings {
             t.passes.fetch_add(1, Ordering::Relaxed);
+            t.cone_elements
+                .fetch_add(elements as u64, Ordering::Relaxed);
         }
         Ok(keep_deviates)
     }
@@ -466,6 +537,7 @@ impl<'g> ExecPlan<'g> {
                 node_nanos: (0..self.graph.len()).map(|_| AtomicU64::new(0)).collect(),
                 node_calls: (0..self.graph.len()).map(|_| AtomicU64::new(0)).collect(),
                 passes: AtomicU64::new(0),
+                cone_elements: AtomicU64::new(0),
             });
         }
     }
@@ -495,9 +567,12 @@ impl<'g> ExecPlan<'g> {
     ///
     /// - `plan.op.<Kind>.nanos` — accumulated wall time across that kind's nodes,
     /// - `plan.op.<Kind>.calls` — node evaluations of that kind: every node once per
-    ///   full pass, and once per cone pass only where the cone evaluated it,
+    ///   full pass, and once per cone pass only where the cone evaluated it (or applied
+    ///   a site's flips to its golden value),
     ///
-    /// plus `plan.passes` for the pass total. Slots are swapped to zero, so calling this
+    /// plus `plan.passes` for the pass total and `plan.cone.elements` for the output
+    /// elements cone passes evaluated (a windowed node counts its window, a site on
+    /// golden inputs none). Slots are swapped to zero, so calling this
     /// repeatedly (e.g. once per campaign on a reused plan) never double-counts. A plan
     /// that is not timing publishes nothing.
     pub fn publish_timings(&self) {
@@ -505,6 +580,7 @@ impl<'g> ExecPlan<'g> {
             return;
         };
         let passes = timings.passes.swap(0, Ordering::Relaxed);
+        let cone_elements = timings.cone_elements.swap(0, Ordering::Relaxed);
         // Aggregate per op kind; the kind set is tiny, so a linear scan beats a map.
         let mut kinds: Vec<(&'static str, u64, u64)> = Vec::new();
         for &id in &self.order {
@@ -524,6 +600,7 @@ impl<'g> ExecPlan<'g> {
         }
         let registry = ranger_obs::registry();
         registry.counter("plan.passes").add(passes);
+        registry.counter("plan.cone.elements").add(cone_elements);
         for (kind, nanos, calls) in kinds {
             registry
                 .counter(&format!("plan.op.{kind}.nanos"))

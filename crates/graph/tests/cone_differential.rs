@@ -10,6 +10,7 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use ranger_graph::exec::{NoopInterceptor, Values};
+use ranger_graph::op::Padding;
 use ranger_graph::{
     default_backend, BackendKind, ExecPlan, GoldenSnapshot, Graph, Interceptor, Node, NodeId, Op,
 };
@@ -255,6 +256,207 @@ proptest! {
                 );
             }
         }
+    }
+}
+
+/// A random conv/pool chain over one `[1, c, h, w]` image: convolutions (kernels 1–5,
+/// strides 1–2, `Same` and `Valid` padding, wider than the image included) with
+/// biases, activations, clamps, max and average pooling, residual `Add`s and channel
+/// `Concat`s of two earlier values of one spatial size, then a `Flatten` → dense head.
+/// Returns the graph, its output and the image shape.
+fn random_conv_chain(rng: &mut StdRng) -> (Graph, NodeId, Vec<usize>) {
+    let mut g = Graph::new();
+    let x = g.add_input("x");
+    let image = vec![
+        1,
+        rng.gen_range(1usize..4),
+        rng.gen_range(2usize..10),
+        rng.gen_range(2usize..10),
+    ];
+    // Every value so far with its [c, h, w].
+    let mut pool = vec![(x, [image[1], image[2], image[3]])];
+    let weights = |rng: &mut StdRng, dims: Vec<usize>| {
+        let n: usize = dims.iter().product();
+        let data = (0..n).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
+        Tensor::from_vec(dims, data).unwrap()
+    };
+    let layers = rng.gen_range(3usize..9);
+    for k in 0..layers {
+        let name = format!("n{k}");
+        let (a, [c, h, w]) = pool[rng.gen_range(0..pool.len())];
+        let made = match rng.gen_range(0u32..10) {
+            0..=2 => {
+                let kernel = rng.gen_range(1usize..6);
+                let stride = rng.gen_range(1usize..3);
+                let valid = rng.gen_range(0u32..2) == 0 && kernel <= h && kernel <= w;
+                let cout = rng.gen_range(1usize..5);
+                let padding = if valid { Padding::Valid } else { Padding::Same };
+                let (oh, ow) = if valid {
+                    ((h - kernel) / stride + 1, (w - kernel) / stride + 1)
+                } else {
+                    (h.div_ceil(stride), w.div_ceil(stride))
+                };
+                let wt = g.add_const(
+                    format!("{name}.w"),
+                    weights(rng, vec![cout, c, kernel, kernel]),
+                    true,
+                );
+                let conv = g.add_node(&name, Op::Conv2d { stride, padding }, vec![a, wt]);
+                let bias = g.add_const(format!("{name}.b"), weights(rng, vec![cout]), true);
+                let biased = g.add_node(format!("{name}.bias"), Op::BiasAdd, vec![conv, bias]);
+                pool.push((conv, [cout, oh, ow]));
+                (biased, [cout, oh, ow])
+            }
+            3 => (g.add_node(&name, Op::Relu, vec![a]), [c, h, w]),
+            4 => (g.add_node(&name, Op::Elu, vec![a]), [c, h, w]),
+            5 => (
+                g.add_node(&name, Op::Clamp { lo: -0.4, hi: 0.6 }, vec![a]),
+                [c, h, w],
+            ),
+            6 => {
+                let kernel = rng.gen_range(1usize..4).min(h).min(w);
+                let stride = rng.gen_range(1usize..3);
+                let op = if rng.gen_range(0u32..2) == 0 {
+                    Op::MaxPool { kernel, stride }
+                } else {
+                    Op::AvgPool { kernel, stride }
+                };
+                let dims = [c, (h - kernel) / stride + 1, (w - kernel) / stride + 1];
+                (g.add_node(&name, op, vec![a]), dims)
+            }
+            7 | 8 => {
+                // A partner of the same spatial size, if any.
+                let partners: Vec<_> = pool
+                    .iter()
+                    .filter(|(id, d)| *id != a && d[1] == h && d[2] == w)
+                    .copied()
+                    .collect();
+                if partners.is_empty() {
+                    (g.add_node(&name, Op::Tanh, vec![a]), [c, h, w])
+                } else {
+                    let (b, [cb, _, _]) = partners[rng.gen_range(0..partners.len())];
+                    if cb == c && rng.gen_range(0u32..2) == 0 {
+                        (g.add_node(&name, Op::Add, vec![a, b]), [c, h, w])
+                    } else {
+                        (g.add_node(&name, Op::Concat, vec![a, b]), [c + cb, h, w])
+                    }
+                }
+            }
+            _ => (
+                g.add_node(&name, Op::ScalarMul { factor: 0.5 }, vec![a]),
+                [c, h, w],
+            ),
+        };
+        pool.push(made);
+    }
+    let (last, [c, h, w]) = *pool.last().unwrap();
+    let flat = g.add_node("flat", Op::Flatten, vec![last]);
+    let features = c * h * w;
+    let wt = g.add_const("head.w", weights(rng, vec![features, 3]), true);
+    let dense = g.add_node("head", Op::MatMul, vec![flat, wt]);
+    let bias = g.add_const("head.b", weights(rng, vec![3]), true);
+    let out = g.add_node("head.bias", Op::BiasAdd, vec![dense, bias]);
+    (g, out, image)
+}
+
+/// Random trials over the golden pass's injectable nodes: one to three edits each, at
+/// elements inside the node's value, so later sites may read earlier ones.
+fn random_sized_edits(rng: &mut StdRng, sized: &[(NodeId, usize)]) -> Vec<Edit> {
+    (0..rng.gen_range(1usize..4))
+        .map(|_| {
+            let (node, len) = sized[rng.gen_range(0..sized.len())];
+            Edit {
+                node,
+                element: rng.gen_range(0..len.max(1)),
+                change: Change::Flip(rng.gen_range(0u32..32)),
+            }
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Random conv/pool chains: a single-site trial on every injectable node, then
+    /// random multi-site trials, through one store alternating two inputs' snapshots,
+    /// each compared with a fresh full pass.
+    #[test]
+    fn cone_passes_match_full_passes_on_random_conv_chains(seed in 0u64..u64::MAX) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let (graph, out, image) = random_conv_chain(&mut rng);
+        let len: usize = image.iter().product();
+        let feed = |rng: &mut StdRng| {
+            let data = (0..len).map(|_| rng.gen_range(-2.0f32..2.0)).collect();
+            vec![("x", Tensor::from_vec(image.clone(), data).unwrap())]
+        };
+        let feeds = [feed(&mut rng), feed(&mut rng)];
+        for kind in backends() {
+            let plan = graph.compile_with(kind.backend()).unwrap();
+            let warmed = plan.warm(&feeds[0]).unwrap();
+            let sized: Vec<(NodeId, usize)> = graph
+                .nodes()
+                .iter()
+                .filter(|n| n.op.is_injectable())
+                .map(|n| (n.id, warmed.dims_of(n.id).unwrap().iter().product()))
+                .collect();
+            let goldens = [golden(&plan, &feeds[0], out), golden(&plan, &feeds[1], out)];
+            let mut store = plan.buffers();
+            let sweep = sized.iter().map(|&(node, len)| {
+                vec![Edit {
+                    node,
+                    element: rng.gen_range(0..len.max(1)),
+                    change: Change::Flip(rng.gen_range(0u32..32)),
+                }]
+            });
+            let trials: Vec<Vec<Edit>> = sweep.collect::<Vec<_>>().into_iter()
+                .chain((0..10).map(|_| random_sized_edits(&mut rng, &sized)))
+                .collect();
+            for (trial, edits) in trials.iter().enumerate() {
+                let input = usize::from(trial % 4 == 3);
+                let (snapshot, golden_out) = &goldens[input];
+                let label = format!("{kind:?} seed {seed} trial {trial}");
+                check_trial(
+                    &plan, &mut store, snapshot, golden_out, &feeds[input], edits, out, &label,
+                );
+            }
+        }
+    }
+}
+
+/// A channel concatenation whose first input is a constant: the deviating input's box
+/// shifts past the constant's channels.
+#[test]
+fn concat_after_a_constant_shifts_boxes_past_its_channels() {
+    let mut g = Graph::new();
+    let x = g.add_input("x");
+    let a = g.add_node("a", Op::Relu, vec![x]);
+    let fixed = g.add_const("fixed", Tensor::filled(vec![1, 3, 4, 4], 0.5), false);
+    let cat = g.add_node("cat", Op::Concat, vec![fixed, a]);
+    let w = g.add_const(
+        "w",
+        Tensor::from_vec(
+            vec![2, 5, 1, 1],
+            (0..10).map(|i| i as f32 * 0.25 - 1.0).collect(),
+        )
+        .unwrap(),
+        true,
+    );
+    let out = g.add_node(
+        "out",
+        Op::Conv2d {
+            stride: 1,
+            padding: Padding::Same,
+        },
+        vec![cat, w],
+    );
+    let data = (0..32).map(|i| (i as f32 * 0.37).sin()).collect();
+    let feeds = [("x", Tensor::from_vec(vec![1, 2, 4, 4], data).unwrap())];
+    let trials: Vec<Vec<Edit>> = (0..32)
+        .map(|e| vec![edit(a, e, Change::Set(3.0 + e as f32))])
+        .collect();
+    for kind in backends() {
+        let deviated = run_trials(&g, kind, out, &feeds, &trials);
+        assert!(deviated.iter().all(|&d| d), "{kind:?}");
     }
 }
 

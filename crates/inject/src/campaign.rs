@@ -39,6 +39,7 @@ use ranger_runtime::{trial_stream_seed, ThreadPool};
 use ranger_tensor::stats::Proportion;
 use ranger_tensor::{DataType, Tensor};
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use std::fmt;
 
 /// Configuration of a fault-injection campaign.
@@ -413,7 +414,7 @@ impl ChunkTally {
         if !outcome.applied {
             self.unactivated += 1;
         }
-        for (count, &sdc) in self.sdc_counts.iter_mut().zip(&outcome.sdc) {
+        for (count, &sdc) in self.sdc_counts.iter_mut().zip(outcome.sdc.iter()) {
             if sdc {
                 *count += 1;
             }
@@ -423,9 +424,10 @@ impl ChunkTally {
 }
 
 /// What one trial observed ([`PreparedCampaign::run_trial`]).
-pub(crate) struct TrialOutcome {
-    /// The judge's verdict per category: `true` where the trial was an SDC.
-    pub(crate) sdc: Vec<bool>,
+pub(crate) struct TrialOutcome<'a> {
+    /// The judge's verdict per category: `true` where the trial was an SDC. A trial
+    /// whose output stayed golden borrows its input's golden-against-golden verdict.
+    pub(crate) sdc: Cow<'a, [bool]>,
     /// Whether every planned flip was applied.
     pub(crate) applied: bool,
     /// Whether a flip was applied but its deviation died before the output.
@@ -593,6 +595,10 @@ pub struct PreparedCampaign<'a> {
     config: CampaignConfig,
     plan: ExecPlan<'a>,
     goldens: Vec<Tensor>,
+    /// Per input, the judge's verdict of the golden output against itself: the verdict
+    /// of every trial whose output stays golden bit for bit (not all benign — a NaN
+    /// golden output can be an SDC against itself).
+    golden_verdicts: Vec<Vec<bool>>,
     /// Per input, the golden pass every trial's fault cone starts from.
     snapshots: Vec<GoldenSnapshot>,
     spaces: Vec<InjectionSpace>,
@@ -709,6 +715,7 @@ impl<'a> PreparedCampaign<'a> {
             store = Some(values);
         }
         let chunks = campaign_chunks(config, inputs.len(), chunk_len);
+        let golden_verdicts = goldens.iter().map(|g| judge.judge(g, g)).collect();
         Ok(PreparedCampaign {
             target,
             inputs,
@@ -716,6 +723,7 @@ impl<'a> PreparedCampaign<'a> {
             config: *config,
             plan,
             goldens,
+            golden_verdicts,
             snapshots,
             spaces,
             categories,
@@ -767,9 +775,10 @@ impl<'a> PreparedCampaign<'a> {
 
     /// Executes one work unit in the given arena and returns its partial tally.
     ///
-    /// Each trial draws its plan from its canonical stream ([`trial_rng`]) and runs as a
-    /// fault cone from its input's golden snapshot. A trial whose output stays golden is
-    /// judged golden against golden — the verdict a full pass would give, NaN outputs
+    /// Each trial draws its plan from its canonical stream ([`trial_rng`]) into the
+    /// chunk's one injector and runs as a fault cone from its input's golden snapshot. A
+    /// trial whose output stays golden takes its input's golden-against-golden verdict,
+    /// judged once at preparation — the verdict a full pass would give, NaN outputs
     /// included. Chunks are independent: any execution order, any thread, any subset.
     /// The tally of a chunk depends only on the campaign configuration and the chunk
     /// geometry.
@@ -799,9 +808,10 @@ impl<'a> PreparedCampaign<'a> {
         let mut tally = ChunkTally::new(self.categories.len());
         let mut sites: Vec<NodeId> = Vec::with_capacity(config.fault.bits);
         let mut masked = 0u64;
+        let mut injector = FaultInjector::with_plan(config.fault, Vec::new());
         for trial in unit.start..unit.start + unit.len {
             let mut rng = trial_rng(config.seed, unit.input, trial);
-            let mut injector = FaultInjector::plan_random(config.fault, space, &mut rng);
+            injector.replan(space, &mut rng);
             let outcome = self.run_trial(values, unit.input, &mut injector, &mut sites)?;
             masked += u64::from(outcome.masked);
             tally.record(&outcome);
@@ -823,8 +833,7 @@ impl<'a> PreparedCampaign<'a> {
         input: usize,
         injector: &mut FaultInjector,
         sites: &mut Vec<NodeId>,
-    ) -> Result<TrialOutcome, CampaignError> {
-        let golden = &self.goldens[input];
+    ) -> Result<TrialOutcome<'_>, CampaignError> {
         sites.clear();
         sites.extend(injector.plan().iter().map(|flip| flip.site.node));
         let pass_span = self.metrics.as_ref().map(|m| m.faulty_pass_nanos.span());
@@ -836,13 +845,14 @@ impl<'a> PreparedCampaign<'a> {
             injector,
         )?;
         drop(pass_span);
-        let faulty = if deviates {
-            values.get(self.target.output)?
+        let sdc = if deviates {
+            let faulty = values.get(self.target.output)?;
+            Cow::Owned(self.judge.judge(&self.goldens[input], faulty))
         } else {
-            golden
+            Cow::Borrowed(self.golden_verdicts[input].as_slice())
         };
         Ok(TrialOutcome {
-            sdc: self.judge.judge(golden, faulty),
+            sdc,
             applied: injector.fully_injected(),
             masked: !deviates && !injector.injected().is_empty(),
         })

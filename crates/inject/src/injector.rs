@@ -17,9 +17,10 @@ pub struct PlannedFlip {
 
 /// An [`Interceptor`] that applies a set of planned bit flips during one forward pass.
 ///
-/// The injector is constructed per trial (one plan per execution, matching the paper's
-/// "at most one fault occurs per program execution" assumption — a multi-bit plan is still
-/// a single transient fault event).
+/// The injector holds one plan per execution, matching the paper's "at most one fault
+/// occurs per program execution" assumption — a multi-bit plan is still a single
+/// transient fault event. A campaign keeps one injector per chunk and draws each trial's
+/// plan into it with [`FaultInjector::replan`].
 #[derive(Debug, Clone)]
 pub struct FaultInjector {
     fault: FaultModel,
@@ -44,13 +45,23 @@ impl FaultInjector {
         space: &InjectionSpace,
         rng: &mut R,
     ) -> Self {
-        let plan = (0..fault.bits)
-            .map(|_| PlannedFlip {
-                site: space.sample(rng),
-                bit: rng.gen_range(0..fault.datatype.bit_width()),
-            })
-            .collect();
-        Self::with_plan(fault, plan)
+        let mut injector = Self::with_plan(fault, Vec::with_capacity(fault.bits));
+        injector.replan(space, rng);
+        injector
+    }
+
+    /// Draws a fresh random plan in place, exactly as [`FaultInjector::plan_random`]
+    /// would (the same draws in the same order), and forgets the flips applied so far.
+    /// Reuses both buffers, so a campaign keeps one injector per chunk and its trials
+    /// allocate no plan.
+    pub fn replan<R: Rng + ?Sized>(&mut self, space: &InjectionSpace, rng: &mut R) {
+        let fault = self.fault;
+        self.plan.clear();
+        self.plan.extend((0..fault.bits).map(|_| PlannedFlip {
+            site: space.sample(rng),
+            bit: rng.gen_range(0..fault.datatype.bit_width()),
+        }));
+        self.injected.clear();
     }
 
     /// The flips this injector will apply.
@@ -179,6 +190,42 @@ mod tests {
         assert_eq!(injector.plan().len(), 3);
         for flip in injector.plan() {
             assert!(flip.bit < 16);
+        }
+    }
+
+    /// `replan` refills one injector with exactly the plans `plan_random` draws, from
+    /// the same stream position, and forgets the previous trial's applied flips.
+    #[test]
+    fn replan_draws_what_plan_random_draws() {
+        let (graph, y) = toy();
+        let target = InjectionTarget {
+            graph: &graph,
+            input_name: "x",
+            output: y,
+            excluded: &[],
+        };
+        let input = Tensor::ones(vec![1, 3]);
+        let space = InjectionSpace::build(&target, &input).unwrap();
+        let fault = FaultModel {
+            datatype: ranger_tensor::DataType::fixed16(),
+            bits: 2,
+        };
+        let (mut fresh, mut reused) = (StdRng::seed_from_u64(9), StdRng::seed_from_u64(9));
+        let mut injector = FaultInjector::plan_random(fault, &space, &mut reused);
+        assert_eq!(
+            injector.plan(),
+            FaultInjector::plan_random(fault, &space, &mut fresh).plan()
+        );
+        let plan = graph.compile().unwrap();
+        plan.run(&[("x", input)], &mut injector).unwrap();
+        assert!(!injector.injected().is_empty());
+        for _ in 0..5 {
+            injector.replan(&space, &mut reused);
+            assert!(injector.injected().is_empty());
+            assert_eq!(
+                injector.plan(),
+                FaultInjector::plan_random(fault, &space, &mut fresh).plan()
+            );
         }
     }
 

@@ -258,10 +258,19 @@ impl Model {
     ///
     /// Panics if called on a regression model.
     pub fn predict_classes(&self, batch: &Tensor) -> Result<Vec<usize>, GraphError> {
+        Ok(self.classes_of(&self.forward(batch)?))
+    }
+
+    /// The predicted class index for every row of `out`, an output this classifier
+    /// computed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if called on a regression model.
+    pub fn classes_of(&self, out: &Tensor) -> Vec<usize> {
         let Task::Classification { num_classes } = self.task else {
             panic!("predict_classes called on a regression model");
         };
-        let out = self.forward(batch)?;
         let n = out.dims()[0];
         let mut preds = Vec::with_capacity(n);
         for i in 0..n {
@@ -274,7 +283,7 @@ impl Model {
                 .unwrap_or(0);
             preds.push(argmax);
         }
-        Ok(preds)
+        preds
     }
 
     /// Returns the predicted steering angles in degrees for every row of `batch`
@@ -288,11 +297,20 @@ impl Model {
     ///
     /// Panics if called on a classification model.
     pub fn predict_angles_degrees(&self, batch: &Tensor) -> Result<Vec<f32>, GraphError> {
+        Ok(self.angles_degrees_of(&self.forward(batch)?))
+    }
+
+    /// The predicted steering angle in degrees for every row of `out`, an output this
+    /// steering model computed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if called on a classification model.
+    pub fn angles_degrees_of(&self, out: &Tensor) -> Vec<f32> {
         let Task::Regression { unit } = self.task else {
             panic!("predict_angles_degrees called on a classification model");
         };
-        let out = self.forward(batch)?;
-        Ok(out.data().iter().map(|&v| unit.to_degrees(v)).collect())
+        out.data().iter().map(|&v| unit.to_degrees(v)).collect()
     }
 
     /// Total number of trainable parameters.

@@ -10,6 +10,7 @@
 use crate::dispatch::{SimdOp, SimdTier};
 use crate::vec::{maxps, SimdF32};
 use std::cell::Cell;
+use std::ops::Range;
 use std::sync::OnceLock;
 
 /// Validated conv2d geometry, mirroring `ranger-graph`'s `Conv2dGeometry` (NCHW
@@ -88,21 +89,23 @@ fn grow(buf: &mut Vec<f32>, len: usize) {
     }
 }
 
-/// Where one batch row's phase planes and wide output plane live, for one lane width.
+/// Where one batch row's phase planes and wide output plane live, for one lane width
+/// and one output window of `rows × cols` positions starting at `(oy0, ox0)`.
 ///
 /// For stride `s`, each input channel splits into `py × px = min(s, kh) × min(s, kw)`
-/// planes. Plane `(ry, rx)` holds padded input `(r·s + ry, c·s + rx)` at `r·wq + c`,
-/// and zero where that position lies in the padding. Output `(oy, ox)` sits at wide
-/// position `q = oy·wq + ox`, and tap `(ky, kx)` reads plane `(ky mod s, kx mod s)` at
-/// `q + (ky / s)·wq + kx / s`: a contiguous run for every stride. Columns `ox ≥ out_w`
-/// are computed and dropped, so no vector ever needs a scalar tail.
+/// planes. Plane `(ry, rx)` holds padded input `((oy0 + r)·s + ry, (ox0 + c)·s + rx)`
+/// at `r·wq + c`, and zero where that position lies in the padding: only the window's
+/// receptive field. Window position `(oy, ox)` sits at wide position `q = oy·wq + ox`,
+/// and tap `(ky, kx)` reads plane `(ky mod s, kx mod s)` at `q + (ky / s)·wq + kx / s`:
+/// a contiguous run for every stride. Columns `ox ≥ cols` are computed and dropped, so
+/// no vector ever needs a scalar tail.
 #[derive(Debug, Clone, Copy)]
 struct PhaseLayout {
     py: usize,
     px: usize,
     hq: usize,
     wq: usize,
-    /// Wide positions per output channel: `out_h · wq`, rounded up to whole vectors.
+    /// Wide positions per output channel: `rows · wq`, rounded up to whole vectors.
     wide_len: usize,
     /// Floats per plane: `wide_len` plus the largest tap offset, so the last vector of
     /// every tap reads inside its plane.
@@ -110,16 +113,17 @@ struct PhaseLayout {
 }
 
 impl PhaseLayout {
-    /// The layout of `g` (non-empty output, non-empty filter) for `lanes`-wide vectors.
-    fn new(g: &Conv2dShape, lanes: usize) -> Self {
+    /// The layout of a `rows × cols` window of `g` (non-empty window, non-empty filter)
+    /// for `lanes`-wide vectors.
+    fn new(g: &Conv2dShape, lanes: usize, rows: usize, cols: usize) -> Self {
         let s = g.stride;
         let (dy, dx) = ((g.kh - 1) / s, (g.kw - 1) / s);
-        let wq = g.out_w + dx;
-        let wide_len = (g.out_h * wq).next_multiple_of(lanes);
+        let wq = cols + dx;
+        let wide_len = (rows * wq).next_multiple_of(lanes);
         PhaseLayout {
             py: s.min(g.kh),
             px: s.min(g.kw),
-            hq: g.out_h + dy,
+            hq: rows + dy,
             wq,
             wide_len,
             plane_len: wide_len + dy * wq + dx,
@@ -132,27 +136,41 @@ impl PhaseLayout {
     }
 }
 
-/// Copies one batch row `x` (`cin × height × width`) into its phase planes: zero in the
-/// padding and in the slack after each plane, so every float the micro-kernel reads is
-/// initialized and every padding tap multiplies a zero.
-fn fill_planes(x: &[f32], g: &Conv2dShape, lay: &PhaseLayout, planes: &mut [f32]) {
+/// Copies the receptive field of the window at output `(oy0, ox0)` of one batch row `x`
+/// (`cin × height × width`) into its phase planes: zero in the padding and in the slack
+/// after each plane, so every float the micro-kernel reads is initialized and every
+/// padding tap multiplies a zero.
+fn fill_planes(
+    x: &[f32],
+    g: &Conv2dShape,
+    lay: &PhaseLayout,
+    (oy0, ox0): (usize, usize),
+    planes: &mut [f32],
+) {
     let (h, win, s) = (g.height, g.width, g.stride);
     let mut planes = planes.chunks_exact_mut(lay.plane_len);
     for x_ch in x.chunks_exact(h * win) {
         for ry in 0..lay.py {
             for rx in 0..lay.px {
                 let plane = planes.next().expect("planes sized for cin channels");
-                // Plane columns whose input column `c·s + rx − pad_w` lies in the row.
-                let c_lo = g.pad_w.saturating_sub(rx).div_ceil(s).min(lay.wq);
+                // Plane columns whose input column `(ox0 + c)·s + rx − pad_w` lies in the
+                // row.
+                let c_lo = g
+                    .pad_w
+                    .saturating_sub(rx)
+                    .div_ceil(s)
+                    .saturating_sub(ox0)
+                    .min(lay.wq);
                 let c_hi = (win + g.pad_w)
                     .saturating_sub(rx)
                     .div_ceil(s)
+                    .saturating_sub(ox0)
                     .clamp(c_lo, lay.wq);
                 let (rows, slack) = plane.split_at_mut(lay.hq * lay.wq);
                 slack.fill(0.0);
                 for (r, dst) in rows.chunks_exact_mut(lay.wq).enumerate() {
                     // Wraps past `h` when the row lies in the top padding.
-                    let iy = (r * s + ry).wrapping_sub(g.pad_h);
+                    let iy = ((oy0 + r) * s + ry).wrapping_sub(g.pad_h);
                     if iy >= h {
                         dst.fill(0.0);
                         continue;
@@ -163,7 +181,7 @@ fn fill_planes(x: &[f32], g: &Conv2dShape, lay: &PhaseLayout, planes: &mut [f32]
                     tail.fill(0.0);
                     if !mid.is_empty() {
                         let row = &x_ch[iy * win..][..win];
-                        let src = row[c_lo * s + rx - g.pad_w..].iter().step_by(s);
+                        let src = row[(ox0 + c_lo) * s + rx - g.pad_w..].iter().step_by(s);
                         for (d, &v) in mid.iter_mut().zip(src) {
                             *d = v;
                         }
@@ -274,50 +292,65 @@ struct Conv2dOp<'a> {
     w: &'a [f32],
     out: &'a mut [f32],
     shape: Conv2dShape,
+    /// Output channels, rows and columns to compute.
+    window: [Range<usize>; 3],
 }
 
 impl Conv2dOp<'_> {
     /// The register-blocked body with `OB`-channel × `NV`-vector tiles. Writes every
-    /// element of `out`.
+    /// element of the window of `out` and no other.
     ///
     /// # Safety
     ///
-    /// `V`'s tier must be available, and the slice lengths must match `shape` (as
-    /// [`Kernels::conv2d`] asserts): the tile walk then stays inside the planes and
-    /// wide plane sized here, `w` and `out`.
+    /// `V`'s tier must be available, and the slice lengths and the window must match
+    /// `shape` (as [`Kernels::conv2d_window`] asserts): the tile walk then stays inside
+    /// the planes and wide plane sized here, `w` and `out`.
     #[inline(always)]
     unsafe fn run<V: SimdF32, const OB: usize, const NV: usize>(&mut self) {
         let g = self.shape;
-        if self.out.is_empty() {
+        let [channels, rows, cols] = self.window.clone();
+        if channels.is_empty() || rows.is_empty() || cols.is_empty() {
             return;
         }
+        let plane = g.out_h * g.out_w;
         if g.cin == 0 || g.kh == 0 || g.kw == 0 {
             // No partial products: every output is the reference's `+0.0` start.
-            self.out.fill(0.0);
+            for out in self.out.chunks_exact_mut(g.cout * plane) {
+                for ch in out[channels.start * plane..channels.end * plane].chunks_exact_mut(plane)
+                {
+                    for row in
+                        ch[rows.start * g.out_w..rows.end * g.out_w].chunks_exact_mut(g.out_w)
+                    {
+                        row[cols.clone()].fill(0.0);
+                    }
+                }
+            }
             return;
         }
-        let lay = PhaseLayout::new(&g, V::LANES);
+        let lay = PhaseLayout::new(&g, V::LANES, rows.len(), cols.len());
+        let cout = channels.len();
         // Out of the cell for the whole call: the kernel must run in this
         // tier-compiled body, not inside a `LocalKey::with` closure, which would not
         // inherit the tier's target features.
         let mut scratch = CONV_SCRATCH.take();
         grow(&mut scratch.planes, lay.planes_len(g.cin));
-        grow(&mut scratch.wide, g.cout * lay.wide_len);
+        grow(&mut scratch.wide, cout * lay.wide_len);
         let planes = &mut scratch.planes[..lay.planes_len(g.cin)];
-        let wide = &mut scratch.wide[..g.cout * lay.wide_len];
+        let wide = &mut scratch.wide[..cout * lay.wide_len];
         let (nvec, w_oc) = (lay.wide_len / V::LANES, g.cin * g.kh * g.kw);
         let x_rows = self.x.chunks_exact(g.cin * g.height * g.width);
-        let out_rows = self.out.chunks_exact_mut(g.cout * g.out_h * g.out_w);
+        let out_rows = self.out.chunks_exact_mut(g.cout * plane);
         for (x, out) in x_rows.zip(out_rows) {
-            fill_planes(x, &g, &lay, planes);
+            fill_planes(x, &g, &lay, (rows.start, cols.start), planes);
             let mut oc = 0;
             // SAFETY: the planes and the wide plane were sized from `lay` for `cin`
-            // and `cout` channels, `w` holds `cout` filters of `w_oc` floats, and
-            // every block below stays inside `cout`.
-            while oc < g.cout {
-                let (xp, wp) = (planes.as_ptr(), self.w.as_ptr().add(oc * w_oc));
-                let wide_p = wide.as_mut_ptr().add(oc * lay.wide_len);
-                if oc + OB <= g.cout {
+            // and `cout` window channels, `w` holds `g.cout` filters of `w_oc` floats
+            // and the window's channels lie inside them, and every block below stays
+            // inside the window's channels.
+            while oc < cout {
+                let wp = self.w.as_ptr().add((channels.start + oc) * w_oc);
+                let (xp, wide_p) = (planes.as_ptr(), wide.as_mut_ptr().add(oc * lay.wide_len));
+                if oc + OB <= cout {
                     conv_channels::<V, OB, NV>(xp, wp, wide_p, &g, &lay, nvec);
                     oc += OB;
                 } else {
@@ -325,16 +358,16 @@ impl Conv2dOp<'_> {
                     oc += 1;
                 }
             }
-            // Keep the valid columns of every wide row.
+            // Keep the window's columns of every wide row.
+            let out = &mut out[channels.start * plane..channels.end * plane];
             for (out_ch, wide_ch) in out
-                .chunks_exact_mut(g.out_h * g.out_w)
+                .chunks_exact_mut(plane)
                 .zip(wide.chunks_exact(lay.wide_len))
             {
-                for (o, row) in out_ch
-                    .chunks_exact_mut(g.out_w)
-                    .zip(wide_ch.chunks_exact(lay.wq))
-                {
-                    o.copy_from_slice(&row[..g.out_w]);
+                let out_rows =
+                    out_ch[rows.start * g.out_w..rows.end * g.out_w].chunks_exact_mut(g.out_w);
+                for (o, row) in out_rows.zip(wide_ch.chunks_exact(lay.wq)) {
+                    o[cols.clone()].copy_from_slice(&row[..cols.len()]);
                 }
             }
         }
@@ -382,7 +415,27 @@ impl SimdOp for Conv2dOp<'_> {
 /// the caller; these checks only guard memory safety.
 #[must_use]
 pub fn conv2d(x: &[f32], w: &[f32], shape: &Conv2dShape, out: &mut [f32]) -> bool {
-    kernels().conv2d(x, w, shape, out)
+    let window = [0..shape.cout, 0..shape.out_h, 0..shape.out_w];
+    kernels().conv2d_window(x, w, shape, &window, out)
+}
+
+/// [`conv2d`] over an output window only: output channels, rows and columns `window`
+/// of every batch row, each element bit for bit the whole convolution's. The phase
+/// planes hold only the window's receptive field. Every element of `out` outside the
+/// window is left as it is.
+///
+/// # Panics
+///
+/// Panics if the slice lengths disagree with `shape` or the window exceeds the output.
+#[must_use]
+pub fn conv2d_window(
+    x: &[f32],
+    w: &[f32],
+    shape: &Conv2dShape,
+    window: &[Range<usize>; 3],
+    out: &mut [f32],
+) -> bool {
+    kernels().conv2d_window(x, w, shape, window, out)
 }
 
 struct MatMulOp<'a> {
@@ -503,7 +556,7 @@ pub fn softmax(x: &[f32], rows: usize, row_len: usize, out: &mut [f32]) {
 
 // ---- Resolved kernel table -----------------------------------------------------------
 
-type Conv2dFn = fn(&[f32], &[f32], &Conv2dShape, &mut [f32]) -> bool;
+type Conv2dFn = fn(&[f32], &[f32], &Conv2dShape, &[Range<usize>; 3], &mut [f32]) -> bool;
 type MatMulFn = fn(&[f32], &[f32], usize, usize, usize, &mut [f32]);
 type SoftmaxFn = fn(&[f32], usize, usize, &mut [f32]);
 
@@ -523,16 +576,39 @@ pub struct Kernels {
 }
 
 impl Kernels {
-    /// Tier-resolved [`conv2d`] (same contract and panics).
+    /// Tier-resolved [`conv2d_window`] (same contract and panics).
     #[inline]
     #[must_use]
-    pub fn conv2d(&self, x: &[f32], w: &[f32], shape: &Conv2dShape, out: &mut [f32]) -> bool {
+    pub fn conv2d_window(
+        &self,
+        x: &[f32],
+        w: &[f32],
+        shape: &Conv2dShape,
+        window: &[Range<usize>; 3],
+        out: &mut [f32],
+    ) -> bool {
         let g = *shape;
         assert_eq!(x.len(), g.batch * g.cin * g.height * g.width);
         assert_eq!(w.len(), g.cout * g.cin * g.kh * g.kw);
         assert_eq!(out.len(), g.batch * g.cout * g.out_h * g.out_w);
         assert!(g.stride > 0, "conv2d stride must be positive");
-        (self.conv2d)(x, w, shape, out)
+        let [c, y, x_cols] = window;
+        assert!(
+            c.start <= c.end && c.end <= g.cout,
+            "conv2d window channels {c:?} exceed {}",
+            g.cout
+        );
+        assert!(
+            y.start <= y.end && y.end <= g.out_h,
+            "conv2d window rows {y:?} exceed {}",
+            g.out_h
+        );
+        assert!(
+            x_cols.start <= x_cols.end && x_cols.end <= g.out_w,
+            "conv2d window columns {x_cols:?} exceed {}",
+            g.out_w
+        );
+        (self.conv2d)(x, w, shape, window, out)
     }
 
     /// Tier-resolved [`matmul`] (same contract and panics).
@@ -560,8 +636,15 @@ macro_rules! tier_entries {
     ($name:ident, $eval:path) => {
         mod $name {
             use super::{Conv2dOp, Conv2dShape, MatMulOp, SoftmaxOp};
+            use std::ops::Range;
 
-            pub fn conv2d(x: &[f32], w: &[f32], shape: &Conv2dShape, out: &mut [f32]) -> bool {
+            pub fn conv2d(
+                x: &[f32],
+                w: &[f32],
+                shape: &Conv2dShape,
+                window: &[Range<usize>; 3],
+                out: &mut [f32],
+            ) -> bool {
                 // SAFETY: this tier was verified available before being installed.
                 unsafe {
                     $eval(&mut Conv2dOp {
@@ -569,6 +652,7 @@ macro_rules! tier_entries {
                         w,
                         out,
                         shape: *shape,
+                        window: window.clone(),
                     })
                 }
             }
@@ -785,6 +869,7 @@ mod tests {
                 w,
                 out,
                 shape: *g,
+                window: [0..g.cout, 0..g.out_h, 0..g.out_w],
             }
             .eval::<ScalarVec>()
         }
@@ -850,6 +935,74 @@ mod tests {
                 expected,
                 "conv2d diverged from the oracle on the scalar tier for {g:?}"
             );
+        }
+    }
+
+    /// A window computes exactly the whole convolution's elements inside it and leaves
+    /// every other element alone, on the active tier and the scalar tier: windows at
+    /// both edges, inside, one element wide and whole, over strides and paddings.
+    #[test]
+    fn conv2d_window_matches_the_whole_convolution_inside_and_touches_nothing_outside() {
+        let mut rng = Bits(29);
+        for g in [
+            geometry(1, 3, (9, 11), 5, 3, 1, true),
+            geometry(1, 2, (9, 9), 6, 3, 2, true),
+            geometry(1, 2, (8, 20), 3, 5, 1, false),
+            geometry(1, 1, (2, 2), 2, 7, 2, true),
+            geometry(2, 2, (6, 7), 3, 3, 2, true),
+            NON_SQUARE,
+        ] {
+            let x: Vec<f32> = (0..g.batch * g.cin * g.height * g.width)
+                .map(|_| activation(&mut rng))
+                .collect();
+            let w: Vec<f32> = (0..g.cout * g.cin * g.kh * g.kw)
+                .map(|_| finite_weight(&mut rng))
+                .collect();
+            let whole = bits(&naive_conv(&x, &w, &g));
+            let mut windows = vec![[0..g.cout, 0..g.out_h, 0..g.out_w]];
+            for _ in 0..12 {
+                let mut pick = |n: usize| (rng.next_f32().to_bits() as usize) % (n + 1);
+                let span = |a: usize, b: usize| a.min(b)..a.max(b);
+                windows.push([
+                    span(pick(g.cout), pick(g.cout)),
+                    span(pick(g.out_h), pick(g.out_h)),
+                    span(pick(g.out_w), pick(g.out_w)),
+                ]);
+            }
+            for window in windows {
+                let inside = |i: usize| {
+                    let (ox, rest) = (i % g.out_w, i / g.out_w);
+                    let (oy, oc) = (rest % g.out_h, (rest / g.out_h) % g.cout);
+                    window[0].contains(&oc) && window[1].contains(&oy) && window[2].contains(&ox)
+                };
+                let sentinel = -7777.0f32;
+                let mut active = vec![sentinel; whole.len()];
+                assert!(conv2d_window(&x, &w, &g, &window, &mut active));
+                let mut scalar = active.clone();
+                scalar.fill(sentinel);
+                // SAFETY: the scalar body uses no vector instructions.
+                let scalar_ok = unsafe {
+                    Conv2dOp {
+                        x: &x,
+                        w: &w,
+                        out: &mut scalar,
+                        shape: g,
+                        window: window.clone(),
+                    }
+                    .eval::<ScalarVec>()
+                };
+                assert!(scalar_ok);
+                for (name, got) in [("active", &active), ("scalar", &scalar)] {
+                    for (i, (&v, &expected)) in bits(got).iter().zip(&whole).enumerate() {
+                        let want = if inside(i) {
+                            expected
+                        } else {
+                            sentinel.to_bits()
+                        };
+                        assert_eq!(v, want, "{name} tier, {g:?} window {window:?} element {i}");
+                    }
+                }
+            }
         }
     }
 

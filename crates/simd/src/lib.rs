@@ -66,5 +66,5 @@ mod kernels;
 mod vec;
 
 pub use dispatch::{active_tier, detected_tier, dispatch, SimdOp, SimdTier};
-pub use kernels::{conv2d, kernels, matmul, softmax, Conv2dShape, Kernels};
+pub use kernels::{conv2d, conv2d_window, kernels, matmul, softmax, Conv2dShape, Kernels};
 pub use vec::SimdF32;

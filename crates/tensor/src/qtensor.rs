@@ -14,6 +14,7 @@
 use crate::fixed::FixedSpec;
 use crate::shape::Shape;
 use crate::tensor::{Tensor, TensorError};
+use std::ops::Range;
 
 /// A dense, row-major tensor of raw fixed-point words.
 ///
@@ -536,12 +537,58 @@ pub fn q_conv2d_into(
     out: &mut QTensor,
 ) -> Result<(), TensorError> {
     conv2d_check(x, w, g)?;
-    if (g.cin * g.kh * g.kw) as u64 <= x.spec.max_i64_mac_terms() {
-        conv2d_acc::<i64>(x, w, g, out);
-    } else {
-        conv2d_acc::<i128>(x, w, g, out);
-    }
+    out.reset_fill(x.spec, &[g.batch, g.cout, g.out_h, g.out_w], 0);
+    conv2d_window_acc(x, w, g, &[0..g.cout, 0..g.out_h, 0..g.out_w], out);
     Ok(())
+}
+
+/// [`q_conv2d_into`] over an output window only: output channels, rows and columns
+/// `window` of every batch row are computed into `out`, which must already hold words
+/// of the output's shape; every other word is left as it is. Integer sums are exact, so
+/// each computed word is the whole convolution's.
+///
+/// # Errors
+///
+/// Returns [`TensorError::ShapeDataMismatch`] if an operand's length disagrees with the
+/// geometry, or `out`'s does, or the window exceeds the output; `out` is then left
+/// unchanged.
+///
+/// # Panics
+///
+/// Panics if the operand formats differ.
+pub fn q_conv2d_window_into(
+    x: &QTensor,
+    w: &QTensor,
+    g: &ConvGeometry,
+    window: &[Range<usize>; 3],
+    out: &mut QTensor,
+) -> Result<(), TensorError> {
+    conv2d_check(x, w, g)?;
+    let expected = g.batch * g.cout * g.out_h * g.out_w;
+    let fits = window[0].end <= g.cout && window[1].end <= g.out_h && window[2].end <= g.out_w;
+    if out.len() != expected || out.spec != x.spec || !fits {
+        return Err(TensorError::ShapeDataMismatch {
+            expected,
+            actual: out.len(),
+        });
+    }
+    conv2d_window_acc(x, w, g, window, out);
+    Ok(())
+}
+
+/// Runs the conv nest over `window` on the accumulator the i64 guard selects.
+fn conv2d_window_acc(
+    x: &QTensor,
+    w: &QTensor,
+    g: &ConvGeometry,
+    window: &[Range<usize>; 3],
+    out: &mut QTensor,
+) {
+    if (g.cin * g.kh * g.kw) as u64 <= x.spec.max_i64_mac_terms() {
+        conv2d_acc::<i64>(x, w, g, window, out);
+    } else {
+        conv2d_acc::<i128>(x, w, g, window, out);
+    }
 }
 
 /// [`q_conv2d_into`] forced onto the wide `i128` accumulator, bypassing the i64
@@ -555,7 +602,8 @@ pub fn q_conv2d_into_forced_wide(
     out: &mut QTensor,
 ) -> Result<(), TensorError> {
     conv2d_check(x, w, g)?;
-    conv2d_acc::<i128>(x, w, g, out);
+    out.reset_fill(x.spec, &[g.batch, g.cout, g.out_h, g.out_w], 0);
+    conv2d_acc::<i128>(x, w, g, &[0..g.cout, 0..g.out_h, 0..g.out_w], out);
     Ok(())
 }
 
@@ -579,24 +627,32 @@ fn conv2d_check(x: &QTensor, w: &QTensor, g: &ConvGeometry) -> Result<(), Tensor
     Ok(())
 }
 
-/// The blocked conv loop nest over an explicit accumulator type (one accumulator row
-/// per output row — see [`MacAcc::acc_row`]; the i64 fast path accumulates in place in
-/// the output words and allocates nothing). The `(ox_min, ox_end)` bounds select the
-/// output columns whose receptive field contains input column `ox * stride + kx - pad_w`
-/// — columns entirely in the padding clamp to an empty range, mirroring the f32 kernel's
-/// handling of kernels wider than the input.
-fn conv2d_acc<A: MacAcc>(x: &QTensor, w: &QTensor, g: &ConvGeometry, out: &mut QTensor) {
+/// The blocked conv loop nest over an explicit accumulator type, for output channels,
+/// rows and columns `window` of every batch row of `out` (already shaped for `g`). One
+/// accumulator row per window row — see [`MacAcc::acc_row`]; the i64 fast path
+/// accumulates in place in the output words and allocates nothing. The
+/// `(ox_min, ox_end)` bounds select the window columns whose receptive field contains
+/// input column `ox * stride + kx - pad_w` — columns entirely in the padding clamp to an
+/// empty range, mirroring the f32 kernel's handling of kernels wider than the input.
+fn conv2d_acc<A: MacAcc>(
+    x: &QTensor,
+    w: &QTensor,
+    g: &ConvGeometry,
+    window: &[Range<usize>; 3],
+    out: &mut QTensor,
+) {
     let spec = x.spec;
     let xdat = x.words();
     let wdat = w.words();
-    out.reset_fill(spec, &[g.batch, g.cout, g.out_h, g.out_w], 0);
+    let [channels, rows, cols] = window;
     let odat = out.words_mut();
     let mut scratch: Vec<A> = Vec::new();
     for b in 0..g.batch {
-        for oc in 0..g.cout {
-            for oy in 0..g.out_h {
+        for oc in channels.clone() {
+            for oy in rows.clone() {
                 let row_start = ((b * g.cout + oc) * g.out_h + oy) * g.out_w;
-                let acc = A::acc_row(&mut odat[row_start..row_start + g.out_w], &mut scratch);
+                let row = row_start + cols.start..row_start + cols.end;
+                let acc = A::acc_row(&mut odat[row.clone()], &mut scratch);
                 for ic in 0..g.cin {
                     for ky in 0..g.kh {
                         let iy = (oy * g.stride + ky) as isize - g.pad_h as isize;
@@ -619,15 +675,17 @@ fn conv2d_acc<A: MacAcc>(x: &QTensor, w: &QTensor, g: &ConvGeometry, out: &mut Q
                                 g.out_w
                                     .min((g.width as isize - 1 - kx_off) as usize / g.stride + 1)
                             };
-                            for (s, ox) in acc[ox_min..ox_end.max(ox_min)].iter_mut().zip(ox_min..)
-                            {
+                            let ox_min = ox_min.clamp(cols.start, cols.end);
+                            let ox_end = ox_end.clamp(ox_min, cols.end);
+                            let span = ox_min - cols.start..ox_end - cols.start;
+                            for (s, ox) in acc[span].iter_mut().zip(ox_min..) {
                                 let ix = (ox * g.stride) as isize + kx_off;
                                 *s = s.mac(x_row[ix as usize], wv);
                             }
                         }
                     }
                 }
-                A::write_back(spec, &scratch, &mut odat[row_start..row_start + g.out_w]);
+                A::write_back(spec, &scratch, &mut odat[row]);
             }
         }
     }
@@ -895,6 +953,52 @@ mod tests {
                     "{spec} wide {g:?}"
                 );
             }
+        }
+    }
+
+    /// A window computes the whole convolution's words inside it, on both accumulator
+    /// paths, and leaves every other word alone; a window past the output is refused.
+    #[test]
+    fn windowed_conv_matches_the_whole_conv_inside_and_touches_nothing_outside() {
+        let g = ConvGeometry {
+            batch: 1,
+            cin: 2,
+            height: 7,
+            width: 6,
+            cout: 3,
+            kh: 3,
+            kw: 3,
+            stride: 2,
+            pad_h: 1,
+            pad_w: 1,
+            out_h: 4,
+            out_w: 3,
+        };
+        for (spec, salt) in [(FixedSpec::q16(), 5u64), (FixedSpec::q32(), 9)] {
+            let x = scrambled_words(spec, 2 * 7 * 6, salt);
+            let w = scrambled_words(spec, 3 * 2 * 3 * 3, salt + 1);
+            let whole = conv_naive(&x, &w, &g);
+            for window in [
+                [0..3, 0..4, 0..3],
+                [1..2, 0..1, 2..3],
+                [0..3, 3..4, 0..1],
+                [2..3, 1..3, 1..3],
+                [1..1, 0..4, 0..3],
+            ] {
+                let mut out = QTensor::new(spec);
+                out.reset_fill(spec, &[1, 3, 4, 3], 77);
+                q_conv2d_window_into(&x, &w, &g, &window, &mut out).unwrap();
+                for (i, (&got, &want)) in out.words().iter().zip(&whole).enumerate() {
+                    let (ox, oy, oc) = (i % 3, (i / 3) % 4, i / 12);
+                    let inside = window[0].contains(&oc)
+                        && window[1].contains(&oy)
+                        && window[2].contains(&ox);
+                    assert_eq!(got, if inside { want } else { 77 }, "{spec} {window:?} {i}");
+                }
+            }
+            let mut out = QTensor::new(spec);
+            out.reset_fill(spec, &[1, 3, 4, 3], 0);
+            assert!(q_conv2d_window_into(&x, &w, &g, &[0..4, 0..4, 0..3], &mut out).is_err());
         }
     }
 
