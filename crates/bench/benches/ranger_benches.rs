@@ -6,16 +6,12 @@
 //! * `inference/*` — forward-pass latency of the original vs. the protected model (the
 //!   wall-clock complement of Table IV's FLOPs overhead).
 //! * `exec_plan/*` — repeated forward passes through one compiled `ExecPlan` with
-//!   reused buffers (LeNet and a deep narrow MLP), and the SIMD plan against the scalar
-//!   plan on the MLP.
+//!   reused buffers (LeNet and a deep narrow MLP).
 //! * `profiling/bounds` — cost of deriving restriction bounds from profiling samples.
 //! * `injection/trial` — throughput of a single fault-injection trial.
-//! * `campaign_simd/*` — the identical campaign on the scalar f32 reference vs. the
-//!   runtime-dispatched SIMD backend (LeNet, ResNet-18, a deep MLP): bit-for-bit equal
-//!   SDC counts (asserted), lower ns/trial on convolution-dominated models.
 //!
 //! Run with `cargo bench -p ranger-bench`. Set `RANGER_BENCH_FILTER` to a
-//! comma-separated list of group names (e.g. `campaign_fixed,campaign_simd`) to run
+//! comma-separated list of group names (e.g. `campaign_fixed,exec_plan`) to run
 //! only those groups. Pass `--json <path>` (after `--`, with an explicit
 //! `--bench ranger_benches` so the flag does not reach the libtest harness) or set
 //! `RANGER_BENCH_JSON` to additionally write every measurement as a per-group JSON
@@ -236,7 +232,7 @@ fn bench_exec_plan() {
 
     let plan = deep.compile().unwrap();
     let mut values = plan.buffers();
-    let plan_ns = bench("exec_plan/deep_mlp/compiled_plan", 10, 500, || {
+    bench("exec_plan/deep_mlp/compiled_plan", 10, 500, || {
         plan.run_into(
             &mut values,
             &[("x", deep_input.clone())],
@@ -245,31 +241,6 @@ fn bench_exec_plan() {
         .unwrap();
         values.get(deep_out).unwrap();
     });
-
-    // The dispatch-tier-cache pin (PR 9): the SIMD backend on the deep narrow MLP is
-    // the adversarial dispatch-bound shape — width-8 rows leave almost nothing to
-    // vectorize, so every nanosecond separating this from the scalar plan is kernel
-    // *entry* overhead. With the tier ladder resolved once into the process-wide
-    // kernel table (one indirect call per kernel instead of a per-call tier match),
-    // the ratio printed here should sit near 1.0x; the ~10% gap the ROADMAP recorded
-    // for per-call dispatch is the regression this guards against.
-    let simd_plan = deep.compile_with(&ranger_graph::SimdBackend).unwrap();
-    let mut simd_values = simd_plan.buffers();
-    let simd_ns = bench("exec_plan/deep_mlp/simd_plan", 10, 500, || {
-        simd_plan
-            .run_into(
-                &mut simd_values,
-                &[("x", deep_input.clone())],
-                &mut NoopInterceptor,
-            )
-            .unwrap();
-        simd_values.get(deep_out).unwrap();
-    });
-    println!(
-        "exec_plan/deep_mlp: simd plan runs at {:.2}x the scalar plan \
-         (dispatch-cache pin: near 1.0x, nothing to vectorize at width 8)",
-        plan_ns / simd_ns
-    );
 
     let model = archs::build(&ModelConfig::lenet(), 0);
     let input = model_input(&model);
@@ -524,126 +495,10 @@ fn bench_campaign_fixed() {
     campaign("deep_mlp", &deep, "x", probs, &Tensor::ones(vec![1, 8]));
 }
 
-/// The acceptance benchmark for the SIMD backend: the identical campaign (same seed,
-/// same trials, same fault model) run on the scalar f32 reference and on the
-/// runtime-dispatched SIMD backend. The SDC counts must match bit for bit — the SIMD
-/// kernels preserve the reference's accumulation order — and the SIMD run should be
-/// measurably faster per trial on the convolution-dominated LeNet and ResNet-18. The
-/// deep narrow MLP is measured too as the adversarial shape: rows of width 8 leave
-/// little lane-level parallelism, so it bounds the dispatch overhead rather than
-/// showing a win.
-fn bench_campaign_simd() {
-    use rand::{rngs::StdRng, SeedableRng};
-    use ranger_graph::GraphBuilder;
-
-    let trials = 64usize;
-    let judge = ClassifierJudge::top1();
-
-    let campaign = |label: &str,
-                    graph: &ranger_graph::Graph,
-                    input_name: &str,
-                    output: ranger_graph::NodeId,
-                    input: &Tensor| {
-        let target = InjectionTarget {
-            graph,
-            input_name,
-            output,
-            excluded: &[],
-        };
-        let mut reference = None;
-        let mut scalar_ns = 0.0;
-        for backend in [BackendKind::F32, BackendKind::Simd] {
-            for batch in [1usize, 16] {
-                let config = CampaignConfig {
-                    trials,
-                    batch,
-                    workers: 1,
-                    backend,
-                    fault: FaultModel::single_bit_fixed32(),
-                    seed: 5,
-                    tile: 0,
-                };
-                let mut counts = Vec::new();
-                let total_ns = bench(
-                    &format!("campaign_simd/{label}/{backend}/batch_{batch}"),
-                    1,
-                    10,
-                    || {
-                        let result = ranger_inject::run_campaign(
-                            &target,
-                            std::slice::from_ref(input),
-                            &judge,
-                            &config,
-                        )
-                        .unwrap();
-                        counts = result.sdc_counts.clone();
-                    },
-                );
-                match &reference {
-                    None => {
-                        reference = Some(counts.clone());
-                        scalar_ns = total_ns;
-                    }
-                    Some(expected) => assert_eq!(
-                        &counts, expected,
-                        "the SIMD backend must reproduce the f32 SDC counts bit for bit"
-                    ),
-                }
-                note_ns_per_trial(
-                    &format!("campaign_simd/{label}/{backend}/batch_{batch}"),
-                    total_ns / trials as f64,
-                );
-                println!(
-                    "campaign_simd/{label}/{backend}/batch_{batch}: {:>8.0} ns/trial \
-                     ({:.2}x f32 batch_1)",
-                    total_ns / trials as f64,
-                    scalar_ns / total_ns
-                );
-            }
-        }
-    };
-
-    let model = archs::build(&ModelConfig::lenet(), 0);
-    let input = model_input(&model);
-    campaign(
-        "lenet",
-        &model.graph,
-        &model.input_name,
-        model.output,
-        &input,
-    );
-
-    // ResNet-18: the conv-bound shape (Conv2D is ~98% of a reference pass), and the
-    // row that measures the SIMD conv's tile sizes on the 20 real geometries.
-    let model = archs::build(&ModelConfig::new(ModelKind::ResNet18), 0);
-    let input = model_input(&model);
-    campaign(
-        "resnet18",
-        &model.graph,
-        &model.input_name,
-        model.output,
-        &input,
-    );
-
-    // Deep, narrow MLP — the dispatch-bound shape with width-8 rows: bounds the SIMD
-    // backend's overhead where there is almost nothing to vectorize.
-    let mut rng = StdRng::seed_from_u64(0);
-    let mut b = GraphBuilder::new();
-    let x = b.input("x");
-    let mut h = b.dense(x, 8, 8, &mut rng);
-    for _ in 0..63 {
-        h = b.relu(h);
-        h = b.dense(h, 8, 8, &mut rng);
-    }
-    let probs = b.softmax(h);
-    let deep = b.into_graph();
-    campaign("deep_mlp", &deep, "x", probs, &Tensor::ones(vec![1, 8]));
-}
-
 fn main() {
     let json_path = json_output_path();
     let filter = std::env::var("RANGER_BENCH_FILTER").unwrap_or_default();
-    let groups: [(&str, fn()); 8] = [
+    let groups: [(&str, fn()); 7] = [
         ("insertion", bench_insertion),
         ("inference", bench_inference),
         ("exec_plan", bench_exec_plan),
@@ -651,7 +506,6 @@ fn main() {
         ("injection", bench_injection),
         ("campaign_parallel", bench_campaign_parallel),
         ("campaign_fixed", bench_campaign_fixed),
-        ("campaign_simd", bench_campaign_simd),
     ];
     let mut ran = 0usize;
     for (name, run) in groups {

@@ -15,8 +15,8 @@ pub struct ExpOptions {
     /// Worker threads executing campaign trials (1 = the serial path; any value
     /// reproduces identical SDC counts). Defaults to `RANGER_WORKERS` when set.
     pub workers: usize,
-    /// Execution backend campaigns run on (f32 reference, genuine fixed16/fixed32
-    /// inference, or the runtime-dispatched SIMD f32 path). Defaults to
+    /// Execution backend campaigns run on (f32 on the runtime-dispatched kernels, its
+    /// `simd` alias, or genuine fixed16/fixed32 inference). Defaults to
     /// `RANGER_BACKEND` when set. Build campaign configurations
     /// through [`ExpOptions::campaign`] so a fixed backend realigns the experiment's
     /// fault datatype to its word format; fixed-point-specific binaries (fig9) manage

@@ -529,10 +529,10 @@ mod tests {
         .unwrap();
         assert_eq!(rates(&fixed), rates(&fixed_again));
 
-        // The SIMD backend computes the same f32 semantics bit for bit, so its SDC
-        // rates are identical to the scalar f32 backend's for the same seed. The f32
-        // run is pinned explicitly: the default backend follows RANGER_BACKEND.
-        let scalar_f32 = inject(&opts(&[
+        // `simd` is an alias of the f32 backend, so its SDC rates are identical to
+        // f32's for the same seed and only the reported name differs. The f32 run is
+        // pinned explicitly: the default backend follows RANGER_BACKEND.
+        let plain_f32 = inject(&opts(&[
             "--in",
             protected_path.to_str().unwrap(),
             "--trials",
@@ -555,7 +555,7 @@ mod tests {
         ]))
         .unwrap();
         assert!(simd.contains("backend simd"));
-        assert_eq!(rates(&scalar_f32), rates(&simd));
+        assert_eq!(rates(&plain_f32), rates(&simd));
 
         // An unknown backend is a usage error; a contradictory backend/fault pairing is
         // rejected by the campaign with a descriptive message.

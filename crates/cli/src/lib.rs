@@ -133,8 +133,9 @@ COMMANDS:
              bits directly in the stored integer words (faults default to the
              backend's own word format); the default f32 backend emulates fixed-point
              corruption on float compute (--fixed16 selects the 16-bit fault model).
-             --backend simd runs the f32 semantics on the widest SIMD tier the host
-             offers (AVX-512/AVX2/NEON), bit-for-bit equal counts, less wall-clock.
+             f32 runs on the widest SIMD tier the host offers (AVX-512/AVX2/NEON);
+             --backend simd is an alias of f32 (same kernels, same counts) that the
+             report names simd.
              --metrics-json writes the run's metrics snapshot (per-op plan timings,
              pool worker tallies, campaign latency histograms) as one line of JSON;
              --profile prints a per-op wall-time table. Neither changes any count.

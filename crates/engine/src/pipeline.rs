@@ -942,9 +942,9 @@ mod tests {
         );
     }
 
-    /// The SIMD backend computes the same f32 semantics on the vector path, so the whole
+    /// `simd` is an alias of the f32 backend (the same dispatched kernels), so the whole
     /// campaign section of the report — SDC counts included — is bit-for-bit the f32
-    /// pipeline's, and the report names the backend that ran.
+    /// pipeline's, and the report names the spelling that ran.
     #[test]
     fn simd_pipeline_report_is_bit_for_bit_the_f32_report() {
         use ranger_inject::BackendKind;

@@ -3,12 +3,13 @@
 //!
 //! An [`ExecPlan`](crate::plan::ExecPlan) owns *what* to run (the topological order, the
 //! buffer arena contract, the interception points); an [`ExecBackend`] owns *how* each
-//! node computes. [`Graph::compile`](crate::graph::Graph::compile) plans onto the
-//! [`ReferenceBackend`] — plain `f32` dispatch through
-//! [`eval_node_into`], the workspace's single semantic
-//! reference — and [`Graph::compile_with`](crate::graph::Graph::compile_with) plans onto
-//! any other backend. Every alternative backend is pinned against the reference by parity
-//! tests (`tests/backend_parity.rs`), the discipline `tests/pipeline_parity.rs`
+//! node computes. [`Graph::compile`](crate::graph::Graph::compile) plans onto the `f32`
+//! backend ([`BackendKind::F32`]): the runtime-dispatched kernels of [`SimdBackend`],
+//! and [`Graph::compile_with`](crate::graph::Graph::compile_with) plans onto any other
+//! backend. [`ReferenceBackend`] — plain `f32` dispatch through [`eval_node_into`], the
+//! workspace's single semantic reference — runs no production pass: it is the oracle
+//! every backend is pinned against by parity tests (`tests/backend_parity.rs`,
+//! `tests/backend_differential.rs`), the discipline `tests/pipeline_parity.rs`
 //! established for the plan itself.
 //!
 //! The first real alternative is [`FixedBackend`]: genuine Q16/Q32 fixed-point inference.
@@ -115,12 +116,15 @@ fn eval_window_f32(
 /// The `f32` reference backend: kernel dispatch through
 /// [`eval_node_into`], bit-for-bit the semantics every other
 /// backend is measured against.
+///
+/// No [`BackendKind`] selects it: production `f32` passes run [`SimdBackend`], and
+/// tests reach the oracle with `graph.compile_with(&ReferenceBackend)`.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ReferenceBackend;
 
 impl ExecBackend for ReferenceBackend {
     fn name(&self) -> &'static str {
-        "f32"
+        "reference"
     }
 
     fn eval_node(
@@ -170,8 +174,11 @@ fn simd_conv_shape(g: &Conv2dGeometry, stride: usize) -> ranger_simd::Conv2dShap
     }
 }
 
-/// The runtime-dispatched SIMD `f32` backend: the reference semantics, computed with
-/// the widest vector unit the host offers.
+/// The runtime-dispatched `f32` backend: the reference semantics, computed with the
+/// widest vector unit the host offers. [`BackendKind::F32`] and [`BackendKind::Simd`]
+/// select the two instances of this type, which differ only in [`ExecBackend::name`]
+/// (`"f32"` and `"simd"`), and [`Graph::compile`](crate::graph::Graph::compile) plans
+/// onto the first.
 ///
 /// The three hot kernels — 2-D convolution, matmul and the three-pass stable softmax —
 /// evaluate through `ranger-simd`'s portable kernel bodies, dispatched once per process
@@ -188,8 +195,10 @@ fn simd_conv_shape(g: &Conv2dGeometry, stride: usize) -> ranger_simd::Conv2dShap
 /// see docs/NUMERICS.md ("SIMD backend") and `tests/backend_differential.rs`. A conv
 /// whose filter holds an infinity or NaN runs on [`eval_node_into`]: the SIMD conv's
 /// padding taps would add `0 · inf = NaN` where the reference adds nothing.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SimdBackend;
+#[derive(Debug, Clone, Copy)]
+pub struct SimdBackend {
+    name: &'static str,
+}
 
 impl SimdBackend {
     /// Computes `node` into `out`, routing the ported kernels through `ranger-simd`.
@@ -277,7 +286,7 @@ impl SimdBackend {
 
 impl ExecBackend for SimdBackend {
     fn name(&self) -> &'static str {
-        "simd"
+        self.name
     }
 
     fn eval_node(
@@ -846,8 +855,8 @@ impl ExecBackend for FixedBackend {
     }
 }
 
-static REFERENCE: ReferenceBackend = ReferenceBackend;
-static SIMD: SimdBackend = SimdBackend;
+pub(crate) static F32: SimdBackend = SimdBackend { name: "f32" };
+static SIMD: SimdBackend = SimdBackend { name: "simd" };
 static FIXED16: FixedBackend = FixedBackend {
     spec: FixedSpec::q16(),
 };
@@ -859,15 +868,17 @@ static FIXED32: FixedBackend = FixedBackend {
 /// (CLI `--backend`, `CampaignConfig::backend`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
 pub enum BackendKind {
-    /// The `f32` reference path ([`ReferenceBackend`]).
+    /// `f32` inference on the runtime-dispatched kernels ([`SimdBackend`]), bit for bit
+    /// the reference semantics ([`ReferenceBackend`]).
     #[default]
     F32,
     /// Genuine Q14.2 (16-bit) fixed-point inference — the paper's RQ4 datatype.
     Fixed16,
     /// Genuine Q24.8 (32-bit) fixed-point inference — the paper's RQ1–RQ3 datatype.
     Fixed32,
-    /// Runtime-dispatched SIMD `f32` inference ([`SimdBackend`]) — reference semantics,
-    /// bit-for-bit, on the widest vector unit the host offers.
+    /// An alias of [`BackendKind::F32`] that reports itself as `"simd"`: the same
+    /// kernels and counts. It stays selectable because campaign fingerprints hash the
+    /// serialized variant, so checkpoints written under `simd` keep resuming.
     Simd,
 }
 
@@ -875,7 +886,7 @@ impl BackendKind {
     /// The shared backend instance this kind selects.
     pub fn backend(&self) -> &'static dyn ExecBackend {
         match self {
-            BackendKind::F32 => &REFERENCE,
+            BackendKind::F32 => &F32,
             BackendKind::Fixed16 => &FIXED16,
             BackendKind::Fixed32 => &FIXED32,
             BackendKind::Simd => &SIMD,
@@ -936,7 +947,7 @@ impl std::str::FromStr for BackendKind {
 ///
 /// Reading the environment here — once, at configuration-default time, never inside the
 /// executors — lets a CI job sweep an entire test suite through an alternative path
-/// (`RANGER_BACKEND=fixed16 cargo test`, `RANGER_BACKEND=simd cargo test`) without every
+/// (`RANGER_BACKEND=fixed16 cargo test`, `RANGER_BACKEND=fixed32 cargo test`) without every
 /// call site growing a knob, mirroring how `RANGER_WORKERS` sweeps the thread pool.
 ///
 /// # Errors
@@ -1044,7 +1055,7 @@ mod tests {
 
     /// The SimdBackend contract in one place: ported kernels (conv2d, matmul, softmax)
     /// and delegated ops alike reproduce the reference bit-for-bit on a full forward
-    /// pass.
+    /// pass, under both of its names.
     #[test]
     fn simd_backend_matches_reference_bit_for_bit() {
         let mut rng = StdRng::seed_from_u64(41);
@@ -1065,23 +1076,29 @@ mod tests {
             .collect();
         let feeds = [("x", Tensor::from_vec(vec![2, 2, 6, 6], feed).unwrap())];
         let reference = graph
-            .compile()
+            .compile_with(&ReferenceBackend)
             .unwrap()
             .run(&feeds, &mut NoopInterceptor)
             .unwrap();
-        let simd = graph
-            .compile_with(BackendKind::Simd.backend())
-            .unwrap()
-            .run(&feeds, &mut NoopInterceptor)
-            .unwrap();
-        for node in graph.nodes() {
-            let (r, s) = (reference.get(node.id).unwrap(), simd.get(node.id).unwrap());
-            assert_eq!(r.dims(), s.dims());
-            let (rb, sb): (Vec<u32>, Vec<u32>) = (
-                r.data().iter().map(|v| v.to_bits()).collect(),
-                s.data().iter().map(|v| v.to_bits()).collect(),
-            );
-            assert_eq!(rb, sb, "node {} ({:?}) diverged", node.name, node.op);
+        for kind in [BackendKind::F32, BackendKind::Simd] {
+            let simd = graph
+                .compile_with(kind.backend())
+                .unwrap()
+                .run(&feeds, &mut NoopInterceptor)
+                .unwrap();
+            for node in graph.nodes() {
+                let (r, s) = (reference.get(node.id).unwrap(), simd.get(node.id).unwrap());
+                assert_eq!(r.dims(), s.dims());
+                let (rb, sb): (Vec<u32>, Vec<u32>) = (
+                    r.data().iter().map(|v| v.to_bits()).collect(),
+                    s.data().iter().map(|v| v.to_bits()).collect(),
+                );
+                assert_eq!(
+                    rb, sb,
+                    "{kind}: node {} ({:?}) diverged",
+                    node.name, node.op
+                );
+            }
         }
     }
 
@@ -1089,17 +1106,17 @@ mod tests {
     fn simd_backend_reports_reference_errors_for_invalid_operands() {
         // Mismatched matmul operands: the SIMD backend must surface the reference
         // error, word for word.
-        let build = |kind: BackendKind| {
+        let build = |backend: &dyn ExecBackend| {
             let mut g = crate::graph::Graph::new();
             let x = g.add_input("x");
             let y = g.add_node("prod", Op::MatMul, vec![x, x]);
-            let plan = g.compile_with(kind.backend()).unwrap();
+            let plan = g.compile_with(backend).unwrap();
             plan.run_simple(&[("x", Tensor::ones(vec![2, 3]))], y)
                 .unwrap_err()
         };
         assert_eq!(
-            format!("{}", build(BackendKind::Simd)),
-            format!("{}", build(BackendKind::F32))
+            format!("{}", build(BackendKind::F32.backend())),
+            format!("{}", build(&ReferenceBackend))
         );
     }
 
@@ -1120,11 +1137,16 @@ mod tests {
             vec![x, w],
         );
         let feeds = [("x", Tensor::zeros(vec![1, 1, 0, 4]))];
-        for kind in [BackendKind::F32, BackendKind::Simd, BackendKind::Fixed16] {
-            let plan = g.compile_with(kind.backend()).unwrap();
+        let backends: [&dyn ExecBackend; 3] = [
+            &ReferenceBackend,
+            BackendKind::F32.backend(),
+            BackendKind::Fixed16.backend(),
+        ];
+        for backend in backends {
+            let plan = g.compile_with(backend).unwrap();
             let out = plan.run_simple(&feeds, conv).unwrap();
-            assert_eq!(out.dims(), &[1, 3, 0, 4], "{kind:?}");
-            assert!(out.data().is_empty(), "{kind:?}");
+            assert_eq!(out.dims(), &[1, 3, 0, 4], "{}", backend.name());
+            assert!(out.data().is_empty(), "{}", backend.name());
         }
     }
 
@@ -1146,6 +1168,57 @@ mod tests {
         assert_eq!(out.data(), &[0.5, 2.0]);
     }
 
+    /// The elementwise word kernels on operands that are exact on the Q14.2 grid:
+    /// saturating add and mul, scalar mul, ReLU and clamp equal the f32 ops, the `tanh`
+    /// bridge requantizes onto the grid, and operands of different shapes are refused.
+    #[test]
+    fn fixed_backend_elementwise_words_match_float_on_exact_values() {
+        let a = Tensor::from_vec(vec![1, 3], vec![1.5, -2.0, 3.25]).unwrap();
+        let b = Tensor::from_vec(vec![1, 3], vec![0.5, 4.0, -1.0]).unwrap();
+        let mut g = crate::graph::Graph::new();
+        let (xa, xb) = (g.add_input("a"), g.add_input("b"));
+        let cases = [
+            (g.add_node("add", Op::Add, vec![xa, xb]), a.add(&b).unwrap()),
+            (g.add_node("mul", Op::Mul, vec![xa, xb]), a.mul(&b).unwrap()),
+            (
+                g.add_node("scale", Op::ScalarMul { factor: 2.0 }, vec![xa]),
+                a.scale(2.0),
+            ),
+            (
+                g.add_node("relu", Op::Relu, vec![xa]),
+                a.map(|v| v.max(0.0)),
+            ),
+            (
+                g.add_node("clamp", Op::Clamp { lo: 0.0, hi: 2.0 }, vec![xa]),
+                a.clamp(0.0, 2.0),
+            ),
+        ];
+        let plan = g.compile_with(BackendKind::Fixed16.backend()).unwrap();
+        let values = plan
+            .run(&[("a", a.clone()), ("b", b)], &mut NoopInterceptor)
+            .unwrap();
+        for (node, expected) in &cases {
+            assert_eq!(values.get(*node).unwrap(), expected, "node {node:?}");
+        }
+        // tanh(0) = 0 exactly; tanh(100) ~ 1.0 requantizes onto the grid.
+        let mut g = crate::graph::Graph::new();
+        let x = g.add_input("x");
+        let y = g.add_node("tanh", Op::Tanh, vec![x]);
+        let plan = g.compile_with(BackendKind::Fixed16.backend()).unwrap();
+        let feed = Tensor::from_vec(vec![1, 2], vec![0.0, 100.0]).unwrap();
+        let out = plan.run_simple(&[("x", feed)], y).unwrap();
+        assert_eq!(out.data(), &[0.0, 1.0]);
+        // Mismatched shapes are refused.
+        for op in [Op::Add, Op::Mul] {
+            let mut g = crate::graph::Graph::new();
+            let (xa, xb) = (g.add_input("a"), g.add_input("b"));
+            let y = g.add_node("zip", op, vec![xa, xb]);
+            let plan = g.compile_with(BackendKind::Fixed16.backend()).unwrap();
+            let feeds = [("a", a.clone()), ("b", Tensor::zeros(vec![1, 2]))];
+            assert!(plan.run_simple(&feeds, y).is_err());
+        }
+    }
+
     #[test]
     fn fixed_backend_stores_words_alongside_the_mirror() {
         let (graph, y) = toy();
@@ -1157,7 +1230,7 @@ mod tests {
         let words = values.get_q(y).unwrap();
         assert_eq!(words.spec(), FixedSpec::q32());
         assert_eq!(&words.dequantize(), mirror);
-        // The reference backend stores no words.
+        // An f32 backend stores no words.
         let ref_values = graph
             .compile()
             .unwrap()

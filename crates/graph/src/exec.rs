@@ -28,7 +28,7 @@ use std::sync::OnceLock;
 /// computed output. Constants and graph inputs are not intercepted, mirroring the paper's
 /// fault model in which memory is ECC-protected and faults arise in datapath computations.
 ///
-/// On the f32 reference backend the hook is [`Interceptor::after_op`]; on a fixed-point
+/// On an f32 backend the hook is [`Interceptor::after_op`]; on a fixed-point
 /// backend it is [`Interceptor::after_op_words`], which receives the operator's stored
 /// integer words. The default `after_op_words` bridges to `after_op` through a
 /// dequantize → mutate → requantize round trip (re-encoding only the elements the
@@ -102,7 +102,7 @@ pub struct Values {
     /// output buffers during the current pass.
     recycled: Vec<Option<Tensor>>,
     /// Raw fixed-point words, keyed by node id — the working set of a fixed-point
-    /// backend, recycled exactly like the f32 tensors. Empty under the reference backend.
+    /// backend, recycled exactly like the f32 tensors. Empty under an f32 backend.
     qvalues: Vec<Option<QTensor>>,
     qrecycled: Vec<Option<QTensor>>,
     /// Per-node lazy f32 mirrors of the stored words (see [`LazyMirror`]); armed by
@@ -622,9 +622,10 @@ pub(crate) fn input<'v>(
 /// result into the recycled buffer `out`.
 ///
 /// This is the workspace's **single semantic reference**: the f32
-/// [`ReferenceBackend`](crate::backend::ReferenceBackend) (and through it every
-/// `ExecPlan`) dispatches here, and every alternative backend is pinned against it
-/// by parity tests, so execution paths cannot diverge semantically. `out` is an output
+/// [`ReferenceBackend`](crate::backend::ReferenceBackend) dispatches here, the
+/// [`SimdBackend`](crate::backend::SimdBackend) delegates every operator it does not
+/// vectorize here, and every backend is pinned against it by parity tests, so
+/// execution paths cannot diverge semantically. `out` is an output
 /// buffer whose allocation is reused (see [`Values::take_recycled`]); on error its
 /// contents are unspecified but no value is stored for the node.
 ///

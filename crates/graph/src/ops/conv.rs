@@ -123,13 +123,6 @@ pub fn conv2d_forward(
     Ok(out)
 }
 
-/// Output channels per register tile of [`conv2d_forward_into`]; remainders take tiles
-/// of half as many, then one.
-const TILE_OC: usize = 4;
-/// Consecutive output columns per register tile of [`conv2d_forward_into`]; remainders
-/// take one tile of half as many, then tiles of one.
-const TILE_OX: usize = 8;
-
 /// [`conv2d_forward`], writing into a recycled output buffer.
 ///
 /// # Errors
@@ -147,12 +140,12 @@ pub fn conv2d_forward_into(
     let g = conv2d_geometry(node, x.dims(), w.dims(), stride, padding)?;
     out.reset_fill(&[g.batch, g.cout, g.out_h, g.out_w], 0.0);
     conv_nest(
-        g,
+        &g,
         stride,
         x.data(),
         w.data(),
         &[0..g.cout, 0..g.out_h, 0..g.out_w],
-        out,
+        out.data_mut(),
     );
     Ok(())
 }
@@ -190,182 +183,49 @@ pub fn conv2d_window_into(
             format!("conv2d window {window:?} does not fit an output of shape {dims:?}"),
         ));
     }
-    conv_nest(g, stride, x.data(), w.data(), window, out);
+    conv_nest(&g, stride, x.data(), w.data(), window, out.data_mut());
     Ok(())
 }
 
-/// Runs [`ConvNest`] over `window` of `out` (already shaped for `g`). Two copies of the
-/// nest: with the unit stride (every LeNet conv, most ResNet ones) a constant, a tile
-/// loads its columns as one contiguous run per tap.
+/// The reference conv nest over output `window` of every batch row of `out` (already
+/// shaped for `g`): each output element starts at `+0.0` and adds its in-bounds
+/// products `x · w` in `(ic, ky, kx)` order, a separate multiply and add each. Kernel
+/// taps in the padding are skipped, never added as zeros.
 fn conv_nest(
-    g: Conv2dGeometry,
+    g: &Conv2dGeometry,
     stride: usize,
     x: &[f32],
     w: &[f32],
     window: &[Range<usize>; 3],
-    out: &mut Tensor,
+    out: &mut [f32],
 ) {
-    if stride == 1 {
-        ConvNest::new(g, 1, x, w).run(out.data_mut(), window);
-    } else {
-        ConvNest::new(g, stride, x, w).run(out.data_mut(), window);
-    }
-}
-
-/// The register-tiled loop nest of [`conv2d_forward_into`].
-///
-/// A tile of `B` output channels × `C` consecutive output columns keeps its
-/// accumulators in locals across the whole `(ic, ky, kx)` reduction and stores each
-/// output element once. Kernel rows in the padding are skipped through a `ky` range
-/// clamped per output row. Interior columns, where every `kx` tap is in bounds, run in
-/// tiles of up to [`TILE_OX`] over all taps; the border columns run one at a time over
-/// their clamped `kx` range. A window restricts the output channels, rows and columns
-/// the nest visits; the interior split is intersected with it.
-///
-/// Bit for bit the per-element nest (asserted against it in the tests below): each
-/// output element starts at `+0.0` and adds its in-bounds products `x · w` in
-/// `(ic, ky, kx)` order, a separate multiply and add each. Only independent output
-/// elements are interleaved. The nest keeps no scratch: accumulators are locals.
-struct ConvNest<'a> {
-    g: Conv2dGeometry,
-    stride: usize,
-    x: &'a [f32],
-    w: &'a [f32],
-    /// Interior output columns: `ox * stride >= pad_w` and
-    /// `ox * stride + kw <= width + pad_w`.
-    interior: Range<usize>,
-}
-
-impl<'a> ConvNest<'a> {
-    #[inline(always)]
-    fn new(g: Conv2dGeometry, stride: usize, x: &'a [f32], w: &'a [f32]) -> Self {
-        let lo = g.pad_w.div_ceil(stride).min(g.out_w);
-        let hi = (g.width + g.pad_w)
-            .checked_sub(g.kw)
-            .map_or(0, |span| span / stride + 1)
-            .clamp(lo, g.out_w);
-        ConvNest {
-            g,
-            stride,
-            x,
-            w,
-            interior: lo..hi,
-        }
-    }
-
-    /// The kernel rows of output row `oy` that fall inside the input.
-    #[inline(always)]
-    fn kernel_rows(&self, oy: usize) -> Range<usize> {
-        let g = &self.g;
-        let top = oy * self.stride;
-        let lo = g.pad_h.saturating_sub(top).min(g.kh);
-        lo..(g.height + g.pad_h).saturating_sub(top).clamp(lo, g.kh)
-    }
-
-    /// The kernel columns of output column `ox` that fall inside the input.
-    #[inline(always)]
-    fn kernel_cols(&self, ox: usize) -> Range<usize> {
-        let g = &self.g;
-        let left = ox * self.stride;
-        let lo = g.pad_w.saturating_sub(left).min(g.kw);
-        lo..(g.width + g.pad_w).saturating_sub(left).clamp(lo, g.kw)
-    }
-
-    #[inline(always)]
-    fn run(&self, out: &mut [f32], window: &[Range<usize>; 3]) {
-        let g = &self.g;
-        let plane = g.out_h * g.out_w;
-        let filter = g.cin * g.kh * g.kw;
-        let [channels, rows, cols] = window;
-        for b in 0..g.batch {
-            let mut oc = channels.start;
-            while oc < channels.end {
-                let w = &self.w[oc * filter..];
-                let block = &mut out[(b * g.cout + oc) * plane..];
-                let rest = channels.end - oc;
-                oc += if rest >= TILE_OC {
-                    self.block::<TILE_OC>(b, w, block, rows, cols)
-                } else if rest >= TILE_OC / 2 {
-                    self.block::<{ TILE_OC / 2 }>(b, w, block, rows, cols)
-                } else {
-                    self.block::<1>(b, w, block, rows, cols)
-                };
-            }
-        }
-    }
-
-    /// Output planes `oc..oc + B` of batch row `b` over output rows `rows` and columns
-    /// `cols`, where `w` starts at filter `oc` and `out` at output plane `oc`; returns
-    /// `B`.
-    #[inline(always)]
-    fn block<const B: usize>(
-        &self,
-        b: usize,
-        w: &[f32],
-        out: &mut [f32],
-        rows: &Range<usize>,
-        cols: &Range<usize>,
-    ) -> usize {
-        let lo = self.interior.start.clamp(cols.start, cols.end);
-        let hi = self.interior.end.clamp(lo, cols.end);
-        for oy in rows.clone() {
-            for ox in (cols.start..lo).chain(hi..cols.end) {
-                self.tile::<B, 1>(b, w, out, oy, ox, self.kernel_cols(ox));
-            }
-            let mut ox = lo;
-            while ox + TILE_OX <= hi {
-                self.tile::<B, TILE_OX>(b, w, out, oy, ox, 0..self.g.kw);
-                ox += TILE_OX;
-            }
-            if ox + TILE_OX / 2 <= hi {
-                self.tile::<B, { TILE_OX / 2 }>(b, w, out, oy, ox, 0..self.g.kw);
-                ox += TILE_OX / 2;
-            }
-            for ox in ox..hi {
-                self.tile::<B, 1>(b, w, out, oy, ox, 0..self.g.kw);
-            }
-        }
-        B
-    }
-
-    /// Output elements `(b, oc + j, oy, ox + c)` for `j < B`, `c < C`, over the kernel
-    /// columns `kx`, which must be in bounds for all `C` columns.
-    #[inline(always)]
-    fn tile<const B: usize, const C: usize>(
-        &self,
-        b: usize,
-        w: &[f32],
-        out: &mut [f32],
-        oy: usize,
-        ox: usize,
-        kx: Range<usize>,
-    ) {
-        let g = &self.g;
-        let (h, win, kh, kw) = (g.height, g.width, g.kh, g.kw);
-        let filter = g.cin * kh * kw;
-        let (top, left) = (oy * self.stride, ox * self.stride);
-        let span = (C - 1) * self.stride + 1;
-        let mut acc = [[0.0f32; C]; B];
-        for ic in 0..g.cin {
-            let x_chan = &self.x[(b * g.cin + ic) * h * win..][..h * win];
-            for ky in self.kernel_rows(oy) {
-                let x_row = &x_chan[(top + ky - g.pad_h) * win..][..win];
-                let w_row = (ic * kh + ky) * kw;
-                for kx in kx.clone() {
-                    let xs = &x_row[left + kx - g.pad_w..][..span];
-                    let xv: [f32; C] = std::array::from_fn(|c| xs[c * self.stride]);
-                    for (j, a) in acc.iter_mut().enumerate() {
-                        let wv = w[j * filter + w_row + kx];
-                        for (a, &xv) in a.iter_mut().zip(&xv) {
-                            *a += xv * wv;
+    // The kernel taps of an output at offset `start` that fall inside an input of
+    // length `len` padded by `pad` in front.
+    let taps = |start: usize, pad: usize, len: usize, k: usize| {
+        let lo = pad.saturating_sub(start).min(k);
+        lo..(len + pad).saturating_sub(start).clamp(lo, k)
+    };
+    let [channels, rows, cols] = window;
+    for b in 0..g.batch {
+        for oc in channels.clone() {
+            for oy in rows.clone() {
+                let top = oy * stride;
+                for ox in cols.clone() {
+                    let left = ox * stride;
+                    let mut acc = 0.0f32;
+                    for ic in 0..g.cin {
+                        for ky in taps(top, g.pad_h, g.height, g.kh) {
+                            let iy = top + ky - g.pad_h;
+                            for kx in taps(left, g.pad_w, g.width, g.kw) {
+                                let ix = left + kx - g.pad_w;
+                                acc += x[((b * g.cin + ic) * g.height + iy) * g.width + ix]
+                                    * w[((oc * g.cin + ic) * g.kh + ky) * g.kw + kx];
+                            }
                         }
                     }
+                    out[((b * g.cout + oc) * g.out_h + oy) * g.out_w + ox] = acc;
                 }
             }
-        }
-        let plane = g.out_h * g.out_w;
-        for (j, a) in acc.iter().enumerate() {
-            out[j * plane + oy * g.out_w + ox..][..C].copy_from_slice(a);
         }
     }
 }
@@ -581,108 +441,18 @@ mod tests {
         }
     }
 
-    /// The straightforward per-output-element nest: the semantic reference the tiled
-    /// kernel must match **bit-for-bit** (same partial-product order per output element,
-    /// so identical f32 rounding).
-    fn conv2d_naive(x: &Tensor, w: &Tensor, stride: usize, padding: Padding) -> Tensor {
-        let (xd, wd) = (x.dims(), w.dims());
-        let (n, cin, h, win) = (xd[0], xd[1], xd[2], xd[3]);
-        let (cout, _, kh, kw) = (wd[0], wd[1], wd[2], wd[3]);
-        let (ho, pad_h) = padded_geometry(h, kh, stride, padding);
-        let (wo, pad_w) = padded_geometry(win, kw, stride, padding);
-        let (xdat, wdat) = (x.data(), w.data());
-        let mut odat = vec![0.0f32; n * cout * ho * wo];
-        for b in 0..n {
-            for oc in 0..cout {
-                for oy in 0..ho {
-                    for ox in 0..wo {
-                        let mut acc = 0.0f32;
-                        for ic in 0..cin {
-                            for ky in 0..kh {
-                                let iy = (oy * stride + ky) as isize - pad_h as isize;
-                                if iy < 0 || iy >= h as isize {
-                                    continue;
-                                }
-                                for kx in 0..kw {
-                                    let ix = (ox * stride + kx) as isize - pad_w as isize;
-                                    if ix < 0 || ix >= win as isize {
-                                        continue;
-                                    }
-                                    acc += xdat
-                                        [((b * cin + ic) * h + iy as usize) * win + ix as usize]
-                                        * wdat[((oc * cin + ic) * kh + ky) * kw + kx];
-                                }
-                            }
-                        }
-                        odat[((b * cout + oc) * ho + oy) * wo + ox] = acc;
-                    }
-                }
-            }
-        }
-        Tensor::from_vec(vec![n, cout, ho, wo], odat).unwrap()
-    }
-
-    /// Asserts the tiled kernel equals the naive nest bit for bit, with NaN compared as a
-    /// class: IEEE 754 leaves NaN payload propagation unspecified (docs/NUMERICS.md §6).
-    fn assert_matches_naive(x: &Tensor, w: &Tensor, stride: usize, padding: Padding) {
-        let bits = |v: f32| {
-            if v.is_nan() {
-                f32::NAN.to_bits()
-            } else {
-                v.to_bits()
-            }
-        };
-        let tiled = conv2d_forward(nid(), x, w, stride, padding).unwrap();
-        let naive = conv2d_naive(x, w, stride, padding);
-        let context = format!(
-            "x {:?} w {:?} stride {stride} {padding:?}",
-            x.dims(),
-            w.dims()
-        );
-        assert_eq!(tiled.dims(), naive.dims(), "{context}: shapes diverged");
-        for (i, (&t, &r)) in tiled.data().iter().zip(naive.data()).enumerate() {
-            assert_eq!(
-                bits(t),
-                bits(r),
-                "{context}: element {i} diverged (tiled {t}, naive {r})"
-            );
-        }
-    }
-
+    /// Kernel taps in the padding are skipped, not added as zeros: an infinite filter
+    /// tap that only ever reads the padding leaves every output finite.
     #[test]
-    fn tiled_kernel_matches_naive_nest_bit_for_bit() {
-        use rand::{rngs::StdRng, Rng, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(11);
-        for (shape_x, shape_w, stride, padding) in [
-            (vec![2, 3, 7, 7], vec![4, 3, 3, 3], 1, Padding::Same),
-            (vec![1, 2, 9, 6], vec![3, 2, 3, 3], 2, Padding::Same),
-            (vec![1, 1, 8, 8], vec![2, 1, 5, 5], 1, Padding::Valid),
-            (vec![2, 4, 6, 6], vec![2, 4, 2, 2], 2, Padding::Valid),
-            (vec![1, 1, 4, 4], vec![1, 1, 1, 1], 1, Padding::Same),
-            (vec![1, 2, 5, 5], vec![2, 2, 4, 4], 3, Padding::Same),
-            // Kernel far wider than the input: outer kernel columns lie entirely in the
-            // padding and must contribute nothing.
-            (vec![1, 1, 1, 1], vec![1, 1, 5, 5], 1, Padding::Same),
-            (vec![1, 1, 2, 2], vec![1, 1, 7, 7], 2, Padding::Same),
-            // LeNet-5's two convs: a channel remainder (6 = 4 + 2), border columns, and
-            // an interior run that ends in single-column tiles (10 = 8 + 1 + 1).
-            (vec![2, 1, 28, 28], vec![6, 1, 5, 5], 1, Padding::Same),
-            (vec![2, 6, 14, 14], vec![16, 6, 5, 5], 1, Padding::Valid),
-        ] {
-            let nx: usize = shape_x.iter().product();
-            let nw: usize = shape_w.iter().product();
-            let x = Tensor::from_vec(
-                shape_x.clone(),
-                (0..nx).map(|_| rng.gen_range(-2.0..2.0)).collect(),
-            )
-            .unwrap();
-            let w = Tensor::from_vec(
-                shape_w.clone(),
-                (0..nw).map(|_| rng.gen_range(-2.0..2.0)).collect(),
-            )
-            .unwrap();
-            assert_matches_naive(&x, &w, stride, padding);
-        }
+    fn padding_taps_are_skipped_not_added_as_zeros() {
+        let x = Tensor::ones(vec![1, 1, 3, 3]);
+        let mut w = Tensor::ones(vec![1, 1, 3, 3]);
+        w.data_mut()[0] = f32::INFINITY;
+        let y = conv2d_forward(nid(), &x, &w, 2, Padding::Same).unwrap();
+        assert_eq!(y.dims(), &[1, 1, 2, 2]);
+        // Only output (1, 1) reads the input through the infinite top-left tap; the
+        // other three read the padding through it.
+        assert_eq!(y.data(), &[4.0, 4.0, 4.0, f32::INFINITY]);
     }
 
     /// An operand value: mostly moderate magnitudes, with signed zeros, subnormals, the
@@ -706,11 +476,13 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
-        /// Random geometry over the ranges the tiles split on: empty batches, channels
-        /// and images, channel-block remainders (`cout` up to 9), kernels wider than
-        /// the input, strides up to 4 and both paddings.
+        /// Random geometry (empty batches, channels and images, kernels wider than the
+        /// input, strides up to 4, both paddings) and a random output window: the
+        /// windowed nest writes the full pass's elements inside the window, bit for bit
+        /// with NaN compared as a class (docs/NUMERICS.md §6), and touches nothing
+        /// outside it.
         #[test]
-        fn tiled_kernel_matches_naive_nest_on_random_geometry(
+        fn windowed_nest_matches_the_full_nest_on_random_geometry(
             n in 0usize..4,
             cin in 0usize..6,
             cout in 1usize..10,
@@ -722,12 +494,32 @@ mod tests {
             same in 0u8..2,
             seed in 0u64..u64::MAX,
         ) {
-            use rand::SeedableRng;
+            use rand::{Rng, SeedableRng};
+            let bits = |v: f32| if v.is_nan() { f32::NAN.to_bits() } else { v.to_bits() };
             let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
             let x = random_tensor(&mut rng, vec![n, cin, h, win]);
             let w = random_tensor(&mut rng, vec![cout, cin, kh, kw]);
             let padding = if same == 1 { Padding::Same } else { Padding::Valid };
-            assert_matches_naive(&x, &w, stride, padding);
+            let full = conv2d_forward(nid(), &x, &w, stride, padding).unwrap();
+            let dims = full.dims().to_vec();
+            let window: [Range<usize>; 3] = std::array::from_fn(|i| {
+                let lo = rng.gen_range(0..=dims[i + 1]);
+                lo..rng.gen_range(lo..=dims[i + 1])
+            });
+            let mut out = Tensor::filled(dims.clone(), 77.0);
+            conv2d_window_into(nid(), &x, &w, stride, padding, &window, &mut out).unwrap();
+            for (i, (&got, &want)) in out.data().iter().zip(full.data()).enumerate() {
+                let (oc, oy, ox) = (
+                    i / (dims[2] * dims[3]) % dims[1],
+                    i / dims[3] % dims[2],
+                    i % dims[3],
+                );
+                let inside = window[0].contains(&oc)
+                    && window[1].contains(&oy)
+                    && window[2].contains(&ox);
+                let expected = if inside { want } else { 77.0 };
+                assert_eq!(bits(got), bits(expected), "{window:?}: element {i}");
+            }
         }
     }
 

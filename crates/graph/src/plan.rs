@@ -44,7 +44,7 @@
 //! # Ok::<(), ranger_graph::GraphError>(())
 //! ```
 
-use crate::backend::{ExecBackend, ReferenceBackend};
+use crate::backend::{ExecBackend, F32};
 use crate::error::GraphError;
 use crate::exec::{GoldenSnapshot, Interceptor, NoopInterceptor, Values};
 use crate::graph::{Graph, NodeId};
@@ -55,11 +55,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 use std::time::Instant;
 
-static REFERENCE: ReferenceBackend = ReferenceBackend;
-
 impl Graph {
-    /// Compiles this graph into a reusable execution plan on the `f32`
-    /// [`ReferenceBackend`].
+    /// Compiles this graph into a reusable execution plan on the `f32` backend
+    /// ([`BackendKind::F32`](crate::backend::BackendKind::F32)): the runtime-dispatched
+    /// kernels, bit for bit the reference semantics.
     ///
     /// # Example
     ///
@@ -80,11 +79,12 @@ impl Graph {
     ///
     /// Returns [`GraphError::CyclicGraph`] if the graph contains a cycle.
     pub fn compile(&self) -> Result<ExecPlan<'_>, GraphError> {
-        self.compile_with(&REFERENCE)
+        self.compile_with(&F32)
     }
 
     /// Compiles this graph into an execution plan on an explicit backend — the seam for
-    /// alternative compute paths (fixed-point today; SIMD/GPU backends tomorrow).
+    /// alternative compute paths (fixed-point today) and for the reference oracle in
+    /// tests (`compile_with(&ReferenceBackend)`).
     ///
     /// The planning work (topological order, shape recording, buffer arena) is
     /// backend-independent; only per-node kernel dispatch changes.

@@ -2,8 +2,9 @@
 //! must reproduce a fresh full pass (`ExecPlan::run_into`) under the same interceptor,
 //! bit for bit, whatever trials ran through the store before it.
 //!
-//! Each backend runs: f32, SIMD, fixed16, and the process default (`RANGER_BACKEND`),
-//! so a fixed32 sweep covers the Q24.8 words too. Plans are warmed, so with
+//! Each backend runs: the reference oracle (`ReferenceBackend`, whose windowed conv is
+//! the plain nest), f32 (the dispatched kernels), fixed16, and the process default
+//! (`RANGER_BACKEND`), so a fixed32 sweep covers the Q24.8 words too. Plans are warmed, so with
 //! `RANGER_METRICS=1` the timed branch of the cone pass is the one under test.
 
 use proptest::prelude::*;
@@ -12,7 +13,8 @@ use rand::{Rng, SeedableRng};
 use ranger_graph::exec::{NoopInterceptor, Values};
 use ranger_graph::op::Padding;
 use ranger_graph::{
-    default_backend, BackendKind, ExecPlan, GoldenSnapshot, Graph, Interceptor, Node, NodeId, Op,
+    default_backend, BackendKind, ExecBackend, ExecPlan, GoldenSnapshot, Graph, Interceptor, Node,
+    NodeId, Op, ReferenceBackend,
 };
 use ranger_tensor::{QTensor, Tensor};
 
@@ -64,12 +66,22 @@ impl Interceptor for Edits<'_> {
 }
 
 /// The backends every test runs on, the process default included once.
-fn backends() -> Vec<BackendKind> {
-    let mut kinds = vec![BackendKind::F32, BackendKind::Simd, BackendKind::Fixed16];
-    if !kinds.contains(&default_backend()) {
-        kinds.push(default_backend());
+fn backends() -> Vec<&'static dyn ExecBackend> {
+    let mut list = vec![
+        &ReferenceBackend as &dyn ExecBackend,
+        BackendKind::F32.backend(),
+        BackendKind::Fixed16.backend(),
+    ];
+    let default = default_backend().backend();
+    if list.iter().all(|b| b.name() != default.name()) {
+        list.push(default);
     }
-    kinds
+    list
+}
+
+/// The `f32` backends: the reference oracle and the dispatched kernels.
+fn f32_backends() -> [&'static dyn ExecBackend; 2] {
+    [&ReferenceBackend, BackendKind::F32.backend()]
 }
 
 /// A node's value as comparable integers: f32 bits, or the stored words.
@@ -241,8 +253,8 @@ proptest! {
         let width = rng.gen_range(2usize..7);
         let (graph, out) = random_dag(&mut rng, width);
         let feeds = [feed(&mut rng, width), feed(&mut rng, width)];
-        for kind in backends() {
-            let plan = graph.compile_with(kind.backend()).unwrap();
+        for backend in backends() {
+            let plan = graph.compile_with(backend).unwrap();
             plan.warm(&feeds[0]).unwrap();
             let goldens = [golden(&plan, &feeds[0], out), golden(&plan, &feeds[1], out)];
             let mut store = plan.buffers();
@@ -250,7 +262,7 @@ proptest! {
                 let input = usize::from(trial % 5 == 4);
                 let edits = random_edits(&mut rng, &graph, width);
                 let (snapshot, golden_out) = &goldens[input];
-                let label = format!("{kind:?} seed {seed} trial {trial}");
+                let label = format!("{} seed {seed} trial {trial}", backend.name());
                 check_trial(
                     &plan, &mut store, snapshot, golden_out, &feeds[input], &edits, out, &label,
                 );
@@ -390,8 +402,8 @@ proptest! {
             vec![("x", Tensor::from_vec(image.clone(), data).unwrap())]
         };
         let feeds = [feed(&mut rng), feed(&mut rng)];
-        for kind in backends() {
-            let plan = graph.compile_with(kind.backend()).unwrap();
+        for backend in backends() {
+            let plan = graph.compile_with(backend).unwrap();
             let warmed = plan.warm(&feeds[0]).unwrap();
             let sized: Vec<(NodeId, usize)> = graph
                 .nodes()
@@ -414,7 +426,7 @@ proptest! {
             for (trial, edits) in trials.iter().enumerate() {
                 let input = usize::from(trial % 4 == 3);
                 let (snapshot, golden_out) = &goldens[input];
-                let label = format!("{kind:?} seed {seed} trial {trial}");
+                let label = format!("{} seed {seed} trial {trial}", backend.name());
                 check_trial(
                     &plan, &mut store, snapshot, golden_out, &feeds[input], edits, out, &label,
                 );
@@ -454,9 +466,9 @@ fn concat_after_a_constant_shifts_boxes_past_its_channels() {
     let trials: Vec<Vec<Edit>> = (0..32)
         .map(|e| vec![edit(a, e, Change::Set(3.0 + e as f32))])
         .collect();
-    for kind in backends() {
-        let deviated = run_trials(&g, kind, out, &feeds, &trials);
-        assert!(deviated.iter().all(|&d| d), "{kind:?}");
+    for backend in backends() {
+        let deviated = run_trials(&g, backend, out, &feeds, &trials);
+        assert!(deviated.iter().all(|&d| d), "{}", backend.name());
     }
 }
 
@@ -498,16 +510,16 @@ fn edit(node: NodeId, element: usize, change: Change) -> Edit {
     }
 }
 
-/// Runs `trials` in order through one store on `kind`, each checked against the full
+/// Runs `trials` in order through one store on `backend`, each checked against the full
 /// pass, and returns each trial's reported deviation.
 fn run_trials(
     graph: &Graph,
-    kind: BackendKind,
+    backend: &dyn ExecBackend,
     out: NodeId,
     feeds: &[(&str, Tensor)],
     trials: &[Vec<Edit>],
 ) -> Vec<bool> {
-    let plan = graph.compile_with(kind.backend()).unwrap();
+    let plan = graph.compile_with(backend).unwrap();
     plan.warm(feeds).unwrap();
     let (snapshot, golden_out) = golden(&plan, feeds, out);
     let mut store = plan.buffers();
@@ -515,7 +527,7 @@ fn run_trials(
         .iter()
         .enumerate()
         .map(|(t, edits)| {
-            let label = format!("{kind:?} trial {t}");
+            let label = format!("{} trial {t}", backend.name());
             check_trial(
                 &plan,
                 &mut store,
@@ -539,10 +551,10 @@ fn a_nan_golden_output_still_lets_a_masked_fault_stop() {
         "x",
         Tensor::from_vec(vec![1, 3], vec![f32::NAN, 2.0, 0.25]).unwrap(),
     )];
-    for kind in [BackendKind::F32, BackendKind::Simd] {
+    for backend in f32_backends() {
         let deviated = run_trials(
             &c.graph,
-            kind,
+            backend,
             c.out,
             &feeds,
             &[
@@ -554,7 +566,7 @@ fn a_nan_golden_output_still_lets_a_masked_fault_stop() {
                 vec![edit(c.a, 1, Change::Flip(3))],
             ],
         );
-        assert_eq!(deviated, [false, true, false], "{kind:?}");
+        assert_eq!(deviated, [false, true, false], "{}", backend.name());
     }
 }
 
@@ -568,15 +580,15 @@ fn a_sign_of_zero_deviation_is_followed_to_the_output() {
         "x",
         Tensor::from_vec(vec![1, 3], vec![-0.0, 0.25, -0.25]).unwrap(),
     )];
-    for kind in [BackendKind::F32, BackendKind::Simd] {
+    for backend in f32_backends() {
         let deviated = run_trials(
             &c.graph,
-            kind,
+            backend,
             c.out,
             &feeds,
             &[vec![edit(c.d, 0, Change::Set(0.0))]],
         );
-        assert_eq!(deviated, [true], "{kind:?}");
+        assert_eq!(deviated, [true], "{}", backend.name());
     }
 }
 
@@ -589,10 +601,10 @@ fn output_dead_value_and_multi_site_plans_match_full_passes() {
         "x",
         Tensor::from_vec(vec![1, 3], vec![0.25, 2.0, -1.0]).unwrap(),
     )];
-    for kind in backends() {
+    for backend in backends() {
         let deviated = run_trials(
             &c.graph,
-            kind,
+            backend,
             c.out,
             &feeds,
             &[
@@ -619,7 +631,8 @@ fn output_dead_value_and_multi_site_plans_match_full_passes() {
         assert_eq!(
             deviated,
             [true, false, true, true, false, false],
-            "{kind:?}"
+            "{}",
+            backend.name()
         );
     }
 }
@@ -638,8 +651,8 @@ fn full_passes_and_new_snapshots_reprime_the_store() {
         Tensor::from_vec(vec![1, 3], vec![-0.75, 0.5, 3.0]).unwrap(),
     )];
     let trial = [edit(c.d, 1, Change::Flip(3))];
-    for kind in backends() {
-        let plan = c.graph.compile_with(kind.backend()).unwrap();
+    for backend in backends() {
+        let plan = c.graph.compile_with(backend).unwrap();
         plan.warm(&feeds_a).unwrap();
         let mut store = plan.buffers();
         let (snapshot, golden_a) = golden(&plan, &feeds_a, c.out);

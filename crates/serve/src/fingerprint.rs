@@ -81,6 +81,7 @@ mod tests {
     use super::*;
     use rand::{rngs::StdRng, SeedableRng};
     use ranger_graph::{Graph, GraphBuilder, NodeId};
+    use ranger_inject::{BackendKind, FaultModel};
 
     fn toy() -> (Graph, NodeId) {
         let mut rng = StdRng::seed_from_u64(3);
@@ -147,6 +148,29 @@ mod tests {
         let probs = b.softmax(y);
         let other = b.into_graph();
         assert_ne!(reference, fingerprint_of(&other, probs, &base));
+    }
+
+    /// Frozen fingerprints of the toy campaign on the two f32 spellings. Both name the
+    /// same kernels, but the serialized backend is part of the payload, so checkpoint
+    /// directories written under either name resume only if these stay put.
+    #[test]
+    fn f32_and_simd_fingerprints_are_frozen() {
+        let (graph, output) = toy();
+        for (backend, pinned) in [
+            (BackendKind::F32, "d0db019047dfc5490ef1d163202e0316"),
+            (BackendKind::Simd, "ddcfb33cf645cb85cd99d3d81860f060"),
+        ] {
+            let config = CampaignConfig {
+                trials: 100,
+                batch: 1,
+                workers: 1,
+                backend,
+                fault: FaultModel::single_bit_fixed32(),
+                seed: 0,
+                tile: 0,
+            };
+            assert_eq!(fingerprint_of(&graph, output, &config), pinned, "{backend}");
+        }
     }
 
     #[test]

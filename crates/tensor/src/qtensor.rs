@@ -318,111 +318,6 @@ impl QTensor {
             A::write_back(self.spec, &scratch, &mut odat[i * n..(i + 1) * n]);
         }
     }
-
-    /// Elementwise saturating addition (words share a scale, so no rescale is needed).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::ShapeMismatch`] if the shapes differ; `out` is left
-    /// unchanged.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the operand formats differ.
-    pub fn saturating_add_into(
-        &self,
-        other: &QTensor,
-        out: &mut QTensor,
-    ) -> Result<(), TensorError> {
-        assert_eq!(self.spec, other.spec, "add operands must share a format");
-        if self.shape != other.shape {
-            return Err(TensorError::ShapeMismatch {
-                left: self.shape.clone(),
-                right: other.shape.clone(),
-            });
-        }
-        out.reset_fill(self.spec, self.dims(), 0);
-        for (o, (&a, &b)) in out
-            .words_mut()
-            .iter_mut()
-            .zip(self.data.iter().zip(&other.data))
-        {
-            *o = self.spec.saturate_raw(a as i128 + b as i128);
-        }
-        Ok(())
-    }
-
-    /// Elementwise saturating multiplication with one rescale per product.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::ShapeMismatch`] if the shapes differ; `out` is left
-    /// unchanged.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the operand formats differ.
-    pub fn saturating_mul_into(
-        &self,
-        other: &QTensor,
-        out: &mut QTensor,
-    ) -> Result<(), TensorError> {
-        assert_eq!(self.spec, other.spec, "mul operands must share a format");
-        if self.shape != other.shape {
-            return Err(TensorError::ShapeMismatch {
-                left: self.shape.clone(),
-                right: other.shape.clone(),
-            });
-        }
-        out.reset_fill(self.spec, self.dims(), 0);
-        for (o, (&a, &b)) in out
-            .words_mut()
-            .iter_mut()
-            .zip(self.data.iter().zip(&other.data))
-        {
-            *o = self.spec.rescale(a as i128 * b as i128);
-        }
-        Ok(())
-    }
-
-    /// Multiplies every word by the quantized scalar `factor` (one rescale per product).
-    pub fn scalar_mul_into(&self, factor: f32, out: &mut QTensor) {
-        let raw_factor = self.spec.raw_encode(factor) as i128;
-        out.reset_fill(self.spec, self.dims(), 0);
-        for (o, &a) in out.words_mut().iter_mut().zip(&self.data) {
-            *o = self.spec.rescale(a as i128 * raw_factor);
-        }
-    }
-
-    /// Clamps every word into the quantized `[lo, hi]` range (the Ranger
-    /// range-restriction operator on the integer path: the bounds quantize to the grid
-    /// first, then the comparison happens word-for-word).
-    pub fn clamp_into(&self, lo: f32, hi: f32, out: &mut QTensor) {
-        let lo = self.spec.raw_encode(lo);
-        let hi = self.spec.raw_encode(hi);
-        out.reset_fill(self.spec, self.dims(), 0);
-        for (o, &a) in out.words_mut().iter_mut().zip(&self.data) {
-            *o = a.clamp(lo, hi);
-        }
-    }
-
-    /// Rectified linear unit on words: `max(word, 0)` (exact — zero is on every grid).
-    pub fn relu_into(&self, out: &mut QTensor) {
-        out.reset_fill(self.spec, self.dims(), 0);
-        for (o, &a) in out.words_mut().iter_mut().zip(&self.data) {
-            *o = a.max(0);
-        }
-    }
-
-    /// Applies an `f32` function through the dequantize → apply → requantize bridge (the
-    /// backend's stand-in for the lookup tables fixed-point hardware uses for
-    /// transcendental activations).
-    pub fn map_f32_into(&self, out: &mut QTensor, f: impl Fn(f32) -> f32) {
-        out.reset_fill(self.spec, self.dims(), 0);
-        for (o, &a) in out.words_mut().iter_mut().zip(&self.data) {
-            *o = self.spec.raw_encode(f(self.spec.raw_decode(a)));
-        }
-    }
 }
 
 /// The accumulator of the integer MAC kernels: `i64` on the guarded fast path,
@@ -741,32 +636,6 @@ mod tests {
     }
 
     #[test]
-    fn elementwise_kernels_match_float_on_exact_words() {
-        let a = Tensor::from_vec(vec![3], vec![1.5, -2.0, 3.25]).unwrap();
-        let b = Tensor::from_vec(vec![3], vec![0.5, 4.0, -1.0]).unwrap();
-        let spec = FixedSpec::q16();
-        let (qa, qb) = (
-            QTensor::from_tensor(spec, &a),
-            QTensor::from_tensor(spec, &b),
-        );
-        let mut out = QTensor::new(spec);
-        qa.saturating_add_into(&qb, &mut out).unwrap();
-        assert_eq!(out.dequantize(), a.add(&b).unwrap());
-        qa.saturating_mul_into(&qb, &mut out).unwrap();
-        assert_eq!(out.dequantize(), a.mul(&b).unwrap());
-        qa.scalar_mul_into(2.0, &mut out);
-        assert_eq!(out.dequantize(), a.scale(2.0));
-        qa.relu_into(&mut out);
-        assert_eq!(out.dequantize(), a.map(|v| v.max(0.0)));
-        qa.clamp_into(0.0, 2.0, &mut out);
-        assert_eq!(out.dequantize(), a.clamp(0.0, 2.0));
-        // Mismatched shapes are rejected.
-        let c = QTensor::from_tensor(spec, &Tensor::zeros(vec![2]));
-        assert!(qa.saturating_add_into(&c, &mut out).is_err());
-        assert!(qa.saturating_mul_into(&c, &mut out).is_err());
-    }
-
-    #[test]
     fn flip_word_corrupts_exactly_one_word() {
         let t = Tensor::from_vec(vec![2], vec![2.0, 3.0]).unwrap();
         let mut q = QTensor::from_tensor(FixedSpec::q16(), &t);
@@ -1019,16 +888,5 @@ mod tests {
             &[1, 3],
             "failed resets leave the tensor unchanged"
         );
-    }
-
-    #[test]
-    fn map_f32_bridge_requantizes() {
-        let t = Tensor::from_vec(vec![2], vec![0.0, 100.0]).unwrap();
-        let q = QTensor::from_tensor(FixedSpec::q16(), &t);
-        let mut out = QTensor::new(FixedSpec::q16());
-        q.map_f32_into(&mut out, f32::tanh);
-        // tanh(0) = 0 exactly; tanh(100) ~ 1.0 quantizes onto the grid.
-        assert_eq!(out.get_f32(0), 0.0);
-        assert_eq!(out.get_f32(1), 1.0);
     }
 }

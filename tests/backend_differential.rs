@@ -1,5 +1,9 @@
 //! Differential fuzzing of the SIMD backend against the scalar reference, per operator.
 //!
+//! The SIMD backend's kernels run every production `f32` pass (`Graph::compile`,
+//! `BackendKind::F32` and its `simd` alias); the reference is `ReferenceBackend`, which
+//! no production path selects, reached here through `compile_with(&ReferenceBackend)`.
+//!
 //! `tests/backend_parity.rs` pins whole zoo models; this suite attacks the three ported
 //! SIMD kernels (conv2d, matmul, softmax) and the delegated remainder one operator at a
 //! time, over randomized shapes/strides/padding and **full-range** operands — raw `u32`
@@ -41,7 +45,7 @@
 use proptest::prelude::*;
 use ranger_graph::exec::NoopInterceptor;
 use ranger_graph::op::Padding;
-use ranger_graph::{Graph, NodeId, Op, SimdBackend};
+use ranger_graph::{Graph, NodeId, Op, ReferenceBackend};
 use ranger_tensor::Tensor;
 
 /// Per-operator output tolerance. Only `Bits` is in use — see the module-level table —
@@ -155,8 +159,9 @@ fn assert_conv_matches(w: Tensor, x: Tensor, stride: usize, padding: Padding, co
     assert_backends_match(&g, &[("x", x)], &[conv], Tolerance::Bits, context);
 }
 
-/// Runs `graph` on the reference and the SIMD backend and asserts every node the run
-/// materialized matches under `tolerance`.
+/// Runs `graph` on the reference oracle and on the dispatched kernels (`compile()`, the
+/// `f32` backend) and asserts every node the run materialized matches under
+/// `tolerance`.
 fn assert_backends_match(
     graph: &Graph,
     feeds: &[(&str, Tensor)],
@@ -164,8 +169,8 @@ fn assert_backends_match(
     tolerance: Tolerance,
     context: &str,
 ) {
-    let reference_plan = graph.compile().unwrap();
-    let simd_plan = graph.compile_with(&SimdBackend).unwrap();
+    let reference_plan = graph.compile_with(&ReferenceBackend).unwrap();
+    let simd_plan = graph.compile().unwrap();
     let mut reference = reference_plan.buffers();
     let mut simd = simd_plan.buffers();
     reference_plan
@@ -400,13 +405,13 @@ fn simd_backend_reports_reference_error_text_for_invalid_shapes() {
     let mm = g.add_node("mm", Op::MatMul, vec![x, w]);
     let feeds = [("x", Tensor::filled(vec![2, 2], 1.0))];
     let reference = g
-        .compile()
+        .compile_with(&ReferenceBackend)
         .unwrap()
         .run_simple(&feeds, mm)
         .unwrap_err()
         .to_string();
     let simd = g
-        .compile_with(&SimdBackend)
+        .compile()
         .unwrap()
         .run_simple(&feeds, mm)
         .unwrap_err()

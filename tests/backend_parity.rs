@@ -16,13 +16,18 @@
 //!   sit exactly on the representable grid, and be deterministic across repeated runs
 //!   and across every (workers × batch) campaign combination.
 //!
-//! The SIMD backend gets the stricter pin: it computes the *same* f32 semantics, so its
-//! zoo outputs and campaign SDC counts must equal the reference **bit-for-bit** — its
-//! "tolerance" is zero, measured and frozen as equality.
+//! The SIMD backend — the dispatched kernels every `f32` pass runs, under the names
+//! `f32` and `simd` — gets the stricter pin: it computes the *same* f32 semantics, so
+//! its zoo outputs and campaign SDC counts must equal the reference's **bit-for-bit** —
+//! its "tolerance" is zero, measured and frozen as equality. The reference runs only
+//! here, compiled explicitly with `compile_with(&ReferenceBackend)`.
 
+mod common;
+
+use common::full_pass_counts;
 use ranger_engine::canonical_input;
 use ranger_graph::exec::NoopInterceptor;
-use ranger_graph::{BackendKind, Graph, Op};
+use ranger_graph::{BackendKind, Graph, Op, ReferenceBackend};
 use ranger_inject::{
     run_campaign, CampaignConfig, ClassifierJudge, FaultModel, InjectionTarget, SdcJudge,
     SteeringJudge,
@@ -56,7 +61,8 @@ const TOLERANCES: [(ModelKind, f32, f32); 8] = [
     (ModelKind::Comma, 25.0, 500.0),
 ];
 
-/// Every zoo model: the SIMD backend reproduces the f32 reference **bit-for-bit** —
+/// Every zoo model: the SIMD backend (`compile()`, the `f32` backend) reproduces the
+/// reference oracle **bit-for-bit** —
 /// not within a tolerance. Its kernels preserve the reference's accumulation order and
 /// rounding steps (no reduction-dimension vectorization, no FMA; see `ranger-simd`'s
 /// crate docs), so the measured divergence on every zoo model is exactly zero and that
@@ -70,14 +76,11 @@ fn simd_backend_is_bit_for_bit_exact_on_every_zoo_model() {
         let feeds = [(model.input_name.as_str(), input)];
         let reference = model
             .graph
-            .compile()
+            .compile_with(&ReferenceBackend)
             .unwrap()
             .run_simple(&feeds, model.output)
             .unwrap();
-        let plan = model
-            .graph
-            .compile_with(BackendKind::Simd.backend())
-            .unwrap();
+        let plan = model.graph.compile().unwrap();
         let out = plan.run_simple(&feeds, model.output).unwrap();
         assert_eq!(out, reference, "{kind} on simd diverged from the reference");
         let again = plan.run_simple(&feeds, model.output).unwrap();
@@ -106,7 +109,7 @@ fn fixed_backends_match_reference_within_documented_tolerance_on_every_zoo_model
         let feeds = [(model.input_name.as_str(), input)];
         let reference = model
             .graph
-            .compile()
+            .compile_with(&ReferenceBackend)
             .unwrap()
             .run_simple(&feeds, model.output)
             .unwrap();
@@ -216,7 +219,11 @@ fn fixed_backends_are_exact_on_grid_aligned_operands() {
     // stay far inside ±8192.
     for v in [-2.0f32, -0.75, 0.0, 0.25, 1.5, 3.0] {
         let feeds = [("x", Tensor::filled(vec![2, 3], v))];
-        let reference = graph.compile().unwrap().run_simple(&feeds, output).unwrap();
+        let reference = graph
+            .compile_with(&ReferenceBackend)
+            .unwrap()
+            .run_simple(&feeds, output)
+            .unwrap();
         for backend in [BackendKind::Fixed16, BackendKind::Fixed32] {
             let out = graph
                 .compile_with(backend.backend())
@@ -234,6 +241,8 @@ fn fixed_backends_are_exact_on_grid_aligned_operands() {
 /// The campaign acceptance grid on real zoo architectures, per backend: worker counts
 /// {1, 2, 4} × batch sizes {1, 16} report the serial per-sample SDC counts bit-for-bit
 /// on every backend — on the fixed backends with faults flipped directly in the words.
+/// On the f32 backend and its `simd` alias the serial counts also equal the reference
+/// oracle's, one full pass per trial.
 #[test]
 fn campaign_counts_are_bit_for_bit_across_workers_and_batch_on_every_backend() {
     for kind in [ModelKind::LeNet, ModelKind::Comma] {
@@ -250,7 +259,6 @@ fn campaign_counts_are_bit_for_bit_across_workers_and_batch_on_every_backend() {
             output: model.output,
             excluded: &model.excluded_from_injection,
         };
-        let mut f32_counts = None;
         for (backend, fault) in [
             (BackendKind::F32, FaultModel::single_bit_fixed32()),
             (BackendKind::Fixed16, FaultModel::single_bit_fixed16()),
@@ -268,17 +276,17 @@ fn campaign_counts_are_bit_for_bit_across_workers_and_batch_on_every_backend() {
             };
             let reference = run_campaign(&target, &inputs, judge.as_ref(), &config(1, 1)).unwrap();
             assert_eq!(reference.trials, 16, "{kind} on {backend}");
-            match backend {
-                // The SIMD backend computes the f32 semantics bit for bit with the
-                // same fault model, so its counts are pinned *across backends*: equal
-                // to the f32 reference, not merely self-consistent across the grid.
-                BackendKind::Simd => assert_eq!(
-                    Some(&reference.sdc_counts),
-                    f32_counts.as_ref(),
-                    "{kind}: simd campaign counts diverged from the f32 reference"
-                ),
-                BackendKind::F32 => f32_counts = Some(reference.sdc_counts.clone()),
-                _ => {}
+            if backend.spec().is_none() {
+                // The dispatched kernels compute the f32 semantics bit for bit with the
+                // same fault model, so their counts are pinned *across
+                // implementations*: equal to the reference oracle's full passes, not
+                // merely self-consistent across the grid.
+                let oracle = full_pass_counts(&target, &inputs, judge.as_ref(), &config(1, 1));
+                assert_eq!(
+                    (reference.sdc_counts.clone(), reference.unactivated),
+                    oracle,
+                    "{kind}: {backend} campaign counts diverged from the reference oracle"
+                );
             }
             for workers in [2usize, 4] {
                 for batch in [1usize, 16] {

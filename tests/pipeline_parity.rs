@@ -2,6 +2,9 @@
 //! `ExecPlan` and the `Pipeline` builder must reproduce the legacy hand-wired paths
 //! exactly — same graphs, same forward-pass values, same SDC counts for the same seed.
 
+mod common;
+
+use common::full_pass_counts;
 use proptest::prelude::*;
 use rand::{rngs::StdRng, SeedableRng};
 use ranger::bounds::{profile_bounds, BoundsConfig};
@@ -13,10 +16,7 @@ use ranger_engine::{
 };
 use ranger_graph::exec::NoopInterceptor;
 use ranger_graph::GraphBuilder;
-use ranger_inject::{
-    trial_rng, BackendKind, CampaignConfig, FaultInjector, FaultModel, InjectionSpace,
-    InjectionTarget, SdcJudge,
-};
+use ranger_inject::{BackendKind, CampaignConfig, FaultModel, InjectionTarget, SdcJudge};
 use ranger_models::zoo::ModelZoo;
 use ranger_models::{archs, ModelConfig, ModelKind, TrainConfig};
 use ranger_tensor::Tensor;
@@ -180,45 +180,15 @@ fn parallel_campaign_grid_matches_serial_on_zoo_models() {
     }
 }
 
-/// The SDC counts and unactivated tally of `config` computed the long way: one full
-/// `ExecPlan` pass per trial on the configured backend, plans drawn from the canonical
-/// per-(input, trial) streams.
-fn full_pass_counts(
-    target: &InjectionTarget<'_>,
-    inputs: &[Tensor],
-    judge: &dyn SdcJudge,
-    config: &CampaignConfig,
-) -> (Vec<u64>, u64) {
-    let plan = target.graph.compile_with(config.backend.backend()).unwrap();
-    let mut values = plan.buffers();
-    let mut counts = vec![0u64; judge.categories().len()];
-    let mut unactivated = 0u64;
-    for (i, input) in inputs.iter().enumerate() {
-        let feeds = [(target.input_name, input.clone())];
-        let golden_pass = plan.run(&feeds, &mut NoopInterceptor).unwrap();
-        let golden = golden_pass.get(target.output).unwrap().clone();
-        let space = InjectionSpace::from_pass(&plan, &golden_pass, target.excluded).unwrap();
-        for t in 0..config.trials {
-            let mut rng = trial_rng(config.seed, i, t);
-            let mut injector = FaultInjector::plan_random(config.fault, &space, &mut rng);
-            plan.run_into(&mut values, &feeds, &mut injector).unwrap();
-            let faulty = values.get(target.output).unwrap();
-            for (count, sdc) in counts.iter_mut().zip(judge.judge(&golden, faulty)) {
-                *count += u64::from(sdc);
-            }
-            unactivated += u64::from(!injector.fully_injected());
-        }
-    }
-    (counts, unactivated)
-}
-
 /// The fault-cone acceptance grid on real zoo architectures: on a convolutional
 /// classifier (LeNet), a steering regressor (Comma), a residual network (ResNet-18,
 /// `Add` joins) and a fire-module network (SqueezeNet, `Concat` joins), across the f32,
 /// SIMD and fixed16 backends, every campaign trial runs as a fault cone from the golden
 /// pass, and batch {1, 16, 64} × workers {1, 4} reports the counts of one full pass per
 /// trial bit-for-bit. This pins the cone against full passes through every branch
-/// shape, and the counts across chunk lengths (64 leaves an uneven tail of 8).
+/// shape, and the counts across chunk lengths (64 leaves an uneven tail of 8). The f32
+/// rows' full passes run on the reference oracle, so they also pin the dispatched
+/// kernels' cones against the oracle.
 #[test]
 fn cone_campaign_grid_matches_full_passes_on_zoo_models() {
     for kind in [
